@@ -210,7 +210,10 @@ def _load_schedule(cfg: ExperimentConfig, pipe: PipelineConfig
     for f in files:
         day = _model_day(f)
         ts = dt.datetime(day.year, day.month, day.day, tzinfo=dt.timezone.utc).timestamp()
-        schedule.append((ts + pipe.nightly_train_hour * 3600.0, load_model(f)))
+        model = load_model(f)
+        if model.schema_mismatch:
+            raise CliError(f"{f}: {model.schema_error()} (run 'newsrec train' again)")
+        schedule.append((ts + pipe.nightly_train_hour * 3600.0, model))
     return schedule
 
 
@@ -245,11 +248,12 @@ def cmd_run(cfg: ExperimentConfig, only: Optional[Treatment] = None,
     corpus = _load_corpus(cfg)
     users = corpus.user_ids()
     treatments = [only] if only else cfg.treatments
+    # The nightly schedule does not depend on the treatment: load it once.
+    schedule = _load_schedule(cfg, _pipeline_config(cfg, corpus, treatments[0]))
     for treatment in treatments:
         pipe = _pipeline_config(cfg, corpus, treatment)
         if blend_lambda is not None:
             pipe = PipelineConfig(**{**pipe.__dict__, "blend_lambda": blend_lambda})
-        schedule = _load_schedule(cfg, pipe)
         emissions = run_pipeline(corpus, pipe, users, models=schedule)
         write_emissions(cfg.emissions_path(treatment), emissions)
         print(f"{treatment.value}: {len(emissions)} lists -> {cfg.emissions_path(treatment)}")

@@ -89,6 +89,9 @@ Scorer = Callable[[UserProfile, Sequence[Article], float], np.ndarray]
 def ensemble_scorer(model: TreeEnsemble, cache: ArticleFeatureCache) -> Scorer:
     from .features import extract_matrix
 
+    if model.schema_mismatch:
+        raise EvalError(model.schema_error())
+
     def score(profile: UserProfile, articles: Sequence[Article], at: float) -> np.ndarray:
         X = extract_matrix(profile, [a.id for a in articles], at, cache)
         return model.predict_matrix(X)

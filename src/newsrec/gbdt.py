@@ -12,13 +12,16 @@ thresholds, `x < threshold` routes left). Ties in gain resolve to the
 lowest feature index, then the lowest threshold, so training is fully
 deterministic. The raw score is base_score (log-odds of the positive rate)
 plus learning_rate times the sum of routed leaf weights; predictions are
-its sigmoid.
+its sigmoid. Scoring validates a model's trees once and compiles them into
+one node table that routes all trees together, one depth level at a time
+(`_NodeTable`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -56,38 +59,22 @@ class Tree:
     """One regression tree in flat-array form (node 0 is the root).
 
     Leaves keep feature = -1 and carry their weight; internal nodes route
-    `x[feature] < threshold` to `left`, else `right`.
+    `x[feature] < threshold` to `left`, else `right`, so NaN goes right.
+    The arrays are read-only copies, so a tree cannot change under the node
+    table its ensemble scores with. Values must be numbers, and indices
+    whole numbers that fit int32; nothing is truncated or wrapped.
     """
 
     def __init__(self, feature, threshold, left, right, weight):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.weight = np.asarray(weight, dtype=np.float64)
+        self.feature = _readonly("feature", feature, np.int32)
+        self.threshold = _readonly("threshold", threshold, np.float64)
+        self.left = _readonly("left", left, np.int32)
+        self.right = _readonly("right", right, np.int32)
+        self.weight = _readonly("weight", weight, np.float64)
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def depth(self) -> int:
-        def rec(i: int) -> int:
-            if self.feature[i] < 0:
-                return 0
-            return 1 + max(rec(self.left[i]), rec(self.right[i]))
-        return rec(0)
-
-    def route_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Leaf weights for every row of X."""
-        idx = np.zeros(len(X), dtype=np.int32)
-        while True:
-            internal = self.feature[idx] >= 0
-            if not internal.any():
-                return self.weight[idx]
-            rows = np.nonzero(internal)[0]
-            f = self.feature[idx[rows]]
-            go_left = X[rows, f] < self.threshold[idx[rows]]
-            idx[rows] = np.where(go_left, self.left[idx[rows]], self.right[idx[rows]])
 
     def to_dict(self) -> dict:
         return {
@@ -104,6 +91,131 @@ class Tree:
                    obj["weight"])
 
 
+def _readonly(name: str, values, dtype) -> np.ndarray:
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iuf":
+        raise GbdtError(f"{name} holds {raw.dtype} values, not numbers")
+    with np.errstate(invalid="ignore"):
+        arr = raw.astype(dtype)
+    if arr.dtype.kind == "i":
+        _first_bad((arr != raw).ravel(), raw.ravel(), f"{name} is not an int32 index:")
+    arr.flags.writeable = False
+    return arr
+
+
+def _first_bad(bad: np.ndarray, values: np.ndarray, what: str) -> None:
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise GbdtError(f"node {i}: {what} {values[i]!r}")
+
+
+def _tree_depth(tree: Tree, n_features: int) -> int:
+    """Check one tree's structure and return its depth.
+
+    Internal nodes need a feature in [0, n_features) and both children in
+    range; leaves (feature -1) may keep -1 children. Thresholds and weights
+    are finite. Walking down one level at a time, every node must be
+    reached exactly once from the root, which rules out cycles and shared
+    children and bounds the walk by the node count.
+    """
+    n = tree.n_nodes
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.weight)
+    if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
+        raise GbdtError("node arrays must be non-empty, one-dimensional and of "
+                        "equal length")
+    internal = tree.feature >= 0
+    _first_bad((tree.feature < -1) | (tree.feature >= n_features), tree.feature,
+               f"feature outside [0, {n_features}):")
+    for name, child in (("left", tree.left), ("right", tree.right)):
+        _first_bad(internal & ((child < 0) | (child >= n)), child,
+                   f"{name} child outside [0, {n}):")
+    _first_bad(~np.isfinite(tree.threshold), tree.threshold, "non-finite threshold")
+    _first_bad(~np.isfinite(tree.weight), tree.weight, "non-finite leaf weight")
+
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    level = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while True:
+        level = level[internal[level]]
+        if not len(level):
+            break
+        kids = np.concatenate((tree.left[level], tree.right[level]))
+        reached = np.bincount(kids, minlength=n)
+        again = np.flatnonzero((seen & (reached > 0)) | (reached > 1))
+        if len(again):
+            raise GbdtError(f"node {again[0]}: reached more than once from the root "
+                            "(a cycle or a shared child)")
+        seen[kids] = True
+        level = kids
+        depth += 1
+    if not seen.all():
+        raise GbdtError(f"node {int(np.argmin(seen))}: not reachable from the root")
+    return depth
+
+
+class _NodeTable:
+    """Every tree of an ensemble in one validated node table.
+
+    Tree k's nodes sit at [roots[k], roots[k] + n_nodes) with child indices
+    shifted to match. A leaf's children point to the leaf itself, so routing
+    all trees together `depth` times (the deepest tree's depth) leaves each
+    row on its leaf in every tree. A leaf's `value` is learning_rate times
+    its weight, and the values are summed in tree order, so scores equal the
+    per-tree loop `out += learning_rate * leaf_weight` bit for bit.
+    """
+
+    def __init__(self, trees: Sequence[Tree], n_features: int, learning_rate: float):
+        self.trees = tuple(trees)
+        self.n_features = n_features
+        self.learning_rate = learning_rate
+        self.depth = 0
+        for k, tree in enumerate(self.trees):
+            try:
+                self.depth = max(self.depth, _tree_depth(tree, n_features))
+            except GbdtError as exc:
+                raise GbdtError(f"tree {k} {exc}") from None
+
+        sizes = [t.n_nodes for t in self.trees]
+        self.roots = np.cumsum([0] + sizes, dtype=np.int64)[:-1]
+
+        def cat(name: str, dtype) -> np.ndarray:
+            parts = [getattr(t, name) for t in self.trees]
+            return np.concatenate(parts).astype(dtype) if parts else np.empty(0, dtype)
+
+        own = np.arange(sum(sizes), dtype=np.int64)
+        shift = np.repeat(self.roots, sizes)
+        feature = cat("feature", np.int64)
+        leaf = feature < 0
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = cat("threshold", np.float64)
+        left = np.where(leaf, own, cat("left", np.int64) + shift)
+        right = np.where(leaf, own, cat("right", np.int64) + shift)
+        # child[2 * node + go_left]: one gather takes the step for both branches
+        self.child = np.stack((right, left), axis=1).ravel()
+        self.value = learning_rate * cat("weight", np.float64)
+
+    def built_from(self, model: "TreeEnsemble") -> bool:
+        return (self.learning_rate == model.learning_rate
+                and self.n_features == model.n_features
+                and len(self.trees) == len(model.trees)
+                and all(map(operator.is_, self.trees, model.trees)))
+
+    def raw_scores(self, X: np.ndarray, base_score: float) -> np.ndarray:
+        n = len(X)
+        idx = np.broadcast_to(self.roots[:, None], (len(self.roots), n))
+        if self.depth:
+            flat = np.ascontiguousarray(X, dtype=np.float64).ravel()
+            row_start = np.arange(n, dtype=np.int64) * X.shape[1]
+            for _ in range(self.depth):
+                go_left = flat[row_start + self.feature[idx]] < self.threshold[idx]
+                idx = self.child[2 * idx + go_left]
+        terms = np.empty((len(self.roots) + 1, n))
+        terms[0] = base_score
+        terms[1:] = self.value[idx]
+        return np.add.accumulate(terms, axis=0)[-1]
+
+
 @dataclass
 class TreeEnsemble:
     trees: list[Tree]
@@ -113,15 +225,31 @@ class TreeEnsemble:
     n_features: int
     train_losses: list[float] = field(default_factory=list)
     schema_mismatch: bool = False
+    _table: Optional[_NodeTable] = field(default=None, init=False, repr=False,
+                                         compare=False)
+
+    def _node_table(self) -> _NodeTable:
+        """Validate the trees and build the table that scores them.
+
+        The table is reused until `trees`, `learning_rate` or `n_features`
+        change; a changed ensemble is validated and compiled again.
+        """
+        if self._table is None or not self._table.built_from(self):
+            self._table = _NodeTable(self.trees, self.n_features, self.learning_rate)
+        return self._table
+
+    def schema_error(self) -> Optional[str]:
+        """Why this model may not serve under the running feature schema."""
+        if not self.schema_mismatch:
+            return None
+        return (f"model uses feature schema version {self.schema_version}, "
+                f"but the running schema is version {SCHEMA_VERSION}")
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise GbdtError(f"feature width {X.shape} does not match model "
                             f"({self.n_features})")
-        out = np.full(len(X), self.base_score)
-        for tree in self.trees:
-            out += self.learning_rate * tree.route_matrix(X)
-        return out
+        return self._node_table().raw_scores(X, self.base_score)
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.raw_scores(X))
@@ -256,6 +384,7 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
         prev = loss
         ensemble.train_losses.append(loss)
         ensemble.trees.append(tree)
+    ensemble._node_table()
     return ensemble
 
 
@@ -289,22 +418,32 @@ def save(model: TreeEnsemble, path: str | Path) -> None:
 
 
 def load(path: str | Path, current_schema_version: int = SCHEMA_VERSION) -> TreeEnsemble:
-    """Load a saved ensemble. A schema_version different from the running
-    feature schema sets `schema_mismatch` instead of failing."""
+    """Load a saved ensemble and validate every tree (see `_tree_depth`);
+    any problem raises GbdtError naming the file, and for a malformed tree
+    its index and node. A schema_version different from the running feature
+    schema sets `schema_mismatch` instead of failing; serving code refuses
+    such a model."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if payload["format"] != MODEL_FORMAT:
             raise GbdtError(f"unsupported model format {payload['format']!r}")
+        trees = []
+        for k, obj in enumerate(payload["trees"]):
+            try:
+                trees.append(Tree.from_dict(obj))
+            except GbdtError as exc:
+                raise GbdtError(f"tree {k} {exc}") from None
         model = TreeEnsemble(
-            trees=[Tree.from_dict(t) for t in payload["trees"]],
+            trees=trees,
             learning_rate=float(payload["learning_rate"]),
             base_score=float(payload["base_score"]),
             schema_version=int(payload["schema_version"]),
             n_features=int(payload["n_features"]),
         )
-    except GbdtError:
-        raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        if not (math.isfinite(model.learning_rate) and math.isfinite(model.base_score)):
+            raise GbdtError("learning_rate and base_score must be finite")
+        model._node_table()
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise GbdtError(f"cannot load model from {path}: {exc}") from exc
     if model.schema_version != current_schema_version:
         model.schema_mismatch = True

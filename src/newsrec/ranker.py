@@ -287,6 +287,10 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
     cache = ArticleFeatureCache(corpus, cfg.features)
     if models is None:
         models = train_schedule(corpus, cfg, t_end, cache=cache)
+    for t, model in models:
+        if model.schema_mismatch:
+            since = dt.datetime.fromtimestamp(t, tz=dt.timezone.utc).isoformat()
+            raise RankerError(f"model active from {since}: {model.schema_error()}")
     model_times = [t for t, _ in models]
 
     # Event queue ordered by (time, priority): training precedes refreshes,

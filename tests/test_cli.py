@@ -101,6 +101,19 @@ class TestErrors:
         assert run("generate", "--config", str(cfg)) == 2
         assert "world" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    def test_schema_mismatch_model_refused(self, chain, tmp_path, capsys, command):
+        out, cfg = chain
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        model_file = sorted((copy / "models").glob("model_*.json"))[-1]
+        payload = json.loads(model_file.read_text())
+        payload["schema_version"] = 99
+        model_file.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(command, "--config", str(cfg), "--out", str(copy)) == 2
+        err = capsys.readouterr().err
+        assert model_file.name in err and "version 99" in err
+
 
 class TestSeedOverride:
     def test_seed_changes_generated_corpus(self, tmp_path):

@@ -12,7 +12,7 @@ from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
                                 offline_eval, precision_recall_at,
                                 regularized_incomplete_beta, t_test)
 from newsrec.features import FeatureConfig
-from newsrec.gbdt import TrainConfig
+from newsrec.gbdt import TrainConfig, TreeEnsemble
 from newsrec.ranker import (PipelineConfig, Section, Treatment, manual_lists,
                             run_pipeline, train_schedule)
 
@@ -122,6 +122,14 @@ class TestOfflineEval:
         with pytest.warns(UserWarning, match="no model"):
             report = offline_eval(corpus, {day: oracle}, [day, missing])
         assert report.n_user_days == 2
+
+    def test_schema_mismatch_refused(self):
+        corpus = self.build_world()
+        day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
+        model = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
+                             schema_version=99, n_features=1, schema_mismatch=True)
+        with pytest.raises(EvalError, match="version 99.*running schema is version 1"):
+            offline_eval(corpus, {day: model}, [day])
 
     def test_no_samples_raises(self):
         corpus = self.build_world()

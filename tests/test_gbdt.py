@@ -1,12 +1,15 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from newsrec.features import SCHEMA_VERSION, FeatureVector, LabeledExample
-from newsrec.gbdt import (GbdtError, TrainConfig, TreeEnsemble, load, save, train,
-                          train_arrays)
+from newsrec.gbdt import (GbdtError, TrainConfig, Tree, TreeEnsemble, load, save,
+                          train, train_arrays)
 
 
 def sigmoid(z):
@@ -130,7 +133,6 @@ class TestPredict:
         assert model.predict_matrix(np.zeros((1, 2)))[0] == pytest.approx(sigmoid(0.7))
 
     def test_single_leaf_closed_form(self):
-        from newsrec.gbdt import Tree
         tree = Tree([-1], [0.0], [-1], [-1], [1.3])
         model = TreeEnsemble(trees=[tree], learning_rate=1.0, base_score=0.0,
                              schema_version=1, n_features=2)
@@ -175,3 +177,203 @@ class TestSaveLoad:
         again = load(tmp_path / "m.json", current_schema_version=SCHEMA_VERSION)
         assert again.schema_mismatch
         assert again.schema_version == 99
+
+
+# ---------------------------------------------------------------------------
+# Compiled scoring against the per-tree oracle, and model validation
+# ---------------------------------------------------------------------------
+
+def route_oracle(tree, X):
+    """Leaf weight per row, routing one tree at a time (the pre-compiled path)."""
+    idx = np.zeros(len(X), dtype=np.int32)
+    while True:
+        internal = tree.feature[idx] >= 0
+        if not internal.any():
+            return tree.weight[idx]
+        rows = np.nonzero(internal)[0]
+        f = tree.feature[idx[rows]]
+        go_left = X[rows, f] < tree.threshold[idx[rows]]
+        idx[rows] = np.where(go_left, tree.left[idx[rows]], tree.right[idx[rows]])
+
+
+def raw_scores_oracle(model, X):
+    out = np.full(len(X), model.base_score)
+    for tree in model.trees:
+        out += model.learning_rate * route_oracle(tree, X)
+    return out
+
+
+# A small value grid makes rows hit thresholds exactly (x == threshold goes right).
+GRID = [-1.5, -0.5, 0.0, 0.25, 0.5, 2.0]
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_trees(draw, n_features):
+    """A valid tree of depth 0-6, grown unbalanced, with its non-root nodes
+    stored in a random order."""
+    max_depth = draw(st.integers(0, 6))
+    feature, threshold, children, weight = [], [], [], []
+
+    def grow(depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        children.append((-1, -1))
+        weight.append(draw(finite))
+        if depth < max_depth and draw(st.booleans()):
+            feature[node] = draw(st.integers(0, n_features - 1))
+            threshold[node] = draw(st.sampled_from(GRID) | finite)
+            children[node] = (grow(depth + 1), grow(depth + 1))
+        return node
+
+    grow(0)
+    n = len(feature)
+    order = [0] + draw(st.permutations(range(1, n)))  # order[new] = old
+    new_of = {old: new for new, old in enumerate(order)}
+    remap = lambda c: new_of[c] if c >= 0 else -1
+    return Tree([feature[o] for o in order], [threshold[o] for o in order],
+                [remap(children[o][0]) for o in order],
+                [remap(children[o][1]) for o in order],
+                [weight[o] for o in order])
+
+
+@st.composite
+def ensembles_and_rows(draw):
+    n_features = draw(st.integers(1, 4))
+    trees = draw(st.lists(random_trees(n_features), max_size=50))
+    model = TreeEnsemble(trees=trees,
+                         learning_rate=draw(st.floats(0.01, 1.0)),
+                         base_score=draw(finite), schema_version=1,
+                         n_features=n_features)
+    cell = st.sampled_from(GRID + [math.nan]) | finite
+    X = np.array(draw(st.lists(st.lists(cell, min_size=n_features,
+                                        max_size=n_features), max_size=12)),
+                 dtype=np.float64).reshape(-1, n_features)
+    return model, X
+
+
+class TestCompiledScoring:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(ensembles_and_rows())
+    def test_bit_identical_to_per_tree_oracle(self, case):
+        model, X = case
+        assert np.array_equal(model.raw_scores(X), raw_scores_oracle(model, X))
+
+    def test_nan_routes_right(self):
+        tree = Tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                    [0.0, -1.0, 1.0])
+        model = TreeEnsemble(trees=[tree], learning_rate=1.0, base_score=0.0,
+                             schema_version=1, n_features=1)
+        X = np.array([[0.0], [math.nan], [0.5]])
+        assert model.raw_scores(X).tolist() == [-1.0, 1.0, 1.0]
+
+    def test_trained_model_matches_oracle(self):
+        X, y = separable_dataset(n=300, seed=23)
+        model = train_arrays(X, y, TrainConfig(n_trees=25, max_depth=4))
+        probe = np.random.default_rng(1).normal(size=(200, 3))
+        assert np.array_equal(model.raw_scores(probe), raw_scores_oracle(model, probe))
+
+    def test_no_stale_table_after_trees_change(self):
+        X, y = separable_dataset(n=120, seed=29)
+        model = train_arrays(X, y, TrainConfig(n_trees=3, max_depth=2))
+        extra = train_arrays(X, 1 - y, TrainConfig(n_trees=2, max_depth=3))
+        probe = np.random.default_rng(2).normal(size=(50, 3))
+        first = model.raw_scores(probe)
+        model.trees.append(extra.trees[0])
+        assert np.array_equal(model.raw_scores(probe), raw_scores_oracle(model, probe))
+        assert not np.array_equal(model.raw_scores(probe), first)
+        model.trees[0] = extra.trees[1]
+        assert np.array_equal(model.raw_scores(probe), raw_scores_oracle(model, probe))
+        model.learning_rate = 0.5
+        assert np.array_equal(model.raw_scores(probe), raw_scores_oracle(model, probe))
+
+    def test_tree_arrays_are_read_only(self):
+        tree = Tree([-1], [0.0], [-1], [-1], [1.0])
+        with pytest.raises(ValueError):
+            tree.weight[0] = 2.0
+
+
+def valid_tree():
+    """Depth 2: node 0 splits on feature 1, node 2 on feature 0."""
+    return {"feature": [1, -1, 0, -1, -1], "threshold": [0.5, 0.0, -0.5, 0.0, 0.0],
+            "left": [1, -1, 3, -1, -1], "right": [2, -1, 4, -1, -1],
+            "weight": [0.0, 0.3, 0.0, -0.2, 0.1]}
+
+
+def tree_with(**changes):
+    tree = valid_tree()
+    for key, (node, value) in changes.items():
+        tree[key][node] = value
+    return tree
+
+
+MALFORMED = {
+    "internal_left_minus_one": (tree_with(left=(2, -1)), "node 2: left child"),
+    "nan_threshold": (tree_with(threshold=(0, math.nan)), "node 0: non-finite threshold"),
+    "child_out_of_range": (tree_with(right=(2, 9)), "node 2: right child"),
+    "self_loop": (tree_with(left=(0, 0)), "node 0: reached more than once"),
+    "cycle_to_ancestor": (tree_with(right=(2, 0)), "node 0: reached more than once"),
+    "shared_child": (tree_with(right=(0, 1)), "node 1: reached more than once"),
+    "unreachable_node": (tree_with(feature=(2, -1)), "node 3: not reachable"),
+    "feature_too_large": (tree_with(feature=(2, 2)), "node 2: feature outside [0, 2)"),
+    "feature_below_minus_one": (tree_with(feature=(1, -2)), "node 1: feature outside"),
+    "nan_leaf_weight": (tree_with(weight=(4, math.inf)), "node 4: non-finite leaf weight"),
+    "unequal_lengths": ({**valid_tree(), "weight": [0.0]}, "equal length"),
+    "fractional_index": (tree_with(right=(2, 2.7)), "node 2: right is not an int32"),
+    "index_wraps_int32": (tree_with(left=(0, 2**32 + 1)), "node 0: left is not an int32"),
+    "string_feature": (tree_with(feature=(0, "1")), "feature holds"),
+}
+
+
+class TestModelValidation:
+    def write_model(self, path, bad_tree):
+        payload = {"format": 1, "schema_version": 1, "n_features": 2,
+                   "learning_rate": 0.1, "base_score": 0.0,
+                   "trees": [valid_tree(), bad_tree]}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    def test_valid_model_loads(self, tmp_path):
+        path = self.write_model(tmp_path / "m.json", valid_tree())
+        model = load(path)
+        X = np.array([[0.0, 0.0], [-1.0, 1.0], [1.0, 1.0]])
+        assert np.array_equal(model.raw_scores(X), raw_scores_oracle(model, X))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_rejected_at_load(self, tmp_path, case):
+        bad_tree, detail = MALFORMED[case]
+        path = self.write_model(tmp_path / f"{case}.json", bad_tree)
+        outcome = []
+        worker = threading.Thread(target=lambda: outcome.append(_raised(load, path)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "load hung"
+        exc = outcome[0]
+        assert isinstance(exc, GbdtError)
+        assert str(path) in str(exc) and "tree 1" in str(exc) and detail in str(exc)
+
+    def test_non_finite_scalars_rejected(self, tmp_path):
+        path = self.write_model(tmp_path / "m.json", valid_tree())
+        payload = json.loads(path.read_text())
+        payload["learning_rate"] = math.nan
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(GbdtError, match="finite"):
+            load(path)
+
+    def test_hand_built_self_loop_rejected_at_first_score(self):
+        tree = Tree(**tree_with(left=(0, 0)))
+        model = TreeEnsemble(trees=[tree], learning_rate=0.1, base_score=0.0,
+                             schema_version=1, n_features=2)
+        with pytest.raises(GbdtError, match="tree 0 node 0"):
+            model.raw_scores(np.zeros((1, 2)))
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the caller inspects what was raised
+        return exc
+    return None

@@ -296,6 +296,14 @@ class TestPipeline:
                 assert label == (score >= 0.5)
 
 
+    def test_schema_mismatch_refused(self):
+        model = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
+                             schema_version=99, n_features=1, schema_mismatch=True)
+        with pytest.raises(RankerError, match="version 99.*running schema is version 1"):
+            run_pipeline(mini_corpus(), pipe_config(), ["u1"], t_end=T0 + 2 * DAY,
+                         models=[(T0 + DAY, model)])
+
+
 class TestManualLists:
     def test_from_file(self, tmp_path):
         path = tmp_path / "manual.jsonl"
