@@ -17,7 +17,7 @@ from .corpus import (Article, Corpus, CorpusError, GroundTruth, InteractionEvent
                      tokenize)
 from .features import (ArticleFeatureCache, FeatureConfig, FeatureVector,
                        LabeledExample, UserProfile, build_profile,
-                       build_training_set, extract, extract_matrix, feature_names,
+                       build_training_set, extract_matrix, feature_names,
                        write_schema)
 from .gbdt import GbdtError, TrainConfig, Tree, TreeEnsemble, train
 from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,

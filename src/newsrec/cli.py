@@ -211,8 +211,9 @@ def _load_schedule(cfg: ExperimentConfig, pipe: PipelineConfig
         day = _model_day(f)
         ts = dt.datetime(day.year, day.month, day.day, tzinfo=dt.timezone.utc).timestamp()
         model = load_model(f)
-        if model.schema_mismatch:
-            raise CliError(f"{f}: {model.schema_error()} (run 'newsrec train' again)")
+        error = model.schema_error(pipe.features.width)
+        if error:
+            raise CliError(f"{f}: {error} (run 'newsrec train' again)")
         schedule.append((ts + pipe.nightly_train_hour * 3600.0, model))
     return schedule
 

@@ -23,11 +23,12 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import DAY, Article, Corpus, Kind, day_start
-from .features import ArticleFeatureCache, UserProfile, build_profile
+from .features import (ArticleFeatureCache, FeatureConfig, ProfileCache, UserProfile,
+                       build_profile, extract_matrix)
 from .gbdt import TreeEnsemble
 from .ranker import MANUAL_USER, RankedList, Section, _sort_items
-from .usefulness import (AttributeKind, CoverageScope, coverage, dynamism,
-                         intra_list_diversity, serendipity)
+from .usefulness import (AttributeKind, CoverageScope, MetricSample, coverage,
+                         dynamism, intra_list_diversity, serendipity)
 
 
 class EvalError(ValueError):
@@ -87,10 +88,9 @@ Scorer = Callable[[UserProfile, Sequence[Article], float], np.ndarray]
 
 
 def ensemble_scorer(model: TreeEnsemble, cache: ArticleFeatureCache) -> Scorer:
-    from .features import extract_matrix
-
-    if model.schema_mismatch:
-        raise EvalError(model.schema_error())
+    error = model.schema_error(cache.cfg.width)
+    if error:
+        raise EvalError(error)
 
     def score(profile: UserProfile, articles: Sequence[Article], at: float) -> np.ndarray:
         X = extract_matrix(profile, [a.id for a in articles], at, cache)
@@ -140,7 +140,6 @@ def offline_eval(corpus: Corpus, models: Mapping[dt.date, Scorer | TreeEnsemble]
     model are skipped with a warning.
     """
     if any(isinstance(m, TreeEnsemble) for m in models.values()):
-        from .features import FeatureConfig
         fcfg = features or FeatureConfig(embedding_dim=corpus.embedding_dim)
         cache = ArticleFeatureCache(corpus, fcfg)
         models = {d: ensemble_scorer(m, cache) if isinstance(m, TreeEnsemble) else m
@@ -347,83 +346,20 @@ def t_test(sample_a: Sequence[float], sample_b: Sequence[float],
 
 ALL_ATTRIBUTES = (AttributeKind.SECTION, AttributeKind.TAGS,
                   AttributeKind.AUTHORS, AttributeKind.EMBEDDING)
-
-
-class _ProfileCache:
-    def __init__(self, corpus: Corpus):
-        self.corpus = corpus
-        self._cache: dict[tuple[str, float], UserProfile] = {}
-
-    def get(self, user_id: str, at: float) -> UserProfile:
-        key = (user_id, at)
-        prof = self._cache.get(key)
-        if prof is None:
-            prof = build_profile(self.corpus, user_id, at)
-            self._cache[key] = prof
-        return prof
-
-
-def _mean_over_attributes(fn) -> Optional[float]:
-    values = [v for v in (fn(attr) for attr in ALL_ATTRIBUTES) if v is not None]
-    return sum(values) / len(values) if values else None
-
-
-def collect_usefulness_samples(emissions: Sequence[RankedList], corpus: Corpus,
-                               top_n: int = 5,
-                               profiles: Optional[_ProfileCache] = None
-                               ) -> dict[str, list[float]]:
-    """Per-metric sample sets over an emission stream (lists truncated to
-    top_n): dynamism between consecutive lists of the same (user, section)
-    stream, per-list diversity and serendipity averaged over the four
-    attributes, and per-day all-users coverage."""
-    if profiles is None:
-        profiles = _ProfileCache(corpus)
-    samples: dict[str, list[float]] = {
-        "dynamism": [], "serendipity": [], "coverage": [], "diversity": [],
-    }
-    ordered = sorted(emissions, key=lambda l: (l.at, l.user_id, l.section.value))
-    previous: dict[tuple[str, Section], RankedList] = {}
-    by_day: dict[float, list[RankedList]] = {}
-    for lst in ordered:
-        top = lst.top(top_n)
-        key = (lst.user_id, lst.section)
-        prev = previous.get(key)
-        if prev is not None:
-            value = dynamism(prev, top)
-            if value is not None:
-                samples["dynamism"].append(value)
-        previous[key] = top
-
-        articles = [corpus.articles[aid] for aid in top.ids()]
-        div = _mean_over_attributes(lambda attr: intra_list_diversity(articles, attr))
-        if div is not None:
-            samples["diversity"].append(div)
-        if articles:
-            profile = profiles.get(lst.user_id, lst.at)
-            ser = _mean_over_attributes(
-                lambda attr: serendipity(articles, profile, attr))
-            if ser is not None:
-                samples["serendipity"].append(ser)
-        by_day.setdefault(day_start(lst.at), []).append(top)
-
-    for day_ts in sorted(by_day):
-        published = [a.id for a in corpus.published_between(day_ts, day_ts + DAY)]
-        cov = coverage(by_day[day_ts], published, CoverageScope.ALL_USERS)
-        if cov is not None:
-            samples["coverage"].append(cov)
-    return samples
+STUDY_METRICS = ("dynamism", "serendipity", "coverage", "diversity")
 
 
 def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
                            treatment: str, top_n: int = 5,
-                           profiles: Optional[_ProfileCache] = None) -> list:
-    """Per-attribute MetricSample rows for the audit CSV: diversity and
-    serendipity per (list, attribute), dynamism per consecutive pair, and
-    daily coverage in both scopes."""
-    from .usefulness import MetricSample
-
+                           profiles: Optional[ProfileCache] = None
+                           ) -> list[MetricSample]:
+    """Per-attribute MetricSample rows over an emission stream (lists
+    truncated to top_n): diversity and serendipity per (list, attribute),
+    dynamism between consecutive lists of the same (user, section) stream,
+    and daily coverage in both scopes. Feeds the audit CSV and the Study 2
+    t-tests of `compare_treatments`."""
     if profiles is None:
-        profiles = _ProfileCache(corpus)
+        profiles = ProfileCache(corpus)
     rows: list[MetricSample] = []
     ordered = sorted(emissions, key=lambda l: (l.at, l.user_id, l.section.value))
     previous: dict[tuple[str, Section], RankedList] = {}
@@ -459,6 +395,24 @@ def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
                 rows.append(MetricSample("coverage", cov, None, treatment,
                                          scope.value, day_ts))
     return rows
+
+
+def _study_samples(emissions: Sequence[RankedList], corpus: Corpus, top_n: int,
+                   profiles: ProfileCache) -> dict[str, list[float]]:
+    """Study 2 sample sets from one stream's metric rows: dynamism per
+    consecutive pair, all-users coverage per day, and diversity and
+    serendipity per list as the mean of its attribute rows. A list yields a
+    row for every attribute or for none, so consecutive runs of
+    len(ALL_ATTRIBUTES) rows are one list's."""
+    samples: dict[str, list[float]] = {metric: [] for metric in STUDY_METRICS}
+    for row in collect_metric_samples(emissions, corpus, "", top_n, profiles):
+        if row.metric != "coverage" or row.scope == CoverageScope.ALL_USERS.value:
+            samples[row.metric].append(row.value)
+    n = len(ALL_ATTRIBUTES)
+    for metric in ("serendipity", "diversity"):
+        values = samples[metric]
+        samples[metric] = [sum(values[i:i + n]) / n for i in range(0, len(values), n)]
+    return samples
 
 
 def _clicks_by_user_day_section(corpus: Corpus) -> dict[tuple[str, float, Section], set[str]]:
@@ -515,11 +469,11 @@ def compare_treatments(emissions_a: Sequence[RankedList],
     omitted from the result."""
     if not emissions_a or not emissions_b:
         raise EvalError("empty emission stream")
-    profiles = _ProfileCache(corpus)
-    samples_a = collect_usefulness_samples(emissions_a, corpus, top_n, profiles)
-    samples_b = collect_usefulness_samples(emissions_b, corpus, top_n, profiles)
+    profiles = ProfileCache(corpus)
+    samples_a = _study_samples(emissions_a, corpus, top_n, profiles)
+    samples_b = _study_samples(emissions_b, corpus, top_n, profiles)
     reports = []
-    for metric in ("dynamism", "serendipity", "coverage", "diversity"):
+    for metric in STUDY_METRICS:
         if len(samples_a[metric]) >= 2 and len(samples_b[metric]) >= 2:
             reports.append(t_test(samples_a[metric], samples_b[metric],
                                   variant=variant, metric=metric))
@@ -553,7 +507,7 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     pairs = align(manual_stream, recsys_stream)
     if not pairs:
         raise EvalError("alignment produced no pairs")
-    profiles = _ProfileCache(corpus)
+    profiles = ProfileCache(corpus)
     arts = lambda lst: [corpus.articles[aid] for aid in lst.ids()]
 
     reports: list[ComparisonReport] = []

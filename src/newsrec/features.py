@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import DAY, WEEK, Article, Corpus, Kind, day_start
+from .corpus import DAY, WEEK, Corpus, Kind
 
 SCHEMA_VERSION = 1
 
@@ -140,6 +140,21 @@ def build_profile(corpus: Corpus, user_id: str, as_of: float) -> UserProfile:
     return profile
 
 
+class ProfileCache:
+    """`build_profile` results keyed by (user, as_of), for callers that ask
+    for the same user at the same instant more than once."""
+
+    def __init__(self, corpus: Corpus):
+        self.corpus = corpus
+        self._cache: dict[tuple[str, float], UserProfile] = {}
+
+    def get(self, user_id: str, at: float) -> UserProfile:
+        key = (user_id, at)
+        if key not in self._cache:
+            self._cache[key] = build_profile(self.corpus, user_id, at)
+        return self._cache[key]
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     values: np.ndarray
@@ -155,25 +170,12 @@ class LabeledExample:
     at: float
 
 
-def _jaccard(a: frozenset, b: set | frozenset) -> float:
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
-
-
 def _topk_mass(freq: dict[str, int], k: int) -> float:
     total = sum(freq.values())
     if total == 0:
         return 0.0
     top = sorted(freq.values(), reverse=True)[:k]
     return sum(top) / total
-
-
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v / (nu * nv))
 
 
 def _pub_hour(ts: float) -> float:
@@ -183,52 +185,6 @@ def _pub_hour(ts: float) -> float:
 def _pub_dow(ts: float) -> float:
     # Epoch day 0 (1970-01-01) was a Thursday; Monday = 0.
     return float((int(ts // DAY) + 3) % 7)
-
-
-def extract(profile: UserProfile, article: Article, at: float,
-            cfg: FeatureConfig) -> FeatureVector:
-    """Pure feature map; see `feature_names` for the exact layout.
-
-    Conventions for degenerate inputs: empty profile gives zero overlaps,
-    cosine 0, length ratio 1; a zero mean word count also pins the ratio
-    to 1 so every feature stays finite.
-    """
-    if article.embedding.shape != profile.mean_embedding.shape:
-        raise FeatureError(
-            f"embedding dim mismatch: article {article.embedding.shape} vs "
-            f"profile {profile.mean_embedding.shape}")
-    out = np.zeros(cfg.width)
-    out[stable_bucket(article.section, cfg.section_buckets)] = 1.0
-    base = cfg.section_buckets
-    out[base + 0] = len(article.tags)
-    out[base + 1] = len(article.authors)
-    out[base + 2] = _pub_hour(article.published_at)
-    out[base + 3] = _pub_dow(article.published_at)
-    out[base + 4] = article.word_count
-    out[base + 5] = article.sentence_count
-    out[base + 6] = article.paragraph_count
-    out[base + 7] = article.char_length
-    out[base + 8] = article.hapax_count
-    out[base + 9] = article.dis_count
-    emb0 = base + 10
-    out[emb0:emb0 + cfg.embedding_dim] = article.embedding
-
-    user0 = emb0 + cfg.embedding_dim
-    out[user0 + 0] = profile.mean_word_count
-    out[user0 + 1] = profile.n_clicks
-    out[user0 + 2] = _topk_mass(profile.tag_freq, cfg.top_k)
-    out[user0 + 3] = _topk_mass(profile.author_freq, cfg.top_k)
-    out[user0 + 4] = _topk_mass(profile.section_freq, cfg.top_k)
-
-    ua0 = user0 + 5
-    out[ua0 + 0] = _jaccard(article.tags, set(profile.tag_freq))
-    out[ua0 + 1] = _jaccard(article.authors, set(profile.author_freq))
-    out[ua0 + 2] = 1.0 if profile.section_freq.get(article.section, 0) > 0 else 0.0
-    out[ua0 + 3] = _cosine(profile.mean_embedding, article.embedding)
-    out[ua0 + 4] = (article.word_count / profile.mean_word_count
-                    if profile.mean_word_count > 0 else 1.0)
-    out[ua0 + 5] = (at - article.published_at) / 3600.0
-    return FeatureVector(out)
 
 
 class ArticleFeatureCache:
@@ -282,7 +238,17 @@ class ArticleFeatureCache:
 
 def extract_matrix(profile: UserProfile, article_ids: Sequence[str], at: float,
                    cache: ArticleFeatureCache) -> np.ndarray:
-    """Vectorized `extract` over many articles for a single profile."""
+    """The feature map: one row per article for a single profile; see
+    `feature_names` for the exact layout.
+
+    Conventions for degenerate inputs: an empty profile gives zero
+    overlaps, cosine 0 and length ratio 1; a zero mean word count also pins
+    the ratio to 1, so every feature stays finite.
+    """
+    if profile.mean_embedding.shape != cache.emb.shape[1:]:
+        raise FeatureError(
+            f"embedding dim mismatch: profile {profile.mean_embedding.shape} vs "
+            f"articles {cache.emb.shape[1:]}")
     cfg = cache.cfg
     rows = cache.rows(article_ids)
     n = len(rows)
@@ -307,7 +273,9 @@ def extract_matrix(profile: UserProfile, article_ids: Sequence[str], at: float,
         j = cache._author_ix.get(x)
         if j is not None:
             author_vec[j] = True
-    # bool @ bool would OR instead of count; cast the profile side to int
+    # bool @ bool would OR instead of count; cast the profile side to int.
+    # An empty union (no value on either side) leaves the Jaccard at 0.0;
+    # the article-article Jaccard in `usefulness` reads 1.0 there.
     inter_t = cache.tag_mat[rows] @ tag_vec.astype(np.int64)
     union_t = cache.tag_counts[rows] + tag_vec.sum() - inter_t
     np.divide(inter_t, union_t, out=out[:, ua0 + 0], where=union_t > 0,
@@ -367,13 +335,9 @@ def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int,
     if cache is None:
         cache = ArticleFeatureCache(corpus, cfg)
     examples: list[LabeledExample] = []
-    profile_cache: dict[tuple[str, float], UserProfile] = {}
+    profiles = ProfileCache(corpus)
     for ev, label in [(e, 1) for e in clicks] + [(e, 0) for e in negatives]:
-        key = (ev.user_id, ev.at)
-        prof = profile_cache.get(key)
-        if prof is None:
-            prof = build_profile(corpus, ev.user_id, ev.at)
-            profile_cache[key] = prof
+        prof = profiles.get(ev.user_id, ev.at)
         row = extract_matrix(prof, [ev.article_id], ev.at, cache)[0]
         examples.append(LabeledExample(FeatureVector(row), label, ev.user_id,
                                        ev.article_id, ev.at))

@@ -238,12 +238,16 @@ class TreeEnsemble:
             self._table = _NodeTable(self.trees, self.n_features, self.learning_rate)
         return self._table
 
-    def schema_error(self) -> Optional[str]:
-        """Why this model may not serve under the running feature schema."""
-        if not self.schema_mismatch:
-            return None
-        return (f"model uses feature schema version {self.schema_version}, "
-                f"but the running schema is version {SCHEMA_VERSION}")
+    def schema_error(self, width: int) -> Optional[str]:
+        """Why this model may not serve under the running feature schema,
+        whose rows are `width` features wide."""
+        if self.schema_mismatch:
+            return (f"model uses feature schema version {self.schema_version}, "
+                    f"but the running schema is version {SCHEMA_VERSION}")
+        if self.n_features != width:
+            return (f"model expects {self.n_features} features, but the running "
+                    f"feature schema has {width}")
+        return None
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         if X.ndim != 2 or X.shape[1] != self.n_features:

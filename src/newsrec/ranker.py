@@ -288,9 +288,10 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
     if models is None:
         models = train_schedule(corpus, cfg, t_end, cache=cache)
     for t, model in models:
-        if model.schema_mismatch:
+        error = model.schema_error(cfg.features.width)
+        if error:
             since = dt.datetime.fromtimestamp(t, tz=dt.timezone.utc).isoformat()
-            raise RankerError(f"model active from {since}: {model.schema_error()}")
+            raise RankerError(f"model active from {since}: {error}")
     model_times = [t for t, _ in models]
 
     # Event queue ordered by (time, priority): training precedes refreshes,
@@ -369,18 +370,37 @@ def manual_lists(corpus: Corpus, t_start: float, t_end: float,
 
 
 def _manual_from_file(path: str | Path) -> list[RankedList]:
+    def parse(obj) -> RankedList:
+        ids = obj["items"]
+        if len(ids) > 5:
+            raise RankerError("manual list longer than 5")
+        items = tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids))
+        return RankedList(MANUAL_USER, Section.MANUAL, float(obj["at"]), items)
+
+    return sorted(_read_jsonl(path, parse), key=lambda l: l.at)
+
+
+def _read_jsonl(path: str | Path, parse) -> list[RankedList]:
+    """`parse` of each non-blank line of a JSONL file. Malformed JSON, a
+    missing key and a rejected value (a RankedList invariant among them)
+    raise RankerError naming path:line."""
     out: list[RankedList] = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            ids = obj["items"]
-            if len(ids) > 5:
-                raise RankerError(f"{path}:{lineno}: manual list longer than 5")
-            items = tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids))
-            out.append(RankedList(MANUAL_USER, Section.MANUAL, float(obj["at"]), items))
-    out.sort(key=lambda l: l.at)
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise RankerError("expected a JSON object")
+                out.append(parse(obj))
+            except json.JSONDecodeError as exc:
+                raise RankerError(f"{where}: malformed JSON: {exc.msg}") from exc
+            except KeyError as exc:
+                raise RankerError(f"{where}: missing field {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise RankerError(f"{where}: {exc}") from exc
     return out
 
 
@@ -405,19 +425,15 @@ def write_emissions(path: str | Path, emissions: Iterable[RankedList]) -> None:
 
 
 def read_emissions(path: str | Path) -> list[RankedList]:
-    out: list[RankedList] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            labels = obj.get("rec_labels")
-            out.append(RankedList(
-                user_id=obj["user"],
-                section=Section(obj["section"]),
-                at=float(obj["at"]),
-                items=tuple(zip(obj["ids"], map(float, obj["scores"]))),
-                fallback=bool(obj.get("fallback", False)),
-                rec_labels=tuple(labels) if labels is not None else None,
-            ))
-    return out
+    def parse(obj) -> RankedList:
+        labels = obj.get("rec_labels")
+        return RankedList(
+            user_id=obj["user"],
+            section=Section(obj["section"]),
+            at=float(obj["at"]),
+            items=tuple(zip(obj["ids"], map(float, obj["scores"]))),
+            fallback=bool(obj.get("fallback", False)),
+            rec_labels=tuple(labels) if labels is not None else None,
+        )
+
+    return _read_jsonl(path, parse)

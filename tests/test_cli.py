@@ -104,15 +104,17 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["run", "evaluate"])
     def test_schema_mismatch_model_refused(self, chain, tmp_path, capsys, command):
         out, cfg = chain
-        copy = tmp_path / "run"
-        shutil.copytree(out, copy)
-        model_file = sorted((copy / "models").glob("model_*.json"))[-1]
-        payload = json.loads(model_file.read_text())
-        payload["schema_version"] = 99
-        model_file.write_text(json.dumps(payload), encoding="utf-8")
-        assert run(command, "--config", str(cfg), "--out", str(copy)) == 2
-        err = capsys.readouterr().err
-        assert model_file.name in err and "version 99" in err
+        for key, message in (("schema_version", "version 99"),
+                             ("n_features", "expects 99 features")):
+            copy = tmp_path / key
+            shutil.copytree(out, copy)
+            model_file = sorted((copy / "models").glob("model_*.json"))[-1]
+            payload = json.loads(model_file.read_text())
+            payload[key] = 99
+            model_file.write_text(json.dumps(payload), encoding="utf-8")
+            assert run(command, "--config", str(cfg), "--out", str(copy)) == 2, key
+            err = capsys.readouterr().err
+            assert model_file.name in err and message in err, err
 
 
 class TestSeedOverride:

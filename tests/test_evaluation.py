@@ -13,8 +13,8 @@ from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
                                 regularized_incomplete_beta, t_test)
 from newsrec.features import FeatureConfig
 from newsrec.gbdt import TrainConfig, TreeEnsemble
-from newsrec.ranker import (PipelineConfig, Section, Treatment, manual_lists,
-                            run_pipeline, train_schedule)
+from newsrec.ranker import (PipelineConfig, RankedList, Section, Treatment,
+                            manual_lists, run_pipeline, train_schedule)
 
 from conftest import T0, click, impression, make_article
 
@@ -126,10 +126,15 @@ class TestOfflineEval:
     def test_schema_mismatch_refused(self):
         corpus = self.build_world()
         day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
-        model = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
+        stale = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
                              schema_version=99, n_features=1, schema_mismatch=True)
-        with pytest.raises(EvalError, match="version 99.*running schema is version 1"):
-            offline_eval(corpus, {day: model}, [day])
+        narrow = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
+                              schema_version=1, n_features=1)
+        width = FeatureConfig(embedding_dim=corpus.embedding_dim).width
+        for model, message in ((stale, "version 99.*running schema is version 1"),
+                               (narrow, f"expects 1 features.*has {width}")):
+            with pytest.raises(EvalError, match=message):
+                offline_eval(corpus, {day: model}, [day])
 
     def test_no_samples_raises(self):
         corpus = self.build_world()
@@ -284,6 +289,59 @@ class TestCompareTreatments:
         assert {"ndcg_mn_widget", "ndcg_mn_page"} <= set(names)
         for r in reports:
             r.validate()
+
+    def test_hand_built_stream_samples(self):
+        H = 3600.0
+        day0, day1 = T0 + H / 2, T0 + DAY + H / 2  # publication times
+        arts = [
+            make_article("a", day0, section="s1", tags=("x",), authors=("p",),
+                         embedding=[1, 0, 0, 0]),
+            make_article("b", day0, section="s2", tags=("x", "y"), authors=("q",),
+                         embedding=[0, 1, 0, 0]),
+            make_article("e", day0),  # never served
+            make_article("c", day1, section="s1", tags=("y",), authors=("p",),
+                         embedding=[1, 0, 0, 0]),
+            make_article("d", day1, section="s2", authors=("q",),
+                         embedding=[0, 0, 1, 0]),
+        ]
+        # u1's profile from here on is one click on a; u2 never clicks
+        corpus = Corpus(arts, [click("u1", "a", T0 + H)], 4)
+
+        def lst(user, at, *ids):
+            items = tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids))
+            return RankedList(user, Section.MN_WIDGET, at, items)
+
+        stream = [
+            lst("u1", T0 + 2 * H, "a", "b"),
+            lst("u2", T0 + 2 * H, "a"),             # one item: no diversity
+            lst("u1", T0 + 3 * H, "b"),             # follows u1's [a, b]
+            lst("u2", T0 + DAY + 2 * H),            # empty: no serendipity, dynamism
+            lst("u2", T0 + DAY + 3 * H, "c", "d"),  # follows u2's empty list
+            lst("u1", T0 + DAY + 3 * H, "c"),       # follows u1's [b]
+        ]
+        by_metric = {r.metric: r.group_a for r in compare_treatments(stream, stream, corpus)}
+
+        # per list, the mean over section, tags, authors, embedding; the
+        # embedding similarity of an orthogonal pair is its own list maximum
+        div_ab = (1.0 + 0.5 + 1.0 + 0.0) / 4
+        div_cd = (1.0 + 1.0 + 1.0 + 0.0) / 4
+        assert by_metric["diversity"].n == 2
+        assert by_metric["diversity"].mean == pytest.approx((div_ab + div_cd) / 2)
+        # u2 finds everything unexpected; for u1, a and c match the profile's
+        # section, author and embedding, b matches its tag x and half its cosine
+        ser_ab = ((0 + 1) / 2 + (0 + 0) / 2 + (0 + 1) / 2 + (0 + 0.5) / 2) / 4
+        ser_b = (1 + 0 + 1 + 0.5) / 4
+        ser_c = (0 + 1 + 0 + 0) / 4
+        assert by_metric["serendipity"].n == 5
+        assert by_metric["serendipity"].mean == pytest.approx(
+            (ser_ab + 1.0 + ser_b + 1.0 + ser_c) / 5)
+        # [a, b] -> [b]: 0; [] -> [c, d]: 1; [b] -> [c]: 1
+        assert by_metric["dynamism"].n == 3
+        assert by_metric["dynamism"].mean == pytest.approx(2 / 3)
+        # all users: day 0 serves a and b of a, b, e; day 1 serves c and d.
+        # Per user the days would read (2/3 + 1/3) / 2 and (1/2 + 1) / 2.
+        assert by_metric["coverage"].n == 2
+        assert by_metric["coverage"].mean == pytest.approx((2 / 3 + 1.0) / 2)
 
     def test_empty_stream_rejected(self, small_runs):
         corpus, ems_b, _ = small_runs

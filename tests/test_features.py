@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsrec.corpus import WEEK, Corpus
+from newsrec.corpus import WEEK, Article, Corpus
 from newsrec.features import (SCHEMA_VERSION, ArticleFeatureCache, FeatureConfig,
-                              FeatureError, build_profile, build_training_set,
-                              empty_profile, extract, extract_matrix,
-                              feature_names, write_schema)
+                              FeatureError, FeatureVector, UserProfile, _pub_dow,
+                              _pub_hour, _topk_mass, build_profile,
+                              build_training_set, empty_profile, extract_matrix,
+                              feature_names, stable_bucket, write_schema)
 
 from conftest import T0, click, impression, make_article, make_provider
 
@@ -20,6 +21,65 @@ def corpus_with_clicks(articles, events, dim=4):
 
 
 CFG = FeatureConfig(embedding_dim=4)
+
+
+def extract_row(profile, article, at, dim=4, corpus=None):
+    """The served feature map (`extract_matrix`) on a one-article row."""
+    if corpus is None:
+        corpus = corpus_with_clicks([article], [], dim)
+    cache = ArticleFeatureCache(corpus, FeatureConfig(embedding_dim=dim))
+    return extract_matrix(profile, [article.id], at, cache)[0]
+
+
+# Scalar reference feature map: `extract_matrix` must reproduce it row by row.
+
+def _jaccard(a: frozenset, b: set | frozenset) -> float:
+    union = len(a | b)
+    return len(a & b) / union if union else 0.0
+
+
+def _cosine(u: np.ndarray, v: np.ndarray) -> float:
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(u @ v / (nu * nv))
+
+
+def extract(profile: UserProfile, article: Article, at: float,
+            cfg: FeatureConfig) -> FeatureVector:
+    out = np.zeros(cfg.width)
+    out[stable_bucket(article.section, cfg.section_buckets)] = 1.0
+    base = cfg.section_buckets
+    out[base + 0] = len(article.tags)
+    out[base + 1] = len(article.authors)
+    out[base + 2] = _pub_hour(article.published_at)
+    out[base + 3] = _pub_dow(article.published_at)
+    out[base + 4] = article.word_count
+    out[base + 5] = article.sentence_count
+    out[base + 6] = article.paragraph_count
+    out[base + 7] = article.char_length
+    out[base + 8] = article.hapax_count
+    out[base + 9] = article.dis_count
+    emb0 = base + 10
+    out[emb0:emb0 + cfg.embedding_dim] = article.embedding
+
+    user0 = emb0 + cfg.embedding_dim
+    out[user0 + 0] = profile.mean_word_count
+    out[user0 + 1] = profile.n_clicks
+    out[user0 + 2] = _topk_mass(profile.tag_freq, cfg.top_k)
+    out[user0 + 3] = _topk_mass(profile.author_freq, cfg.top_k)
+    out[user0 + 4] = _topk_mass(profile.section_freq, cfg.top_k)
+
+    ua0 = user0 + 5
+    out[ua0 + 0] = _jaccard(article.tags, set(profile.tag_freq))
+    out[ua0 + 1] = _jaccard(article.authors, set(profile.author_freq))
+    out[ua0 + 2] = 1.0 if profile.section_freq.get(article.section, 0) > 0 else 0.0
+    out[ua0 + 3] = _cosine(profile.mean_embedding, article.embedding)
+    out[ua0 + 4] = (article.word_count / profile.mean_word_count
+                    if profile.mean_word_count > 0 else 1.0)
+    out[ua0 + 5] = (at - article.published_at) / 3600.0
+    return FeatureVector(out)
 
 
 class TestBuildProfile:
@@ -72,7 +132,7 @@ class TestExtract:
         art = make_article("a1", tags=("a",), authors=("x",), embedding=[1, 0, 0, 0])
         prof = empty_profile("u1", T0, 4)
         names = feature_names(CFG)
-        fv = extract(prof, art, T0, CFG).values
+        fv = extract_row(prof, art, T0)
         get = lambda name: fv[names.index(name)]
         assert get("ua_tag_jaccard") == 0.0
         assert get("ua_author_jaccard") == 0.0
@@ -86,7 +146,7 @@ class TestExtract:
         corpus = corpus_with_clicks([art], [click("u1", "a1", T0 - 5)])
         prof = build_profile(corpus, "u1", T0)
         names = feature_names(CFG)
-        fv = extract(prof, art, T0, CFG).values
+        fv = extract_row(prof, art, T0, corpus=corpus)
         get = lambda name: fv[names.index(name)]
         assert get("ua_tag_jaccard") == 1.0
         assert get("ua_author_jaccard") == 1.0
@@ -101,7 +161,7 @@ class TestExtract:
         corpus = corpus_with_clicks(profile_arts + [cand], events)
         prof = build_profile(corpus, "u1", T0)
         names = feature_names(CFG)
-        fv = extract(prof, cand, T0, CFG).values
+        fv = extract_row(prof, cand, T0, corpus=corpus)
         # brute-force set-overlap oracle
         inter = {"a", "b", "c"} & {"b", "c", "d"}
         union = {"a", "b", "c"} | {"b", "c", "d"}
@@ -109,10 +169,12 @@ class TestExtract:
         assert fv[names.index("ua_tag_jaccard")] == pytest.approx(0.5)
 
     def test_purity_and_finiteness(self):
-        art = make_article("a1", word_count=0, embedding=[0, 0, 0, 0])
+        # a corpus rejects hapax + 2 * dis above the word count
+        art = make_article("a1", word_count=0, hapax_count=0, dis_count=0,
+                           embedding=[0, 0, 0, 0])
         prof = empty_profile("u1", T0, 4)
-        v1 = extract(prof, art, T0, CFG).values
-        v2 = extract(prof, art, T0, CFG).values
+        v1 = extract_row(prof, art, T0)
+        v2 = extract_row(prof, art, T0)
         assert np.array_equal(v1, v2)
         assert np.isfinite(v1).all()
 
@@ -120,12 +182,15 @@ class TestExtract:
         art = make_article("a1", dim=8)
         prof = empty_profile("u1", T0, 4)
         with pytest.raises(FeatureError, match="dim"):
-            extract(prof, art, T0, CFG)
+            extract_row(prof, art, T0, dim=8)
+        prof.mean_embedding = np.ones(4)
+        with pytest.raises(FeatureError, match="dim"):
+            extract_row(prof, art, T0, dim=8)
 
     def test_width_matches_schema(self):
         assert CFG.width == len(feature_names(CFG))
         art = make_article("a1")
-        fv = extract(empty_profile("u1", T0, 4), art, T0, CFG)
+        fv = FeatureVector(extract_row(empty_profile("u1", T0, 4), art, T0))
         assert len(fv.values) == CFG.width
         assert fv.schema_version == SCHEMA_VERSION
 
@@ -163,14 +228,12 @@ class TestExtractMatrix:
 @given(a=st.frozensets(st.sampled_from("abcdef"), max_size=5),
        b=st.frozensets(st.sampled_from("abcdef"), max_size=5))
 def test_jaccard_symmetric(a, b):
-    from newsrec.features import _jaccard
     assert _jaccard(a, b) == _jaccard(b, a)
 
 
 @given(u=st.lists(st.floats(-5, 5), min_size=3, max_size=3),
        v=st.lists(st.floats(-5, 5), min_size=3, max_size=3))
 def test_cosine_bounded(u, v):
-    from newsrec.features import _cosine
     c = _cosine(np.array(u), np.array(v))
     assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
 

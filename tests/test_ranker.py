@@ -297,11 +297,15 @@ class TestPipeline:
 
 
     def test_schema_mismatch_refused(self):
-        model = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
+        stale = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
                              schema_version=99, n_features=1, schema_mismatch=True)
-        with pytest.raises(RankerError, match="version 99.*running schema is version 1"):
-            run_pipeline(mini_corpus(), pipe_config(), ["u1"], t_end=T0 + 2 * DAY,
-                         models=[(T0 + DAY, model)])
+        narrow = constant_model(1)
+        width = pipe_config().features.width
+        for model, message in ((stale, "version 99.*running schema is version 1"),
+                               (narrow, f"expects 1 features.*has {width}")):
+            with pytest.raises(RankerError, match=message):
+                run_pipeline(mini_corpus(), pipe_config(), ["u1"], t_end=T0 + 2 * DAY,
+                             models=[(T0 + DAY, model)])
 
 
 class TestManualLists:
@@ -319,6 +323,18 @@ class TestManualLists:
         path.write_text(json.dumps({"at": T0, "items": list("abcdef")}) + "\n",
                         encoding="utf-8")
         with pytest.raises(RankerError, match="longer than 5"):
+            manual_lists(None, T0, T0 + 100, path=path)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("{not json", "malformed JSON"),
+        (json.dumps({"items": ["a"]}), "missing field 'at'"),
+        (json.dumps({"at": T0, "items": ["a", "a"]}), "duplicate article ids"),
+    ], ids=["json", "key", "invariant"])
+    def test_file_errors_name_the_line(self, tmp_path, bad, message):
+        path = tmp_path / "manual.jsonl"
+        path.write_text(json.dumps({"at": T0, "items": ["a"]}) + "\n\n" + bad + "\n",
+                        encoding="utf-8")
+        with pytest.raises(RankerError, match=f"manual.jsonl:3: {message}"):
             manual_lists(None, T0, T0 + 100, path=path)
 
     def test_synthesized_update_counts(self, tiny_world):
@@ -358,3 +374,20 @@ def test_emissions_roundtrip(tmp_path):
     ]
     write_emissions(tmp_path / "e.jsonl", lists)
     assert read_emissions(tmp_path / "e.jsonl") == lists
+
+
+EMISSION = {"user": "u1", "section": "mn_widget", "at": T0, "ids": ["a", "b"],
+            "scores": [0.9, 0.4]}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("{not json", "malformed JSON"),
+    (json.dumps({k: v for k, v in EMISSION.items() if k != "ids"}), "missing field 'ids'"),
+    (json.dumps({**EMISSION, "scores": [0.4, 0.9]}), "items must be sorted"),
+    ("[1, 2]", "expected a JSON object"),
+], ids=["json", "key", "invariant", "object"])
+def test_read_emissions_errors_name_the_line(tmp_path, bad, message):
+    path = tmp_path / "e.jsonl"
+    path.write_text(json.dumps(EMISSION) + "\n\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(RankerError, match=f"e.jsonl:3: {message}"):
+        read_emissions(path)
