@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .corpus import (DAY, Corpus, SyntheticWorldConfig, WordVectors, day_start,
-                     generate_world, load_corpus, save_corpus)
+from .corpus import (DAY, Corpus, CorpusError, SyntheticWorldConfig, WordVectors,
+                     day_start, generate_world, load_corpus, save_corpus)
 from .evaluation import (TTestVariant, collect_metric_samples, compare_manual_recsys,
                          compare_treatments, format_accuracy_table,
                          format_comparison_table, offline_eval, scorers_from_schedule)
@@ -33,8 +33,8 @@ from .features import SCHEMA_VERSION, ArticleFeatureCache, FeatureConfig, write_
 from .gbdt import TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
-from .ranker import (PipelineConfig, Treatment, manual_lists, read_emissions,
-                     run_pipeline, train_schedule, write_emissions)
+from .ranker import (PipelineConfig, RankedList, RankerError, Treatment, manual_lists,
+                     read_emissions, run_pipeline, train_schedule, write_emissions)
 from .usefulness import write_metric_samples
 
 
@@ -116,6 +116,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     updates = raw.get("manual_updates_per_day", [8, 16])
     if len(updates) != 2 or updates[0] > updates[1]:
         problems.append("manual_updates_per_day must be [low, high]")
+    features_raw = raw.get("features", {})
+    try:
+        FeatureConfig(**features_raw)
+        if "embedding_dim" in features_raw:
+            problems.append("features: 'embedding_dim' is taken from the corpus "
+                            "and may not be set")
+    except TypeError as exc:
+        problems.append(f"features: {exc}")
     try:
         variant = TTestVariant(raw.get("variant", "student"))
     except ValueError:
@@ -131,7 +139,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         corpus_files=corpus_files,
         pipeline_raw=raw.get("pipeline", {}),
         train=train,
-        features_raw=raw.get("features", {}),
+        features_raw=features_raw,
         treatments=treatments,
         manual_updates=(int(updates[0]), int(updates[1])),
         eval_ks=[int(k) for k in raw.get("eval_ks", [5, 10])],
@@ -159,8 +167,18 @@ def _load_corpus(cfg: ExperimentConfig) -> Corpus:
     paths = _corpus_paths(cfg)
     for p in paths.values():
         _require(p, "newsrec generate")
-    vectors = WordVectors.from_file(paths["vectors"])
-    return load_corpus(paths["articles"], paths["events"], vectors)
+    try:
+        vectors = WordVectors.from_file(paths["vectors"])
+        return load_corpus(paths["articles"], paths["events"], vectors)
+    except CorpusError as exc:  # a malformed corpus file is bad input
+        raise CliError(str(exc)) from exc
+
+
+def _read_lists(path: Path) -> list[RankedList]:
+    try:
+        return read_emissions(path)
+    except RankerError as exc:  # a malformed emission file is bad input
+        raise CliError(str(exc)) from exc
 
 
 def _feature_config(cfg: ExperimentConfig, corpus: Corpus) -> FeatureConfig:
@@ -284,7 +302,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
     for treatment in cfg.treatments:
         path = cfg.emissions_path(treatment)
         if path.exists():
-            emissions = read_emissions(path)
+            emissions = _read_lists(path)
             samples.extend(collect_metric_samples(emissions, corpus, treatment.value))
     write_metric_samples(cfg.reports_dir / "metrics.csv", samples)
     print(format_accuracy_table(report))
@@ -298,8 +316,8 @@ def cmd_compare(cfg: ExperimentConfig, variant: Optional[TTestVariant] = None) -
 
     if len(cfg.treatments) >= 2:
         a, b = cfg.treatments[0], cfg.treatments[1]
-        emissions_a = read_emissions(_require(cfg.emissions_path(a), "newsrec run"))
-        emissions_b = read_emissions(_require(cfg.emissions_path(b), "newsrec run"))
+        emissions_a = _read_lists(_require(cfg.emissions_path(a), "newsrec run"))
+        emissions_b = _read_lists(_require(cfg.emissions_path(b), "newsrec run"))
         reports = compare_treatments(emissions_a, emissions_b, corpus, variant=variant)
         for r in reports:
             r.validate()
@@ -310,8 +328,8 @@ def cmd_compare(cfg: ExperimentConfig, variant: Optional[TTestVariant] = None) -
         print(table)
 
     baseline_path = cfg.emissions_path(cfg.treatments[0])
-    manual = read_emissions(_require(cfg.manual_path, "newsrec run"))
-    recsys = read_emissions(_require(baseline_path, "newsrec run"))
+    manual = _read_lists(_require(cfg.manual_path, "newsrec run"))
+    recsys = _read_lists(_require(baseline_path, "newsrec run"))
     from .ranker import Section
     widget = [l for l in recsys if l.section is Section.MN_WIDGET and not l.fallback]
     reports = compare_manual_recsys(manual, widget, corpus, variant=variant)

@@ -60,6 +60,10 @@ class WordVectors:
         for word, vec in self._vectors.items():
             if vec.shape != (self.dim,):
                 raise CorpusError(f"vector for {word!r} has dim {vec.shape}, expected ({self.dim},)")
+        # one check over the stacked table; the word is looked up on failure
+        if self._vectors and not np.isfinite(np.stack(list(self._vectors.values()))).all():
+            word = next(w for w, v in self._vectors.items() if not np.isfinite(v).all())
+            raise CorpusError(f"vector for {word!r} is not finite")
 
     def vector(self, word: str) -> Optional[np.ndarray]:
         return self._vectors.get(word)
@@ -83,7 +87,15 @@ class WordVectors:
                 parts = line.rstrip("\n").split(" ")
                 if len(parts) != dim + 1:
                     raise CorpusError(f"{path}:{lineno}: expected word plus {dim} floats")
-                vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                try:
+                    vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                except ValueError:
+                    raise CorpusError(f"{path}:{lineno}: expected word plus {dim} floats"
+                                      ) from None
+                if not np.isfinite(vec).all():
+                    raise CorpusError(f"{path}:{lineno}: vector for {parts[0]!r} "
+                                      "is not finite")
+                vectors[parts[0]] = vec
         if len(vectors) != n:
             raise CorpusError(f"{path}: header claims {n} words, found {len(vectors)}")
         return cls(vectors, dim)
@@ -189,6 +201,8 @@ class Article:
             raise CorpusError(
                 f"article {self.id}: embedding dim {self.embedding.shape} != ({embedding_dim},)"
             )
+        if not np.isfinite(self.embedding).all():
+            raise CorpusError(f"article {self.id}: embedding is not finite")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Article):
@@ -297,6 +311,13 @@ class Corpus:
         """Articles with published_at in the half-open interval (t0, t1]."""
         lo = bisect_right(self._pub_times, t0)
         hi = bisect_right(self._pub_times, t1)
+        return self._pub_sorted[lo:hi]
+
+    def published_on(self, day_ts: float) -> list[Article]:
+        """Articles published on the day starting at `day_ts`, in
+        [day_ts, day_ts + DAY): midnight belongs to the day it starts."""
+        lo = bisect_left(self._pub_times, day_ts)
+        hi = bisect_left(self._pub_times, day_ts + DAY)
         return self._pub_sorted[lo:hi]
 
     def clicks_of(self, user_id: str) -> list[InteractionEvent]:

@@ -388,7 +388,7 @@ def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
                                              lst.section.value, lst.at))
         by_day.setdefault(day_start(lst.at), []).append(top)
     for day_ts in sorted(by_day):
-        published = [a.id for a in corpus.published_between(day_ts, day_ts + DAY)]
+        published = [a.id for a in corpus.published_on(day_ts)]
         for scope in (CoverageScope.PER_USER, CoverageScope.ALL_USERS):
             cov = coverage(by_day[day_ts], published, scope)
             if cov is not None:
@@ -561,7 +561,7 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
         recsys_by_day.setdefault(day_start(lst.at), []).append(lst)
     manual_cov, per_user_cov, all_users_cov = [], [], []
     for day_ts in sorted(set(manual_by_day) & set(recsys_by_day)):
-        published = [a.id for a in corpus.published_between(day_ts, day_ts + DAY)]
+        published = [a.id for a in corpus.published_on(day_ts)]
         if not published:
             continue
         m = coverage(manual_by_day[day_ts], published, CoverageScope.MANUAL)
@@ -602,7 +602,7 @@ def behavior_shift(corpus: Corpus, before: tuple[float, float],
         cov: list[float] = []
         days = sorted({d for _, d in clicks})
         for day_ts in days:
-            published = {a.id for a in corpus.published_between(day_ts, day_ts + DAY)}
+            published = {a.id for a in corpus.published_on(day_ts)}
             if not published:
                 continue
             served: set[str] = set()

@@ -8,13 +8,15 @@ second-order gain
     0.5 * [ GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) ]
 
 found by exact greedy search over sorted unique feature values (midpoint
-thresholds, `x < threshold` routes left). Ties in gain resolve to the
-lowest feature index, then the lowest threshold, so training is fully
-deterministic. The raw score is base_score (log-odds of the positive rate)
-plus learning_rate times the sum of routed leaf weights; predictions are
-its sigmoid. Scoring validates a model's trees once and compiles them into
-one node table that routes all trees together, one depth level at a time
-(`_NodeTable`).
+thresholds, `x < threshold` routes left). Each node searches all features
+at once: its rows, presorted per feature once per ensemble and kept in
+order by stable filtering at each split, give one cumulative-sum gain
+matrix (`_TreeBuilder`). Ties in gain resolve to the lowest feature index,
+then the lowest threshold, so training is fully deterministic. The raw
+score is base_score (log-odds of the positive rate) plus learning_rate
+times the sum of routed leaf weights; predictions are its sigmoid. Scoring
+validates a model's trees once and compiles them into one node table that
+routes all trees together, one depth level at a time (`_NodeTable`).
 """
 
 from __future__ import annotations
@@ -272,10 +274,20 @@ def _logloss(y: np.ndarray, p: np.ndarray) -> float:
 
 
 class _TreeBuilder:
-    def __init__(self, X: np.ndarray, order: np.ndarray, cfg: TrainConfig):
-        self.X = X
-        self.order = order  # (n, F) per-feature presorted row indices
+    """Grows one tree by exact greedy search, one split search per node.
+
+    A node is its m rows as two (F, m) arrays: `rows[f]` lists the rows in
+    ascending order of feature f and `vals[f]` their values of feature f
+    (the root is the ensemble's presorted `order_T` and `sorted_T`). A
+    split filters both stably, so each child keeps every feature's order
+    and a node costs O(F * m).
+    """
+
+    def __init__(self, order_T: np.ndarray, sorted_T: np.ndarray, cfg: TrainConfig):
+        self.order_T = order_T
+        self.sorted_T = sorted_T
         self.cfg = cfg
+        self.goes_left = np.empty(order_T.shape[1], dtype=bool)
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -290,60 +302,92 @@ class _TreeBuilder:
         self.weight.append(0.0)
         return len(self.feature) - 1
 
-    def _best_split(self, mask: np.ndarray, g: np.ndarray, h: np.ndarray):
+    def _best_split(self, rows: np.ndarray, vals: np.ndarray, g: np.ndarray,
+                    h: np.ndarray, g_tot: float, h_tot: float):
+        """(gain, feature, threshold) of the node's best split, or feature -1.
+
+        Column j of feature f sends rows[f, :j+1] left; the last column,
+        which sends every row left, is never valid. Each feature keeps its
+        first best column (lowest threshold), and the lowest feature with
+        the highest gain wins; a feature whose best gain is NaN never does.
+        The gain is computed in place, one operation at a time in the order
+        of 0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam)).
+        """
+        F, m = rows.shape
+        if m < 2:
+            return 0.0, -1, 0.0
         lam = self.cfg.l2_reg
-        g_tot = g[mask].sum()
-        h_tot = h[mask].sum()
+        mcw = self.cfg.min_child_weight
         parent = g_tot * g_tot / (h_tot + lam)
-        best = (0.0, -1, 0.0)  # (gain, feature, threshold); strict > keeps ties low
-        for f in range(self.X.shape[1]):
-            rows = self.order[:, f]
-            rows = rows[mask[rows]]
-            vals = self.X[rows, f]
-            if vals[0] == vals[-1]:
-                continue
-            gl = np.cumsum(g[rows])[:-1]
-            hl = np.cumsum(h[rows])[:-1]
-            boundary = vals[:-1] < vals[1:]
-            valid = (boundary
-                     & (hl >= self.cfg.min_child_weight)
-                     & (h_tot - hl >= self.cfg.min_child_weight))
-            if not valid.any():
-                continue
-            gr = g_tot - gl
+        valid = np.zeros((F, m), dtype=bool)
+        np.less(vals[:, :-1], vals[:, 1:], out=valid[:, :-1])
+        gain = g[rows]
+        np.cumsum(gain, axis=1, out=gain)  # GL
+        hl = h[rows]
+        np.cumsum(hl, axis=1, out=hl)
+        with np.errstate(all="ignore"):  # masked columns may divide by zero
             hr = h_tot - hl
-            gain = np.where(
-                valid,
-                0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent),
-                -np.inf,
-            )
-            i = int(np.argmax(gain))  # first max: lowest threshold wins ties
-            if gain[i] > best[0]:
-                best = (float(gain[i]), f, float((vals[i] + vals[i + 1]) / 2.0))
-        return best
+            valid &= hl >= mcw
+            valid &= hr >= mcw
+            hl += lam
+            hr += lam
+            gr = g_tot - gain
+            gr *= gr
+            gr /= hr
+            gain *= gain
+            gain /= hl
+            gain += gr
+            gain -= parent
+            gain *= 0.5
+        np.logical_not(valid, out=valid)
+        np.copyto(gain, -np.inf, where=valid)
+        at = gain.argmax(axis=1)  # first max: lowest threshold wins ties
+        best = gain[np.arange(F), at]
+        best[np.isnan(best)] = -np.inf
+        f = int(best.argmax())  # first max: lowest feature wins ties
+        if not best[f] > 0.0:
+            return 0.0, -1, 0.0
+        j = at[f]
+        return float(best[f]), f, float((vals[f, j] + vals[f, j + 1]) / 2.0)
+
+    def _partition(self, rows: np.ndarray, vals: np.ndarray):
+        """Filter a node's arrays stably by `goes_left`: (left, right), each
+        a (rows, vals) pair. Every row of `rows` holds the same row set, so
+        each side keeps the same count per feature."""
+        keep = self.goes_left[rows]
+        # flatnonzero + take is several times faster than boolean indexing
+        return [(rows.take(at).reshape(len(rows), -1), vals.take(at).reshape(len(rows), -1))
+                for at in (np.flatnonzero(keep), np.flatnonzero(~keep))]
 
     def build(self, g: np.ndarray, h: np.ndarray) -> tuple[Tree, np.ndarray]:
         """Grow one tree; returns it plus per-row leaf weights."""
         contrib = np.zeros(len(g))
-        root_mask = np.ones(len(g), dtype=bool)
-        stack = [(self._new_node(), root_mask, 0)]
+        stack = [(self._new_node(), self.order_T, self.sorted_T, 0)]
         while stack:
-            node, mask, depth = stack.pop()
+            node, rows, vals, depth = stack.pop()
+            # the node's rows in index order: the same sums as g[mask].sum()
+            # over a boolean row mask
+            members = np.sort(rows[0])
+            g_tot = g[members].sum()
+            h_tot = h[members].sum()
             if depth < self.cfg.max_depth:
-                gain, f, thr = self._best_split(mask, g, h)
+                gain, f, thr = self._best_split(rows, vals, g, h, g_tot, h_tot)
                 if f >= 0 and gain > 0.0:
                     self.feature[node] = f
                     self.threshold[node] = thr
-                    left_mask = mask & (self.X[:, f] < thr)
-                    right_mask = mask & ~left_mask
+                    self.goes_left[rows[f]] = vals[f] < thr
+                    if depth + 1 == self.cfg.max_depth:
+                        # the children are leaves, which need only their rows
+                        rows, vals = rows[:1], vals[:1]
+                    (lr, lv), (rr, rv) = self._partition(rows, vals)
                     self.left[node] = self._new_node()
                     self.right[node] = self._new_node()
-                    stack.append((self.right[node], right_mask, depth + 1))
-                    stack.append((self.left[node], left_mask, depth + 1))
+                    stack.append((self.right[node], rr, rv, depth + 1))
+                    stack.append((self.left[node], lr, lv, depth + 1))
                     continue
-            w = -g[mask].sum() / (h[mask].sum() + self.cfg.l2_reg)
+            w = -g_tot / (h_tot + self.cfg.l2_reg)
             self.weight[node] = w
-            contrib[mask] = w
+            contrib[members] = w
         tree = Tree(self.feature, self.threshold, self.left, self.right, self.weight)
         return tree, contrib
 
@@ -369,7 +413,8 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     rate = n_pos / len(y)
     base = math.log(rate / (1.0 - rate)) if base_score is None else float(base_score)
     margins = np.full(len(y), base)
-    order = np.argsort(X, axis=0, kind="stable")
+    order_T = np.argsort(X.T, axis=1, kind="stable")
+    sorted_T = np.take_along_axis(X.T, order_T, axis=1)
 
     ensemble = TreeEnsemble(trees=[], learning_rate=cfg.learning_rate,
                             base_score=base, schema_version=schema_version,
@@ -380,7 +425,7 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
         p = _sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
-        tree, contrib = _TreeBuilder(X, order, cfg).build(g, h)
+        tree, contrib = _TreeBuilder(order_T, sorted_T, cfg).build(g, h)
         margins += cfg.learning_rate * contrib
         loss = _logloss(y, _sigmoid(margins))
         if loss > prev + 1e-9:

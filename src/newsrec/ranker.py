@@ -30,8 +30,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import DAY, WEEK, Article, Corpus, Kind, day_start
-from .features import (ArticleFeatureCache, FeatureConfig, UserProfile,
-                       build_profile, build_training_set, extract_matrix)
+from .features import (ArticleFeatureCache, FeatureConfig, LabeledExample,
+                       UserProfile, build_profile, build_training_set,
+                       extract_matrix)
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble, train
 
 MANUAL_USER = "__manual__"
@@ -210,13 +211,15 @@ def train_schedule(corpus: Corpus, cfg: PipelineConfig,
     At each nightly time, examples are built per-day over the previous
     seven calendar days; nights without enough signal produce no model (the
     previous one stays active). Per-day sampling seeds derive from rng_seed
-    and the day ordinal, so the schedule is reproducible.
+    and the day ordinal, so the schedule is reproducible, and each day's
+    examples are built once and shared by the nights whose window holds it.
     """
     if t_end is None:
         t_end = corpus.time_span()[1]
     if cache is None:
         cache = ArticleFeatureCache(corpus, cfg.features)
     schedule: list[tuple[float, TreeEnsemble]] = []
+    by_day: dict[dt.date, list[LabeledExample]] = {}
     for t in _nightly_times(cfg, t_end):
         day0 = dt.datetime.fromtimestamp(day_start(t), tz=dt.timezone.utc).date()
         examples = []
@@ -224,9 +227,12 @@ def train_schedule(corpus: Corpus, cfg: PipelineConfig,
             warnings.simplefilter("ignore")
             for back in range(7, 0, -1):
                 day = day0 - dt.timedelta(days=back)
-                seed = cfg.rng_seed * 100003 + day.toordinal()
-                examples.extend(build_training_set(corpus, day, seed, cfg.features,
-                                                   cache=cache))
+                if day not in by_day:
+                    seed = cfg.rng_seed * 100003 + day.toordinal()
+                    by_day[day] = build_training_set(corpus, day, seed, cfg.features,
+                                                     cache=cache)
+                examples.extend(by_day[day])
+        by_day.pop(day0 - dt.timedelta(days=7))  # no later night's window holds it
         labels = {ex.label for ex in examples}
         if labels != {0, 1}:
             continue

@@ -117,6 +117,39 @@ class TestErrors:
             assert model_file.name in err and message in err, err
 
 
+    @pytest.mark.parametrize("features, message", [
+        ({"embedding_dim": 8}, "'embedding_dim' is taken from the corpus"),
+        ({"top_k": 3, "bogus": 1}, "bogus"),
+    ])
+    def test_bad_feature_keys_exit_2(self, tmp_path, capsys, features, message):
+        cfg = smoke_config(tmp_path, features=features)
+        assert run("generate", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "features:" in err and message in err, err
+
+    def test_malformed_emissions_exit_2(self, chain, tmp_path, capsys):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = copy / "emissions_baseline.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = "{not json\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert run("compare", "--config", str(cfg), "--out", str(copy)) == 2
+        assert "emissions_baseline.jsonl:2:" in capsys.readouterr().err
+
+    def test_malformed_corpus_exit_2(self, chain, tmp_path, capsys):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = copy / "corpus" / "articles.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = '{"id": "x"}\n'
+        path.write_text("".join(lines), encoding="utf-8")
+        assert run("train", "--config", str(cfg), "--out", str(copy)) == 2
+        assert "articles.jsonl:1:" in capsys.readouterr().err
+
+
 class TestSeedOverride:
     def test_seed_changes_generated_corpus(self, tmp_path):
         cfg = smoke_config(tmp_path)

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -228,6 +229,28 @@ class TestInvariants:
                                    "alpha beta", make_provider(dim=4))
         with pytest.raises(CorpusError, match="dim"):
             Corpus([art], [], 8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_word_vector_rejected(self, bad):
+        with pytest.raises(CorpusError, match="'beta'.*not finite"):
+            WordVectors({"alpha": np.zeros(2), "beta": np.array([0.0, bad])}, 2)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_word_vector_file_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "v.txt"
+        path.write_text(f"2 2\nalpha 0.0 1.0\nbeta 0.5 {bad}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"v.txt:3: vector for 'beta' is not finite"):
+            WordVectors.from_file(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_embedding_rejected(self, bad):
+        art = Article.from_content("a1", T0, "news", ["t"], ["au"], "t",
+                                   "alpha beta", make_provider())
+        art.embedding[2] = bad
+        with pytest.raises(CorpusError, match="a1: embedding is not finite"):
+            art.validate(4)
+        with pytest.raises(CorpusError, match="a1: embedding is not finite"):
+            Corpus([art], [], 4)
 
     def test_events_between_half_open(self):
         provider = make_provider()

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from newsrec.corpus import DAY, Corpus
 from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
-                                compare_manual_recsys, compare_treatments, ndcg,
-                                offline_eval, precision_recall_at,
-                                regularized_incomplete_beta, t_test)
+                                collect_metric_samples, compare_manual_recsys,
+                                compare_treatments, ndcg, offline_eval,
+                                precision_recall_at, regularized_incomplete_beta,
+                                t_test)
 from newsrec.features import FeatureConfig
 from newsrec.gbdt import TrainConfig, TreeEnsemble
-from newsrec.ranker import (PipelineConfig, RankedList, Section, Treatment,
-                            manual_lists, run_pipeline, train_schedule)
+from newsrec.ranker import (MANUAL_USER, PipelineConfig, RankedList, Section,
+                            Treatment, manual_lists, run_pipeline, train_schedule)
 
 from conftest import T0, click, impression, make_article
 
@@ -408,3 +409,53 @@ class TestBehaviorShift:
         corpus = self.build_phase_corpus()
         with pytest.raises(EvalError, match="no clicks"):
             behavior_shift(corpus, (T0 - 10 * DAY, T0 - 9 * DAY), (T0, T0 + DAY))
+
+
+class TestMidnightPublication:
+    """Articles published at exactly 00:00 UTC (m1, m2) count toward the day
+    that starts then, not the day before."""
+
+    H = 3600.0
+
+    def build_corpus(self):
+        H = self.H
+        arts = [make_article("a0", T0 + 6 * H), make_article("b0", T0 + 6 * H),
+                make_article("m1", T0 + DAY), make_article("a1", T0 + DAY + 6 * H),
+                make_article("m2", T0 + 2 * DAY)]
+        clicks = [click("u1", "a0", T0 + 10 * H), click("u1", "b0", T0 + 11 * H),
+                  click("u1", "m1", T0 + DAY + 10 * H),
+                  click("u1", "a1", T0 + DAY + 11 * H)]
+        return Corpus(arts, clicks, 4)
+
+    def lists(self, user, section, *served):
+        return [RankedList(user, section, T0 + at * self.H,
+                           tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids)))
+                for at, ids in served]
+
+    def recsys(self):
+        return self.lists("u1", Section.MN_WIDGET,
+                          (7, ("a0", "b0")), (8.5, ("b0", "a0")),
+                          (31, ("m1", "a0")), (32.5, ("a0", "m1")))
+
+    def test_collect_metric_samples(self):
+        rows = collect_metric_samples(self.recsys(), self.build_corpus(), "t")
+        cov = {r.at: r.value for r in rows
+               if r.metric == "coverage" and r.scope == "all_users"}
+        # day 0 publishes a0, b0, both served; day 1 publishes m1, a1 of which m1
+        assert cov == {T0: 1.0, T0 + DAY: 0.5}
+
+    def test_compare_manual_recsys(self):
+        manual = self.lists(MANUAL_USER, Section.MANUAL,
+                            (8, ("a0", "b0")), (9, ("b0", "a0")),
+                            (32, ("m1", "a1")), (33, ("a1", "m1")))
+        reports = compare_manual_recsys(manual, self.recsys(), self.build_corpus())
+        cov = {r.metric: r for r in reports}["coverage_all_users"]
+        assert (cov.group_a.n, cov.group_a.mean) == (2, 1.0)
+        assert (cov.group_b.n, cov.group_b.mean) == (2, 0.75)
+
+    def test_behavior_shift(self):
+        period = (T0, T0 + 2 * DAY)
+        reports = behavior_shift(self.build_corpus(), period, period)
+        cov = {r.metric: r for r in reports}["coverage"]
+        # u1 clicks everything published on days 0 and 1, m1 included
+        assert (cov.group_a.n, cov.group_a.mean) == (2, 1.0)

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from newsrec.features import SCHEMA_VERSION, FeatureVector, LabeledExample
-from newsrec.gbdt import (GbdtError, TrainConfig, Tree, TreeEnsemble, load, save,
-                          train, train_arrays)
+from newsrec.gbdt import (GbdtError, TrainConfig, Tree, TreeEnsemble, _TreeBuilder,
+                          load, save, train, train_arrays)
 
 
 def sigmoid(z):
@@ -377,3 +377,178 @@ def _raised(fn, *args):
     except Exception as exc:  # the caller inspects what was raised
         return exc
     return None
+
+
+# ---------------------------------------------------------------------------
+# Vectorized split search against the per-feature oracle
+# ---------------------------------------------------------------------------
+
+def split_oracle(X, order, mask, g, h, cfg):
+    """(gain, feature, threshold) of a node's best split, searching one
+    feature at a time over the presorted `order` (the pre-vectorized path)."""
+    lam = cfg.l2_reg
+    g_tot = g[mask].sum()
+    h_tot = h[mask].sum()
+    parent = g_tot * g_tot / (h_tot + lam)
+    best = (0.0, -1, 0.0)  # (gain, feature, threshold); strict > keeps ties low
+    for f in range(X.shape[1]):
+        rows = order[:, f]
+        rows = rows[mask[rows]]
+        vals = X[rows, f]
+        if vals[0] == vals[-1]:
+            continue
+        gl = np.cumsum(g[rows])[:-1]
+        hl = np.cumsum(h[rows])[:-1]
+        boundary = vals[:-1] < vals[1:]
+        valid = (boundary
+                 & (hl >= cfg.min_child_weight)
+                 & (h_tot - hl >= cfg.min_child_weight))
+        if not valid.any():
+            continue
+        gr = g_tot - gl
+        hr = h_tot - hl
+        with np.errstate(all="ignore"):
+            gain = np.where(
+                valid,
+                0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent),
+                -np.inf,
+            )
+        i = int(np.argmax(gain))  # first max: lowest threshold wins ties
+        if gain[i] > best[0]:
+            best = (float(gain[i]), f, float((vals[i] + vals[i + 1]) / 2.0))
+    return best
+
+
+def vectorized_split(X, mask, g, h, cfg):
+    """The builder's search on the node `mask`, its (F, m) arrays made here."""
+    order_T = np.argsort(X.T, axis=1, kind="stable")
+    rows = np.stack([o[mask[o]] for o in order_T])
+    vals = np.take_along_axis(X.T, rows, axis=1)
+    builder = _TreeBuilder(order_T, np.take_along_axis(X.T, order_T, axis=1), cfg)
+    return builder._best_split(rows, vals, g, h, g[mask].sum(), h[mask].sum())
+
+
+def tree_oracle(X, g, h, cfg):
+    """One tree grown with boolean row masks and `split_oracle` (the
+    pre-vectorized builder): its node arrays and per-row leaf weights."""
+    order = np.argsort(X, axis=0, kind="stable")
+    nodes = {"feature": [], "threshold": [], "left": [], "right": [], "weight": []}
+
+    def new_node():
+        for name, default in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                              ("right", -1), ("weight", 0.0)):
+            nodes[name].append(default)
+        return len(nodes["feature"]) - 1
+
+    contrib = np.zeros(len(g))
+    stack = [(new_node(), np.ones(len(g), dtype=bool), 0)]
+    while stack:
+        node, mask, depth = stack.pop()
+        if depth < cfg.max_depth:
+            gain, f, thr = split_oracle(X, order, mask, g, h, cfg)
+            if f >= 0 and gain > 0.0:
+                nodes["feature"][node] = f
+                nodes["threshold"][node] = thr
+                left_mask = mask & (X[:, f] < thr)
+                nodes["left"][node] = new_node()
+                nodes["right"][node] = new_node()
+                stack.append((nodes["right"][node], mask & ~left_mask, depth + 1))
+                stack.append((nodes["left"][node], left_mask, depth + 1))
+                continue
+        w = -g[mask].sum() / (h[mask].sum() + cfg.l2_reg)
+        nodes["weight"][node] = w
+        contrib[mask] = w
+    return nodes, contrib
+
+
+# Few distinct values, so columns repeat values and features tie exactly.
+SPLIT_GRID = [-1.0, 0.0, 0.5, 2.0]
+
+
+@st.composite
+def split_nodes(draw, cell=st.sampled_from(SPLIT_GRID) | finite):
+    n = draw(st.integers(1, 24))
+    n_features = draw(st.integers(1, 5))
+    X = np.array(draw(st.lists(cell, min_size=n * n_features,
+                               max_size=n * n_features)),
+                 dtype=np.float64).reshape(n, n_features)
+    for f in range(1, n_features):
+        kind = draw(st.sampled_from(["own", "copy", "constant"]))
+        if kind == "copy":  # an exact gain tie with a lower feature
+            X[:, f] = X[:, draw(st.integers(0, f - 1))]
+        elif kind == "constant":
+            X[:, f] = X[0, f]
+    # 1e-20 vanishes in a sum with 0.25, so with l2_reg = 0 a right-hand
+    # side can be exactly x / 0
+    grad = st.sampled_from([-0.5, -0.25, 1e-20, 0.25, 0.5]) | st.floats(-1.0, 1.0)
+    hess = st.sampled_from([0.25, 0.1875, 1e-20]) | st.floats(1e-6, 0.25)
+    g = np.array(draw(st.lists(grad, min_size=n, max_size=n)))
+    h = np.array(draw(st.lists(hess, min_size=n, max_size=n)))
+    if draw(st.integers(0, 4)) == 0:  # a single-row node
+        mask = np.zeros(n, dtype=bool)
+        mask[draw(st.integers(0, n - 1))] = True
+    else:
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        mask[draw(st.integers(0, n - 1))] = True
+    cfg = TrainConfig(min_child_weight=draw(st.sampled_from([0.0, 0.1, 0.5, 1e9])),
+                      l2_reg=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    return X, g, h, mask, cfg
+
+
+class TestSplitSearch:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(split_nodes())
+    def test_equals_per_feature_oracle(self, case):
+        X, g, h, mask, cfg = case
+        order = np.argsort(X, axis=0, kind="stable")
+        assert vectorized_split(X, mask, g, h, cfg) == \
+            split_oracle(X, order, mask, g, h, cfg)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    # Eighths, not any floats: no two values are adjacent doubles, whose
+    # midpoint threshold could round onto one of them and empty a child.
+    @given(split_nodes(cell=st.sampled_from(SPLIT_GRID)
+                       | st.integers(-64, 64).map(lambda k: k / 8)),
+           st.integers(0, 4))
+    def test_tree_equals_mask_builder(self, case, max_depth):
+        X, g, h, _, cfg = case
+        cfg = TrainConfig(max_depth=max_depth, min_child_weight=cfg.min_child_weight,
+                          l2_reg=cfg.l2_reg)
+        order_T = np.argsort(X.T, axis=1, kind="stable")
+        builder = _TreeBuilder(order_T, np.take_along_axis(X.T, order_T, axis=1), cfg)
+        tree, contrib = builder.build(g, h)
+        nodes, contrib_oracle = tree_oracle(X, g, h, cfg)
+        assert tree.to_dict() == nodes
+        assert np.array_equal(contrib, contrib_oracle)
+
+    def test_equal_gains_pick_lowest_feature_then_threshold(self):
+        # feature 0 is constant, feature 2 mirrors feature 1, and the first and
+        # last boundaries of x have one gain
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        X = np.column_stack([np.zeros(4), x, x])
+        g = np.array([-0.5, 0.5, 0.5, -0.5])
+        h = np.full(4, 0.25)
+        cfg = TrainConfig(min_child_weight=0.0, l2_reg=0.0)
+        mask = np.ones(4, dtype=bool)
+        gain, f, thr = vectorized_split(X, mask, g, h, cfg)
+        assert (f, thr) == (1, 0.5)
+        assert (gain, f, thr) == split_oracle(X, np.argsort(X, axis=0, kind="stable"),
+                                              mask, g, h, cfg)
+
+
+    def test_feature_with_nan_gain_is_skipped(self):
+        # With l2_reg = 0, feature 0's second boundary leaves HR = 0 and
+        # GR = 0 (1e-20 vanishes in the sums): its gain is NaN, so feature 0
+        # is skipped although its first boundary has the same gain, 1.0, as
+        # feature 1's.
+        X = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
+        g = np.array([0.5, 1e-20, -0.5])
+        h = np.array([0.25, 1e-20, 0.25])
+        cfg = TrainConfig(min_child_weight=0.0, l2_reg=0.0)
+        mask = np.ones(3, dtype=bool)
+        result = vectorized_split(X, mask, g, h, cfg)
+        assert result == (1.0, 1, 0.5)
+        assert result == split_oracle(X, np.argsort(X, axis=0, kind="stable"),
+                                      mask, g, h, cfg)

@@ -1,12 +1,15 @@
+import datetime as dt
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from newsrec.corpus import DAY, WEEK, Corpus
-from newsrec.features import FeatureConfig, empty_profile
-from newsrec.gbdt import TrainConfig, TreeEnsemble
+import newsrec.ranker
+from newsrec.corpus import DAY, WEEK, Corpus, day_start
+from newsrec.features import FeatureConfig, build_training_set, empty_profile
+from newsrec.gbdt import TrainConfig, TreeEnsemble, train
 from newsrec.ranker import (MANUAL_USER, PipelineConfig, RankedList, RankerError,
                             Section, Treatment, candidates, dyn_score_at,
                             manual_lists, rank, read_emissions, rerank,
@@ -306,6 +309,56 @@ class TestPipeline:
             with pytest.raises(RankerError, match=message):
                 run_pipeline(mini_corpus(), pipe_config(), ["u1"], t_end=T0 + 2 * DAY,
                              models=[(T0 + DAY, model)])
+
+
+def schedule_oracle(corpus, cfg):
+    """Nightly models, building every day's examples again on each night
+    whose seven-day window holds it (the path without per-day reuse)."""
+    cache = ArticleFeatureCache(corpus, cfg.features)
+    schedule = []
+    for t in newsrec.ranker._nightly_times(cfg, corpus.time_span()[1]):
+        day0 = dt.datetime.fromtimestamp(day_start(t), tz=dt.timezone.utc).date()
+        examples = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for back in range(7, 0, -1):
+                day = day0 - dt.timedelta(days=back)
+                seed = cfg.rng_seed * 100003 + day.toordinal()
+                examples.extend(build_training_set(corpus, day, seed, cfg.features,
+                                                   cache=cache))
+        if {ex.label for ex in examples} == {0, 1}:
+            schedule.append((t, train(examples, cfg.train)))
+    return schedule
+
+
+def model_json(model):
+    return json.dumps([model.base_score, model.train_losses,
+                       [tree.to_dict() for tree in model.trees]])
+
+
+class TestTrainSchedule:
+    def test_each_day_built_once_same_models(self, tiny_world, monkeypatch):
+        wcfg, corpus, _ = tiny_world
+        cfg = pipe_config(
+            t_start=wcfg.start + DAY, nightly_train_hour=1,
+            train=TrainConfig(n_trees=4, max_depth=3, learning_rate=0.3),
+            features=FeatureConfig(embedding_dim=wcfg.embedding_dim))
+        days = []
+
+        def counted(corpus, day, *args, **kwargs):
+            days.append(day)
+            return build_training_set(corpus, day, *args, **kwargs)
+
+        monkeypatch.setattr(newsrec.ranker, "build_training_set", counted)
+        schedule = train_schedule(corpus, cfg)
+        monkeypatch.undo()
+
+        assert len(days) == len(set(days)) == 10  # 4 nights, windows overlapping
+        expected = schedule_oracle(corpus, cfg)
+        assert len(schedule) == len(expected) == 4
+        for (t, model), (t_exp, model_exp) in zip(schedule, expected):
+            assert t == t_exp
+            assert model_json(model) == model_json(model_exp)
 
 
 class TestManualLists:
