@@ -21,7 +21,7 @@ from .features import (ArticleFeatureCache, FeatureConfig, FeatureVector,
                        write_schema)
 from .gbdt import GbdtError, TrainConfig, Tree, TreeEnsemble, train
 from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,
-                     candidates, dyn_score, dyn_score_at, manual_lists, rank,
+                     candidates, dyn_score_at, manual_lists, rank,
                      read_emissions, rerank, run_pipeline, slice_sections,
                      train_schedule, write_emissions)
 from .usefulness import (AttributeKind, CoverageScope, MetricSample, align,

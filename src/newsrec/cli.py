@@ -20,7 +20,7 @@ import datetime as dt
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -122,8 +122,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if "embedding_dim" in features_raw:
             problems.append("features: 'embedding_dim' is taken from the corpus "
                             "and may not be set")
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         problems.append(f"features: {exc}")
+    eval_ks = raw.get("eval_ks", [5, 10])
+    if not isinstance(eval_ks, list) or any(
+            isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in eval_ks):
+        problems.append("eval_ks must be a list of integers >= 1")
     try:
         variant = TTestVariant(raw.get("variant", "student"))
     except ValueError:
@@ -142,7 +146,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         features_raw=features_raw,
         treatments=treatments,
         manual_updates=(int(updates[0]), int(updates[1])),
-        eval_ks=[int(k) for k in raw.get("eval_ks", [5, 10])],
+        eval_ks=eval_ks,
         variant=variant,
     )
 
@@ -187,26 +191,34 @@ def _feature_config(cfg: ExperimentConfig, corpus: Corpus) -> FeatureConfig:
 
 def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus,
                      treatment: Treatment) -> PipelineConfig:
+    """The config's `pipeline` section; every key it knows is popped here,
+    and a bad value or a key left over is a config error."""
     raw = dict(cfg.pipeline_raw)
     first_ts = corpus.time_span()[0]
-    t_start = raw.pop("t_start", None)
-    if t_start is None:
-        t_start = day_start(first_ts) + raw.pop("start_day_offset", 1) * DAY
-    else:
-        raw.pop("start_day_offset", None)
-    return PipelineConfig(
-        t_start=float(t_start),
-        candidate_window=float(raw.get("candidate_window_days", 7.0)) * DAY,
-        refresh_interval=float(raw.get("refresh_interval_hours", 1.0)) * 3600.0,
-        nightly_train_hour=int(raw.get("nightly_train_hour", 2)),
-        treatment=treatment,
-        blend_lambda=float(raw.get("lambda", 0.5)),
-        rec_label_threshold=float(raw.get("rec_label_threshold", 0.5)),
-        rng_seed=cfg.seed,
-        train=cfg.train,
-        features=_feature_config(cfg, corpus),
-        mnpage_cap=raw.get("mnpage_cap"),
-    )
+    features = _feature_config(cfg, corpus)
+    try:
+        t_start = raw.pop("t_start", None)
+        offset_days = raw.pop("start_day_offset", 1)
+        if t_start is None:
+            t_start = day_start(first_ts) + offset_days * DAY
+        pipe = PipelineConfig(
+            t_start=float(t_start),
+            candidate_window=float(raw.pop("candidate_window_days", 7.0)) * DAY,
+            refresh_interval=float(raw.pop("refresh_interval_hours", 1.0)) * 3600.0,
+            nightly_train_hour=int(raw.pop("nightly_train_hour", 2)),
+            treatment=treatment,
+            blend_lambda=float(raw.pop("lambda", 0.5)),
+            rec_label_threshold=float(raw.pop("rec_label_threshold", 0.5)),
+            rng_seed=cfg.seed,
+            train=cfg.train,
+            features=features,
+            mnpage_cap=raw.pop("mnpage_cap", None),
+        )
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid config: pipeline: {exc}") from exc
+    if raw:
+        raise CliError(f"invalid config: pipeline: unknown keys {sorted(raw)}")
+    return pipe
 
 
 def _write_json(path: Path, payload) -> None:
@@ -272,7 +284,10 @@ def cmd_run(cfg: ExperimentConfig, only: Optional[Treatment] = None,
     for treatment in treatments:
         pipe = _pipeline_config(cfg, corpus, treatment)
         if blend_lambda is not None:
-            pipe = PipelineConfig(**{**pipe.__dict__, "blend_lambda": blend_lambda})
+            try:
+                pipe = replace(pipe, blend_lambda=blend_lambda)
+            except RankerError as exc:
+                raise CliError(f"--lambda: {exc}") from exc
         emissions = run_pipeline(corpus, pipe, users, models=schedule)
         write_emissions(cfg.emissions_path(treatment), emissions)
         print(f"{treatment.value}: {len(emissions)} lists -> {cfg.emissions_path(treatment)}")

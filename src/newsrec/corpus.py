@@ -4,7 +4,9 @@ A corpus is an immutable snapshot: an id-indexed set of articles plus a
 time-ordered log of impression/click events. Article content statistics
 (word/sentence/paragraph/char counts, hapax and dis legomena, the average
 word embedding) are always derived from the body at construction time, so a
-corpus serialized to JSONL and reloaded is equal to the original.
+corpus serialized to JSONL and reloaded is equal to the original. Every
+JSONL record file (articles, events, the ranker's emission logs) is read by
+`read_jsonl` and written by `write_jsonl`.
 """
 
 from __future__ import annotations
@@ -78,10 +80,12 @@ class WordVectors:
     def from_file(cls, path: str | Path) -> "WordVectors":
         path = Path(path)
         with path.open("r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise CorpusError(f"{path}:1: expected '<vocab> <dim>' header")
-            n, dim = int(header[0]), int(header[1])
+            try:
+                n, dim = map(int, fh.readline().split())
+            except ValueError:  # not exactly two integers
+                raise CorpusError(f"{path}:1: expected '<vocab> <dim>' header") from None
+            if n < 0 or dim < 1:
+                raise CorpusError(f"{path}:1: header needs vocab >= 0 and dim >= 1")
             vectors: dict[str, np.ndarray] = {}
             for lineno, line in enumerate(fh, start=2):
                 parts = line.rstrip("\n").split(" ")
@@ -344,110 +348,122 @@ class Corpus:
         return min(times), max(times)
 
 
-def _parse_timestamp(value, where: str) -> float:
+def read_jsonl(path: str | Path, parse, error: type[Exception]) -> list:
+    """`parse` of each non-blank line of a JSONL file, in file order.
+
+    Malformed JSON, a line that is not a JSON object, a missing key
+    (KeyError) and a rejected value (TypeError, ValueError or
+    OverflowError from `parse`) raise `error` naming path:line."""
+    out = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError("expected a JSON object")
+                out.append(parse(obj))
+            except json.JSONDecodeError as exc:
+                raise error(f"{where}: malformed JSON: {exc.msg}") from exc
+            except KeyError as exc:
+                raise error(f"{where}: missing field {exc.args[0]!r}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise error(f"{where}: {exc}") from exc
+    return out
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
+    """One `json.dumps(record, sort_keys=True)` line per record."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _parse_timestamp(value) -> float:
+    """Epoch seconds from a finite number or an ISO-8601 string (UTC if
+    the string carries no offset)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
+        if math.isfinite(value):
+            return float(value)
+    elif isinstance(value, str):
         try:
             stamp = datetime.fromisoformat(value.replace("Z", "+00:00"))
-        except ValueError as exc:
-            raise CorpusError(f"{where}: bad timestamp {value!r}") from exc
+        except ValueError:
+            raise CorpusError(f"bad timestamp {value!r}") from None
         if stamp.tzinfo is None:
             stamp = stamp.replace(tzinfo=timezone.utc)
         return stamp.timestamp()
-    raise CorpusError(f"{where}: bad timestamp {value!r}")
+    raise CorpusError(f"bad timestamp {value!r}")
 
 
-def _str_list(obj, key: str, where: str) -> list[str]:
-    val = obj.get(key, [])
-    if not isinstance(val, list) or any(not isinstance(x, str) for x in val):
-        raise CorpusError(f"{where}: {key} must be a list of strings")
-    return val
+def _str(obj: Mapping, key: str, required: bool = True) -> str:
+    """obj[key], or "" when it is absent and not `required`; it must be a
+    string."""
+    value = obj[key] if required else obj.get(key, "")
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string")
+    return value
+
+
+def _str_list(obj: Mapping, key: str, required: bool = True) -> list[str]:
+    """obj[key], or [] when it is absent and not `required`; it must be a
+    list of strings."""
+    value = obj[key] if required else obj.get(key, [])
+    if not isinstance(value, list) or any(not isinstance(x, str) for x in value):
+        raise TypeError(f"{key} must be a list of strings")
+    return value
+
+
+def _article_record(art: Article) -> dict:
+    # content fields only; derived statistics are recomputed on load
+    return {"id": art.id, "published_at": art.published_at, "section": art.section,
+            "tags": sorted(art.tags), "authors": sorted(art.authors),
+            "title": art.title, "body": art.body}
+
+
+def _event_record(ev: InteractionEvent) -> dict:
+    return {"user_id": ev.user_id, "article_id": ev.article_id, "at": ev.at,
+            "kind": ev.kind.value, "context": ev.context.value}
+
+
+def _parse_event(obj: Mapping) -> InteractionEvent:
+    return InteractionEvent(
+        user_id=_str(obj, "user_id"),
+        article_id=_str(obj, "article_id"),
+        at=_parse_timestamp(obj["at"]),
+        kind=Kind(obj["kind"]),
+        context=Context(obj.get("context", "other")),
+    )
 
 
 def load_corpus(articles_path: str | Path, events_path: str | Path,
                 embeddings: EmbeddingProvider) -> Corpus:
     """Load a corpus from the articles/events JSONL files, recomputing all
     content-derived fields from the body text."""
-    articles: list[Article] = []
-    articles_path = Path(articles_path)
-    events_path = Path(events_path)
-    with articles_path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{articles_path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: malformed JSON: {exc.msg}") from exc
-            try:
-                articles.append(Article.from_content(
-                    id=obj["id"],
-                    published_at=_parse_timestamp(obj["published_at"], where),
-                    section=obj["section"],
-                    tags=_str_list(obj, "tags", where),
-                    authors=_str_list(obj, "authors", where),
-                    title=obj.get("title", ""),
-                    body=obj.get("body", ""),
-                    provider=embeddings,
-                ))
-            except KeyError as exc:
-                raise CorpusError(f"{where}: missing field {exc.args[0]!r}") from exc
+    def parse_article(obj: Mapping) -> Article:
+        return Article.from_content(
+            id=_str(obj, "id"),
+            published_at=_parse_timestamp(obj["published_at"]),
+            section=_str(obj, "section"),
+            tags=_str_list(obj, "tags", required=False),
+            authors=_str_list(obj, "authors", required=False),
+            title=_str(obj, "title", required=False),
+            body=_str(obj, "body", required=False),
+            provider=embeddings,
+        )
 
-    events: list[InteractionEvent] = []
-    with events_path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{events_path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: malformed JSON: {exc.msg}") from exc
-            try:
-                kind = Kind(obj["kind"])
-                context = Context(obj.get("context", "other"))
-            except ValueError as exc:
-                raise CorpusError(f"{where}: {exc}") from exc
-            try:
-                events.append(InteractionEvent(
-                    user_id=obj["user_id"],
-                    article_id=obj["article_id"],
-                    at=_parse_timestamp(obj["at"], where),
-                    kind=kind,
-                    context=context,
-                ))
-            except KeyError as exc:
-                raise CorpusError(f"{where}: missing field {exc.args[0]!r}") from exc
-
+    articles = read_jsonl(articles_path, parse_article, CorpusError)
+    events = read_jsonl(events_path, _parse_event, CorpusError)
     return Corpus(articles, events, embeddings.dim)
 
 
 def save_corpus(corpus: Corpus, articles_path: str | Path, events_path: str | Path) -> None:
-    """Write the articles/events JSONL files (content fields only; derived
-    statistics are recomputed on load)."""
-    with Path(articles_path).open("w", encoding="utf-8") as fh:
-        for aid in sorted(corpus.articles):
-            art = corpus.articles[aid]
-            fh.write(json.dumps({
-                "id": art.id,
-                "published_at": art.published_at,
-                "section": art.section,
-                "tags": sorted(art.tags),
-                "authors": sorted(art.authors),
-                "title": art.title,
-                "body": art.body,
-            }, sort_keys=True) + "\n")
-    with Path(events_path).open("w", encoding="utf-8") as fh:
-        for ev in corpus.events:
-            fh.write(json.dumps({
-                "user_id": ev.user_id,
-                "article_id": ev.article_id,
-                "at": ev.at,
-                "kind": ev.kind.value,
-                "context": ev.context.value,
-            }, sort_keys=True) + "\n")
+    """Write the articles/events JSONL files."""
+    write_jsonl(articles_path, (_article_record(corpus.articles[aid])
+                                for aid in sorted(corpus.articles)))
+    write_jsonl(events_path, map(_event_record, corpus.events))
 
 
 # --------------------------------------------------------------------------

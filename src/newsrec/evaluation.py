@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import DAY, Article, Corpus, Kind, day_start
-from .features import (ArticleFeatureCache, FeatureConfig, ProfileCache, UserProfile,
+from .features import (ArticleFeatureCache, ProfileCache, UserProfile,
                        build_profile, extract_matrix)
 from .gbdt import TreeEnsemble
 from .ranker import MANUAL_USER, RankedList, Section, _sort_items
@@ -128,22 +128,15 @@ def _user_day_candidates(corpus: Corpus, day_ts: float
     return out
 
 
-def offline_eval(corpus: Corpus, models: Mapping[dt.date, Scorer | TreeEnsemble],
-                 days: Sequence[dt.date], ks: Sequence[int] = (5, 10),
-                 features=None) -> AccuracyReport:
+def offline_eval(corpus: Corpus, models: Mapping[dt.date, Scorer],
+                 days: Sequence[dt.date], ks: Sequence[int] = (5, 10)) -> AccuracyReport:
     """Replay each user-day's displayed articles through that day's model.
 
-    `models` maps each day to the model trained through the previous day,
-    either a TreeEnsemble (wrapped with the default feature schema, or
-    `features` if given) or a scorer callable. User-days without clicks
+    `models` maps each day to the scorer of the model trained through the
+    previous day (see `scorers_from_schedule`). User-days without clicks
     are skipped (macro-averaging over defined samples only); days with no
     model are skipped with a warning.
     """
-    if any(isinstance(m, TreeEnsemble) for m in models.values()):
-        fcfg = features or FeatureConfig(embedding_dim=corpus.embedding_dim)
-        cache = ArticleFeatureCache(corpus, fcfg)
-        models = {d: ensemble_scorer(m, cache) if isinstance(m, TreeEnsemble) else m
-                  for d, m in models.items()}
     ndcg_samples: list[float] = []
     pr_samples: dict[int, list[tuple[float, float]]] = {k: [] for k in ks}
     for day in days:

@@ -36,6 +36,11 @@ class FeatureConfig:
     section_buckets: int = 16
     top_k: int = 3
 
+    def __post_init__(self):
+        bad = [k for k in ("embedding_dim", "section_buckets", "top_k") if getattr(self, k) < 1]
+        if bad:
+            raise FeatureError(f"must be >= 1: {', '.join(bad)}")
+
     @property
     def width(self) -> int:
         return self.section_buckets + 10 + self.embedding_dim + 5 + 6

@@ -44,7 +44,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     min_child_weight: float = 1.0
     l2_reg: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:

@@ -19,7 +19,6 @@ lambda * model_score + (1 - lambda) * dyn.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,7 +28,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import DAY, WEEK, Article, Corpus, Kind, day_start
+from .corpus import (DAY, WEEK, Article, Corpus, Kind, _str, _str_list, day_start,
+                     read_jsonl, write_jsonl)
 from .features import (ArticleFeatureCache, FeatureConfig, LabeledExample,
                        UserProfile, build_profile, build_training_set,
                        extract_matrix)
@@ -109,6 +109,9 @@ class PipelineConfig:
             raise RankerError("refresh_interval must be > 0")
         if not 0 <= self.nightly_train_hour <= 23:
             raise RankerError("nightly_train_hour must be an hour of day")
+        if self.mnpage_cap is not None and not (isinstance(self.mnpage_cap, int)
+                                                and self.mnpage_cap >= 1):
+            raise RankerError("mnpage_cap must be an integer >= 1")
 
 
 def candidates(corpus: Corpus, at: float, window: float) -> list[Article]:
@@ -165,10 +168,6 @@ def dyn_score_at(published_at: float, t_start: float) -> float:
     if hours <= 0.0:
         return 0.0
     return 1.0 - 1.0 / (1.0 + math.log(1.0 + hours))
-
-
-def dyn_score(article: Article, t_start: float) -> float:
-    return dyn_score_at(article.published_at, t_start)
 
 
 def rerank(full: RankedList, blend_lambda: float, t_start: float,
@@ -335,16 +334,12 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
 # Manual (editorial) baseline
 # --------------------------------------------------------------------------
 
-def manual_lists(corpus: Corpus, t_start: float, t_end: float,
-                 path: Optional[str | Path] = None, rng_seed: int = 0,
+def manual_lists(corpus: Corpus, t_start: float, t_end: float, rng_seed: int = 0,
                  updates_range: tuple[int, int] = (8, 16)) -> list[RankedList]:
-    """Editor-curated top-5 stream: loaded from JSONL when a path is given,
-    otherwise synthesized at irregular times (uniform count per day within
-    `updates_range`, averaging ~12/day) by a non-personalized
-    popularity-plus-noise score over the trailing 24h of publications."""
-    if path is not None:
-        return _manual_from_file(path)
-
+    """Editor-curated top-5 stream, synthesized at irregular times (uniform
+    count per day within `updates_range`, averaging ~12/day) by a
+    non-personalized popularity-plus-noise score over the trailing 24h of
+    publications. On file it is an emission log (`write_emissions`)."""
     rng = np.random.default_rng(rng_seed)
     click_counts: dict[str, int] = {}
     click_events = [(e.at, e.article_id) for e in corpus.events if e.kind is Kind.CLICK]
@@ -375,71 +370,44 @@ def manual_lists(corpus: Corpus, t_start: float, t_end: float,
     return out
 
 
-def _manual_from_file(path: str | Path) -> list[RankedList]:
-    def parse(obj) -> RankedList:
-        ids = obj["items"]
-        if len(ids) > 5:
-            raise RankerError("manual list longer than 5")
-        items = tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids))
-        return RankedList(MANUAL_USER, Section.MANUAL, float(obj["at"]), items)
-
-    return sorted(_read_jsonl(path, parse), key=lambda l: l.at)
-
-
-def _read_jsonl(path: str | Path, parse) -> list[RankedList]:
-    """`parse` of each non-blank line of a JSONL file. Malformed JSON, a
-    missing key and a rejected value (a RankedList invariant among them)
-    raise RankerError naming path:line."""
-    out: list[RankedList] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise RankerError("expected a JSON object")
-                out.append(parse(obj))
-            except json.JSONDecodeError as exc:
-                raise RankerError(f"{where}: malformed JSON: {exc.msg}") from exc
-            except KeyError as exc:
-                raise RankerError(f"{where}: missing field {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
-                raise RankerError(f"{where}: {exc}") from exc
-    return out
-
-
 # --------------------------------------------------------------------------
 # Emission log (the substrate all metrics consume)
 # --------------------------------------------------------------------------
 
+def _emission_record(lst: RankedList) -> dict:
+    record = {
+        "user": lst.user_id,
+        "section": lst.section.value,
+        "at": lst.at,
+        "ids": [aid for aid, _ in lst.items],
+        "scores": [s for _, s in lst.items],
+        "fallback": lst.fallback,
+    }
+    if lst.rec_labels is not None:
+        record["rec_labels"] = list(lst.rec_labels)
+    return record
+
+
+def _parse_emission(obj) -> RankedList:
+    ids, scores = _str_list(obj, "ids"), obj["scores"]
+    if len(ids) != len(scores):
+        raise RankerError(f"{len(ids)} ids but {len(scores)} scores")
+    labels = obj.get("rec_labels")
+    return RankedList(
+        user_id=_str(obj, "user"),
+        section=Section(obj["section"]),
+        at=float(obj["at"]),
+        items=tuple(zip(ids, map(float, scores))),
+        fallback=bool(obj.get("fallback", False)),
+        rec_labels=tuple(labels) if labels is not None else None,
+    )
+
+
 def write_emissions(path: str | Path, emissions: Iterable[RankedList]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for lst in emissions:
-            record = {
-                "user": lst.user_id,
-                "section": lst.section.value,
-                "at": lst.at,
-                "ids": [aid for aid, _ in lst.items],
-                "scores": [s for _, s in lst.items],
-                "fallback": lst.fallback,
-            }
-            if lst.rec_labels is not None:
-                record["rec_labels"] = list(lst.rec_labels)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(path, map(_emission_record, emissions))
 
 
 def read_emissions(path: str | Path) -> list[RankedList]:
-    def parse(obj) -> RankedList:
-        labels = obj.get("rec_labels")
-        return RankedList(
-            user_id=obj["user"],
-            section=Section(obj["section"]),
-            at=float(obj["at"]),
-            items=tuple(zip(obj["ids"], map(float, obj["scores"]))),
-            fallback=bool(obj.get("fallback", False)),
-            rec_labels=tuple(labels) if labels is not None else None,
-        )
-
-    return _read_jsonl(path, parse)
+    """The lists of an emission log; a malformed line raises RankerError
+    naming path:line."""
+    return read_jsonl(path, _parse_emission, RankerError)

@@ -1,5 +1,5 @@
-"""Committed experiment setups: the reference world used by the acceptance
-suite for directional replication, and a small smoke-test world."""
+"""The committed reference experiment setup, used by the acceptance suite
+for directional replication (`configs/smoke.json` is the smoke setup)."""
 
 from __future__ import annotations
 
@@ -44,37 +44,3 @@ def reference_pipeline(world: SyntheticWorldConfig,
         mnpage_cap=20,
     )
 
-
-def smoke_world() -> SyntheticWorldConfig:
-    return SyntheticWorldConfig(
-        seed=7,
-        n_users=12,
-        n_days=5,
-        articles_per_day=8,
-        n_tags=30,
-        n_authors=10,
-        n_sections=4,
-        zipf_exponent=1.1,
-        user_affinity_dim=8,
-        click_noise=0.05,
-        embedding_dim=16,
-        vocab_size=300,
-        n_personas=3,
-        sessions_per_day=2,
-        impressions_per_session=5,
-    )
-
-
-def smoke_pipeline(world: SyntheticWorldConfig,
-                   treatment: Treatment = Treatment.BASELINE) -> PipelineConfig:
-    return PipelineConfig(
-        t_start=world.start + DAY,
-        refresh_interval=6 * 3600.0,
-        nightly_train_hour=1,
-        treatment=treatment,
-        blend_lambda=0.5,
-        rng_seed=world.seed,
-        train=TrainConfig(n_trees=8, max_depth=2, learning_rate=0.3),
-        features=FeatureConfig(embedding_dim=world.embedding_dim),
-        mnpage_cap=10,
-    )

@@ -149,6 +149,61 @@ class TestErrors:
         assert run("train", "--config", str(cfg), "--out", str(copy)) == 2
         assert "articles.jsonl:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("articles", lambda rec: [1, 2], "expected a JSON object"),
+        ("events", lambda rec: 42, "expected a JSON object"),
+        ("articles", lambda rec: {**rec, "section": 5}, "section must be a string"),
+        ("events", lambda rec: {**rec, "user_id": 7}, "user_id must be a string"),
+        ("articles", lambda rec: {**rec, "tags": [""]}, "empty string in tags"),
+    ], ids=["article-array", "event-number", "section", "user-id", "empty-tag"])
+    def test_bad_corpus_record_exit_2(self, chain, tmp_path, capsys, name, edit, message):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        shutil.copytree(out / "corpus", copy / "corpus")
+        path = copy / "corpus" / f"{name}.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = json.dumps(edit(json.loads(lines[1]))) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert run("train", "--config", str(cfg), "--out", str(copy)) == 2
+        err = capsys.readouterr().err
+        assert f"{name}.jsonl:2: " in err and message in err, err
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("train", {"train": {"n_trees": 8, "rng_seed": 5}}, "train: "),
+        ("train", {"features": {"section_buckets": 0}},
+         "features: must be >= 1: section_buckets"),
+        ("train", {"features": {"top_k": 0}}, "features: must be >= 1: top_k"),
+        ("evaluate", {"eval_ks": [0]}, "eval_ks must be a list of integers >= 1"),
+    ], ids=["rng-seed", "section-buckets", "top-k", "eval-ks"])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, command, overrides, message):
+        cfg = smoke_config(tmp_path, **overrides)
+        assert run(command, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and message in err, err
+
+    @pytest.mark.parametrize("pipeline, message", [
+        ({"lambda": 2}, "lambda must be in [0, 1]"),
+        ({"candidate_window_days": -1}, "candidate_window must be > 0"),
+        ({"mnpage_cap": 0}, "mnpage_cap must be an integer >= 1"),
+        ({"mnpage_cap": -1}, "mnpage_cap must be an integer >= 1"),
+        ({"lamda": 0.5}, "unknown keys ['lamda']"),
+    ], ids=["lambda", "window", "cap-0", "cap-minus-1", "unknown-key"])
+    def test_bad_pipeline_section_exit_2(self, chain, tmp_path, capsys, pipeline, message):
+        out, _ = chain
+        smoke = json.loads(SMOKE.read_text())
+        cfg = smoke_config(tmp_path, pipeline={**smoke["pipeline"], **pipeline})
+        shutil.copytree(out / "corpus", tmp_path / "run" / "corpus")
+        assert run("train", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "invalid config: pipeline: " in err and message in err, err
+
+    def test_bad_lambda_flag_exit_2(self, chain, tmp_path, capsys):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        assert run("run", "--config", str(cfg), "--out", str(copy), "--lambda", "2") == 2
+        assert "--lambda: lambda must be in [0, 1]" in capsys.readouterr().err
+
 
 class TestSeedOverride:
     def test_seed_changes_generated_corpus(self, tmp_path):

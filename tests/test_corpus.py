@@ -17,6 +17,10 @@ def write_lines(path, lines):
     path.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
 
 
+EVENT = {"user_id": "u1", "article_id": "a1", "at": T0, "kind": "click",
+         "context": "other"}
+
+
 def article_line(id="a1", body="alpha beta.", **over):
     line = {"id": id, "published_at": T0, "section": "news", "tags": ["t1"],
             "authors": ["au1"], "title": "t", "body": body}
@@ -143,6 +147,35 @@ class TestLoadCorpus:
         assert [e.kind for e in corpus.events] == [Kind.IMPRESSION, Kind.CLICK]
 
 
+    @pytest.mark.parametrize("name, line, message", [
+        ("articles", "[1, 2]", "expected a JSON object"),
+        ("events", "42", "expected a JSON object"),
+        ("articles", json.dumps(article_line(id="a2", section=5)), "section must be a string"),
+        ("articles", json.dumps(article_line(id="a2", tags=["t1", ""])),
+         "article a2: empty string in tags/authors"),
+        ("articles", json.dumps(article_line(id="a2", authors="au1")),
+         "authors must be a list of strings"),
+        ("articles", json.dumps(article_line(id="a2", published_at="noon")),
+         "bad timestamp 'noon'"),
+        ("events", json.dumps({**EVENT, "user_id": 7}), "user_id must be a string"),
+        ("events", json.dumps({**EVENT, "kind": "view"}), "'view' is not a valid Kind"),
+        ("events", json.dumps({**EVENT, "at": float("nan")}), "bad timestamp nan"),
+        ("events", json.dumps({**EVENT, "at": 10 ** 400}), "int too large to convert to float"),
+        ("events", json.dumps({k: v for k, v in EVENT.items() if k != "at"}),
+         "missing field 'at'"),
+    ], ids=["article-array", "event-number", "section", "empty-tag", "authors",
+            "published-at", "user-id", "kind", "nan-at", "huge-at", "missing-at"])
+    def test_bad_record_names_path_and_line(self, tmp_path, name, line, message):
+        arts, evts = tmp_path / "articles.jsonl", tmp_path / "events.jsonl"
+        write_lines(arts, [article_line()])
+        write_lines(evts, [EVENT])
+        path = arts if name == "articles" else evts
+        path.write_text(path.read_text() + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(arts, evts, make_provider())
+        assert str(exc.value) == f"{path}:3: {message}"
+
+
 class TestRoundTrip:
     def test_save_load_equal(self, tmp_path, tiny_world):
         _, corpus, truth = tiny_world
@@ -240,6 +273,13 @@ class TestInvariants:
         path = tmp_path / "v.txt"
         path.write_text(f"2 2\nalpha 0.0 1.0\nbeta 0.5 {bad}\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=f"v.txt:3: vector for 'beta' is not finite"):
+            WordVectors.from_file(path)
+
+    @pytest.mark.parametrize("header", ["x 16", "2", "2 2 2", "2 0", "-1 2", ""])
+    def test_bad_word_vector_header_names_line_1(self, tmp_path, header):
+        path = tmp_path / "v.txt"
+        path.write_text(f"{header}\nalpha 0.0 1.0\nbeta 0.5 0.5\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="v.txt:1: "):
             WordVectors.from_file(path)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

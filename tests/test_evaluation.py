@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from newsrec.corpus import DAY, Corpus
 from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
                                 collect_metric_samples, compare_manual_recsys,
-                                compare_treatments, ndcg, offline_eval,
+                                compare_treatments, ensemble_scorer, ndcg, offline_eval,
                                 precision_recall_at, regularized_incomplete_beta,
                                 t_test)
-from newsrec.features import FeatureConfig
+from newsrec.features import ArticleFeatureCache, FeatureConfig
 from newsrec.gbdt import TrainConfig, TreeEnsemble
 from newsrec.ranker import (MANUAL_USER, PipelineConfig, RankedList, Section,
                             Treatment, manual_lists, run_pipeline, train_schedule)
@@ -126,16 +126,15 @@ class TestOfflineEval:
 
     def test_schema_mismatch_refused(self):
         corpus = self.build_world()
-        day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
         stale = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
                              schema_version=99, n_features=1, schema_mismatch=True)
         narrow = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
                               schema_version=1, n_features=1)
-        width = FeatureConfig(embedding_dim=corpus.embedding_dim).width
+        cache = ArticleFeatureCache(corpus, FeatureConfig(embedding_dim=corpus.embedding_dim))
         for model, message in ((stale, "version 99.*running schema is version 1"),
-                               (narrow, f"expects 1 features.*has {width}")):
+                               (narrow, f"expects 1 features.*has {cache.cfg.width}")):
             with pytest.raises(EvalError, match=message):
-                offline_eval(corpus, {day: model}, [day])
+                ensemble_scorer(model, cache)
 
     def test_no_samples_raises(self):
         corpus = self.build_world()

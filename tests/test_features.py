@@ -82,6 +82,12 @@ def extract(profile: UserProfile, article: Article, at: float,
     return FeatureVector(out)
 
 
+@pytest.mark.parametrize("key", ["embedding_dim", "section_buckets", "top_k"])
+def test_feature_config_sizes_below_one_rejected(key):
+    with pytest.raises(FeatureError, match=f"must be >= 1: {key}"):
+        FeatureConfig(**{key: 0})
+
+
 class TestBuildProfile:
     def test_unknown_user_empty_profile(self):
         corpus = corpus_with_clicks([make_article("a1")], [])

@@ -10,8 +10,8 @@ import newsrec.ranker
 from newsrec.corpus import DAY, WEEK, Corpus, day_start
 from newsrec.features import FeatureConfig, build_training_set, empty_profile
 from newsrec.gbdt import TrainConfig, TreeEnsemble, train
-from newsrec.ranker import (MANUAL_USER, PipelineConfig, RankedList, RankerError,
-                            Section, Treatment, candidates, dyn_score_at,
+from newsrec.ranker import (PipelineConfig, RankedList, RankerError, Section,
+                            Treatment, candidates, dyn_score_at,
                             manual_lists, rank, read_emissions, rerank,
                             run_pipeline, slice_sections, train_schedule,
                             write_emissions)
@@ -362,34 +362,6 @@ class TestTrainSchedule:
 
 
 class TestManualLists:
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "manual.jsonl"
-        lines = [{"at": T0 + 60, "items": ["a", "b"]},
-                 {"at": T0 + 10, "items": ["c"]}]
-        path.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
-        lists = manual_lists(None, T0, T0 + 100, path=path)
-        assert [l.at for l in lists] == [T0 + 10, T0 + 60]
-        assert lists[0].user_id == MANUAL_USER
-
-    def test_file_longer_than_five_rejected(self, tmp_path):
-        path = tmp_path / "manual.jsonl"
-        path.write_text(json.dumps({"at": T0, "items": list("abcdef")}) + "\n",
-                        encoding="utf-8")
-        with pytest.raises(RankerError, match="longer than 5"):
-            manual_lists(None, T0, T0 + 100, path=path)
-
-    @pytest.mark.parametrize("bad, message", [
-        ("{not json", "malformed JSON"),
-        (json.dumps({"items": ["a"]}), "missing field 'at'"),
-        (json.dumps({"at": T0, "items": ["a", "a"]}), "duplicate article ids"),
-    ], ids=["json", "key", "invariant"])
-    def test_file_errors_name_the_line(self, tmp_path, bad, message):
-        path = tmp_path / "manual.jsonl"
-        path.write_text(json.dumps({"at": T0, "items": ["a"]}) + "\n\n" + bad + "\n",
-                        encoding="utf-8")
-        with pytest.raises(RankerError, match=f"manual.jsonl:3: {message}"):
-            manual_lists(None, T0, T0 + 100, path=path)
-
     def test_synthesized_update_counts(self, tiny_world):
         wcfg, corpus, _ = tiny_world
         t_start = wcfg.start + DAY
@@ -438,7 +410,10 @@ EMISSION = {"user": "u1", "section": "mn_widget", "at": T0, "ids": ["a", "b"],
     (json.dumps({k: v for k, v in EMISSION.items() if k != "ids"}), "missing field 'ids'"),
     (json.dumps({**EMISSION, "scores": [0.4, 0.9]}), "items must be sorted"),
     ("[1, 2]", "expected a JSON object"),
-], ids=["json", "key", "invariant", "object"])
+    (json.dumps({**EMISSION, "user": 7}), "user must be a string"),
+    (json.dumps({**EMISSION, "ids": ["a", 2]}), "ids must be a list of strings"),
+    (json.dumps({**EMISSION, "scores": [0.9]}), "2 ids but 1 scores"),
+], ids=["json", "key", "invariant", "object", "user", "ids", "lengths"])
 def test_read_emissions_errors_name_the_line(tmp_path, bad, message):
     path = tmp_path / "e.jsonl"
     path.write_text(json.dumps(EMISSION) + "\n\n" + bad + "\n", encoding="utf-8")
