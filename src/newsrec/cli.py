@@ -33,8 +33,9 @@ from .features import SCHEMA_VERSION, ArticleFeatureCache, FeatureConfig, write_
 from .gbdt import TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
-from .ranker import (PipelineConfig, RankedList, RankerError, Treatment, manual_lists,
-                     read_emissions, run_pipeline, train_schedule, write_emissions)
+from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,
+                     manual_lists, manual_updates_range, read_emissions, run_pipeline,
+                     train_schedule, write_emissions)
 from .usefulness import write_metric_samples
 
 
@@ -108,14 +109,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
         problems.append(f"train: {exc}")
         train = TrainConfig()
     treatments = []
-    for name in raw.get("treatments", ["baseline", "dynamism"]):
+    names = raw.get("treatments", ["baseline", "dynamism"])
+    if not isinstance(names, list) or not names:
+        problems.append("treatments must be a non-empty list")
+        names = []
+    for name in names:
         try:
             treatments.append(Treatment(name))
         except ValueError:
             problems.append(f"treatments: unknown treatment {name!r}")
-    updates = raw.get("manual_updates_per_day", [8, 16])
-    if len(updates) != 2 or updates[0] > updates[1]:
-        problems.append("manual_updates_per_day must be [low, high]")
+    try:
+        manual_updates = manual_updates_range(raw.get("manual_updates_per_day", [8, 16]))
+    except RankerError as exc:
+        problems.append(f"manual_updates_per_day: {exc}")
     features_raw = raw.get("features", {})
     try:
         FeatureConfig(**features_raw)
@@ -145,7 +151,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         train=train,
         features_raw=features_raw,
         treatments=treatments,
-        manual_updates=(int(updates[0]), int(updates[1])),
+        manual_updates=manual_updates,
         eval_ks=eval_ks,
         variant=variant,
     )
@@ -189,10 +195,9 @@ def _feature_config(cfg: ExperimentConfig, corpus: Corpus) -> FeatureConfig:
     return FeatureConfig(embedding_dim=corpus.embedding_dim, **cfg.features_raw)
 
 
-def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus,
-                     treatment: Treatment) -> PipelineConfig:
-    """The config's `pipeline` section; every key it knows is popped here,
-    and a bad value or a key left over is a config error."""
+def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus) -> PipelineConfig:
+    """The `pipeline` section as a baseline PipelineConfig; every key it
+    knows is popped here, and a bad value or a key left over is a config error."""
     raw = dict(cfg.pipeline_raw)
     first_ts = corpus.time_span()[0]
     features = _feature_config(cfg, corpus)
@@ -206,7 +211,6 @@ def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus,
             candidate_window=float(raw.pop("candidate_window_days", 7.0)) * DAY,
             refresh_interval=float(raw.pop("refresh_interval_hours", 1.0)) * 3600.0,
             nightly_train_hour=int(raw.pop("nightly_train_hour", 2)),
-            treatment=treatment,
             blend_lambda=float(raw.pop("lambda", 0.5)),
             rec_label_threshold=float(raw.pop("rec_label_threshold", 0.5)),
             rng_seed=cfg.seed,
@@ -262,7 +266,7 @@ def cmd_generate(cfg: ExperimentConfig) -> None:
 
 def cmd_train(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
-    pipe = _pipeline_config(cfg, corpus, Treatment.BASELINE)
+    pipe = _pipeline_config(cfg, corpus)
     schedule = train_schedule(corpus, pipe)
     cfg.models_dir.mkdir(parents=True, exist_ok=True)
     for old in cfg.models_dir.glob("model_*.json"):
@@ -278,20 +282,19 @@ def cmd_run(cfg: ExperimentConfig, only: Optional[Treatment] = None,
             blend_lambda: Optional[float] = None) -> None:
     corpus = _load_corpus(cfg)
     users = corpus.user_ids()
-    treatments = [only] if only else cfg.treatments
+    pipe = _pipeline_config(cfg, corpus)
+    if blend_lambda is not None:
+        try:
+            pipe = replace(pipe, blend_lambda=blend_lambda)
+        except RankerError as exc:
+            raise CliError(f"--lambda: {exc}") from exc
     # The nightly schedule does not depend on the treatment: load it once.
-    schedule = _load_schedule(cfg, _pipeline_config(cfg, corpus, treatments[0]))
-    for treatment in treatments:
-        pipe = _pipeline_config(cfg, corpus, treatment)
-        if blend_lambda is not None:
-            try:
-                pipe = replace(pipe, blend_lambda=blend_lambda)
-            except RankerError as exc:
-                raise CliError(f"--lambda: {exc}") from exc
-        emissions = run_pipeline(corpus, pipe, users, models=schedule)
+    schedule = _load_schedule(cfg, pipe)
+    for treatment in [only] if only else cfg.treatments:
+        emissions = run_pipeline(corpus, replace(pipe, treatment=treatment), users,
+                                 models=schedule)
         write_emissions(cfg.emissions_path(treatment), emissions)
         print(f"{treatment.value}: {len(emissions)} lists -> {cfg.emissions_path(treatment)}")
-    pipe = _pipeline_config(cfg, corpus, treatments[0])
     manual = manual_lists(corpus, pipe.t_start, corpus.time_span()[1],
                           rng_seed=cfg.seed * 7919 + 11,
                           updates_range=cfg.manual_updates)
@@ -301,7 +304,7 @@ def cmd_run(cfg: ExperimentConfig, only: Optional[Treatment] = None,
 
 def cmd_evaluate(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
-    pipe = _pipeline_config(cfg, corpus, Treatment.BASELINE)
+    pipe = _pipeline_config(cfg, corpus)
     schedule = _load_schedule(cfg, pipe)
     cache = ArticleFeatureCache(corpus, pipe.features)
     scorers = scorers_from_schedule(schedule, cache)
@@ -345,7 +348,6 @@ def cmd_compare(cfg: ExperimentConfig, variant: Optional[TTestVariant] = None) -
     baseline_path = cfg.emissions_path(cfg.treatments[0])
     manual = _read_lists(_require(cfg.manual_path, "newsrec run"))
     recsys = _read_lists(_require(baseline_path, "newsrec run"))
-    from .ranker import Section
     widget = [l for l in recsys if l.section is Section.MN_WIDGET and not l.fallback]
     reports = compare_manual_recsys(manual, widget, corpus, variant=variant)
     for r in reports:

@@ -27,7 +27,7 @@ from .features import (ArticleFeatureCache, ProfileCache, UserProfile,
                        build_profile, extract_matrix)
 from .gbdt import TreeEnsemble
 from .ranker import MANUAL_USER, RankedList, Section, _sort_items
-from .usefulness import (AttributeKind, CoverageScope, MetricSample, coverage,
+from .usefulness import (AttributeKind, CoverageScope, MetricSample, align, coverage,
                          dynamism, intra_list_diversity, serendipity)
 
 
@@ -492,8 +492,6 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     and all-changes variants); coverage per day in both per-user and
     all-users scopes.
     """
-    from .usefulness import align
-
     if not manual_stream or not recsys_stream:
         raise EvalError("empty emission stream")
     manual_stream = sorted(manual_stream, key=lambda l: l.at)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import SCHEMA_VERSION, FeatureVector, LabeledExample
+from .features import SCHEMA_VERSION, LabeledExample
 
 
 class GbdtError(ValueError):
@@ -258,9 +258,6 @@ class TreeEnsemble:
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.raw_scores(X))
-
-    def predict(self, fv: FeatureVector) -> float:
-        return float(self.predict_matrix(fv.values.reshape(1, -1))[0])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

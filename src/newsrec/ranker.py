@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +76,8 @@ class RankedList:
         scores = [s for _, s in self.items]
         if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
             raise RankerError("items must be sorted non-increasing by score")
+        if self.rec_labels is not None and len(self.rec_labels) != len(self.items):
+            raise RankerError("rec_labels must be as long as items")
 
     def ids(self) -> list[str]:
         return [aid for aid, _ in self.items]
@@ -139,27 +141,25 @@ def rank(model: TreeEnsemble, profile: UserProfile, cands: Sequence[Article],
     return RankedList(profile.user_id, Section.MN_PAGE, at, tuple(items))
 
 
-def slice_sections(full: RankedList, at: float, corpus: Corpus) -> dict[Section, RankedList]:
-    """Carve the fresh widget and missed-last-week strips out of the full
-    list, preserving its order. Age exactly 24h still counts as fresh."""
-    widget: list[tuple[str, float]] = []
-    missed: list[tuple[str, float]] = []
+def slice_sections(full: RankedList, at: float, corpus: Corpus,
+                   recommended: AbstractSet[str], mnpage_cap: Optional[int]
+                   ) -> dict[Section, RankedList]:
+    """The widget, missed-last-week and page lists emitted for `full`, in
+    that order, each built once: the strips keep the full list's order (age
+    exactly 24h still counts as fresh), the page is cut to `mnpage_cap`
+    items (None keeps all), and an item is labelled by `id in recommended`."""
+    strips: dict[Section, list] = {Section.MN_WIDGET: [], Section.MISSED_LW: []}
     for aid, score in full.items:
         age = at - corpus.articles[aid].published_at
-        if age <= DAY:
-            if len(widget) < 5:
-                widget.append((aid, score))
-        elif age <= WEEK:
-            if len(missed) < 5:
-                missed.append((aid, score))
-    make = lambda section, items: RankedList(full.user_id, section, at, tuple(items),
-                                             fallback=full.fallback)
-    return {
-        Section.MN_WIDGET: make(Section.MN_WIDGET, widget),
-        Section.MISSED_LW: make(Section.MISSED_LW, missed),
-        Section.MN_PAGE: RankedList(full.user_id, Section.MN_PAGE, at, full.items,
-                                    fallback=full.fallback),
-    }
+        if age <= WEEK:
+            section = Section.MN_WIDGET if age <= DAY else Section.MISSED_LW
+            if len(strips[section]) < SECTION_CAPS[section]:
+                strips[section].append((aid, score))
+    strips[Section.MN_PAGE] = full.items[:mnpage_cap]
+    return {section: RankedList(full.user_id, section, at, tuple(items),
+                                fallback=full.fallback,
+                                rec_labels=tuple(aid in recommended for aid, _ in items))
+            for section, items in strips.items()}
 
 
 def dyn_score_at(published_at: float, t_start: float) -> float:
@@ -176,12 +176,11 @@ def rerank(full: RankedList, blend_lambda: float, t_start: float,
     re-sort. Membership is unchanged; lambda=1 keeps the input order."""
     if not 0.0 <= blend_lambda <= 1.0:
         raise RankerError("lambda must be in [0, 1]")
-    rescored = [
-        (corpus.articles[aid],
-         blend_lambda * score + (1.0 - blend_lambda) * dyn_score_at(
-             corpus.articles[aid].published_at, t_start))
-        for aid, score in full.items
-    ]
+    rescored = []
+    for aid, score in full.items:
+        art = corpus.articles[aid]
+        rescored.append((art, blend_lambda * score + (1.0 - blend_lambda)
+                         * dyn_score_at(art.published_at, t_start)))
     return RankedList(full.user_id, full.section, full.at,
                       tuple(_sort_items(rescored)), fallback=full.fallback)
 
@@ -251,25 +250,16 @@ def _fallback_list(user_id: str, cands: Sequence[Article], at: float,
 
 def _emit_user(out: list[RankedList], corpus: Corpus, cfg: PipelineConfig,
                cache: ArticleFeatureCache, model: Optional[TreeEnsemble],
-               user_id: str, at: float) -> None:
-    cands = candidates(corpus, at, cfg.candidate_window)
+               user_id: str, at: float, cands: Sequence[Article]) -> None:
     if model is None:
         full = _fallback_list(user_id, cands, at, cfg.t_start)
-        labels: dict[str, bool] = {aid: False for aid, _ in full.items}
+        recommended: AbstractSet[str] = frozenset()
     else:
-        profile = build_profile(corpus, user_id, at)
-        full = rank(model, profile, cands, at, cache)
-        labels = {aid: s >= cfg.rec_label_threshold for aid, s in full.items}
+        full = rank(model, build_profile(corpus, user_id, at), cands, at, cache)
+        recommended = {aid for aid, s in full.items if s >= cfg.rec_label_threshold}
         if cfg.treatment is Treatment.DYNAMISM:
             full = rerank(full, cfg.blend_lambda, cfg.t_start, corpus)
-    sections = slice_sections(full, at, corpus)
-    for section in (Section.MN_WIDGET, Section.MISSED_LW, Section.MN_PAGE):
-        lst = sections[section]
-        if section is Section.MN_PAGE and cfg.mnpage_cap is not None:
-            lst = lst.top(cfg.mnpage_cap)
-        out.append(RankedList(lst.user_id, lst.section, lst.at, lst.items,
-                              fallback=lst.fallback,
-                              rec_labels=tuple(labels[aid] for aid, _ in lst.items)))
+    out.extend(slice_sections(full, at, corpus, recommended, cfg.mnpage_cap).values())
 
 
 def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
@@ -297,13 +287,11 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
         if error:
             since = dt.datetime.fromtimestamp(t, tz=dt.timezone.utc).isoformat()
             raise RankerError(f"model active from {since}: {error}")
-    model_times = [t for t, _ in models]
 
     # Event queue ordered by (time, priority): training precedes refreshes,
     # refreshes precede click triggers at equal timestamps.
     TRAIN, REFRESH, CLICK = 0, 1, 2
-    queue: list[tuple[float, int, Optional[str]]] = []
-    queue.extend((t, TRAIN, None) for t in model_times)
+    queue: list[tuple[float, int, Optional[str]]] = [(t, TRAIN, None) for t, _ in models]
     t = cfg.t_start
     while t < t_end:
         queue.append((t, REFRESH, None))
@@ -315,18 +303,16 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
     queue.sort(key=lambda q: (q[0], q[1], q[2] or ""))
 
     active: Optional[TreeEnsemble] = None
-    next_model = 0
+    upcoming = iter(models)
     out: list[RankedList] = []
     ordered_users = sorted(user_set)
     for at, kind, uid in queue:
         if kind == TRAIN:
-            active = models[next_model][1]
-            next_model += 1
-        elif kind == REFRESH:
-            for user in ordered_users:
-                _emit_user(out, corpus, cfg, cache, active, user, at)
-        else:
-            _emit_user(out, corpus, cfg, cache, active, uid, at)
+            active = next(upcoming)[1]
+            continue
+        cands = candidates(corpus, at, cfg.candidate_window)
+        for user in ordered_users if kind == REFRESH else (uid,):
+            _emit_user(out, corpus, cfg, cache, active, user, at, cands)
     return out
 
 
@@ -334,12 +320,23 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
 # Manual (editorial) baseline
 # --------------------------------------------------------------------------
 
+def manual_updates_range(value) -> tuple[int, int]:
+    """`value` as the (low, high) daily count of editorial updates: two
+    integers with 0 <= low <= high and high >= 1, else RankerError."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+            and 0 <= value[0] <= value[1] and value[1] >= 1):
+        raise RankerError("must be two integers [low, high], 0 <= low <= high, high >= 1")
+    return value[0], value[1]
+
+
 def manual_lists(corpus: Corpus, t_start: float, t_end: float, rng_seed: int = 0,
                  updates_range: tuple[int, int] = (8, 16)) -> list[RankedList]:
     """Editor-curated top-5 stream, synthesized at irregular times (uniform
     count per day within `updates_range`, averaging ~12/day) by a
     non-personalized popularity-plus-noise score over the trailing 24h of
     publications. On file it is an emission log (`write_emissions`)."""
+    low, high = manual_updates_range(updates_range)
     rng = np.random.default_rng(rng_seed)
     click_counts: dict[str, int] = {}
     click_events = [(e.at, e.article_id) for e in corpus.events if e.kind is Kind.CLICK]
@@ -348,7 +345,7 @@ def manual_lists(corpus: Corpus, t_start: float, t_end: float, rng_seed: int = 0
     out: list[RankedList] = []
     day = day_start(t_start)
     while day < t_end:
-        n_updates = int(rng.integers(updates_range[0], updates_range[1] + 1))
+        n_updates = int(rng.integers(low, high + 1))
         times = np.sort(rng.uniform(6 * 3600, 23 * 3600, size=n_updates))
         for offset in times:
             at = day + float(offset)
@@ -393,6 +390,9 @@ def _parse_emission(obj) -> RankedList:
     if len(ids) != len(scores):
         raise RankerError(f"{len(ids)} ids but {len(scores)} scores")
     labels = obj.get("rec_labels")
+    if labels is not None and (not isinstance(labels, list)
+                               or any(not isinstance(x, bool) for x in labels)):
+        raise TypeError("rec_labels must be a list of booleans")
     return RankedList(
         user_id=_str(obj, "user"),
         section=Section(obj["section"]),

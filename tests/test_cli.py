@@ -174,7 +174,17 @@ class TestErrors:
          "features: must be >= 1: section_buckets"),
         ("train", {"features": {"top_k": 0}}, "features: must be >= 1: top_k"),
         ("evaluate", {"eval_ks": [0]}, "eval_ks must be a list of integers >= 1"),
-    ], ids=["rng-seed", "section-buckets", "top-k", "eval-ks"])
+        ("run", {"manual_updates_per_day": [-3, -1]}, "manual_updates_per_day: must be"),
+        ("run", {"manual_updates_per_day": 5}, "manual_updates_per_day: must be"),
+        ("run", {"manual_updates_per_day": ["a", "b"]}, "manual_updates_per_day: must be"),
+        ("run", {"manual_updates_per_day": [2.5, 4]}, "manual_updates_per_day: must be"),
+        ("run", {"manual_updates_per_day": [True, 3]}, "manual_updates_per_day: must be"),
+        ("run", {"manual_updates_per_day": [0, 0]}, "manual_updates_per_day: must be"),
+        ("run", {"treatments": []}, "treatments must be a non-empty list"),
+        ("compare", {"treatments": []}, "treatments must be a non-empty list"),
+    ], ids=["rng-seed", "section-buckets", "top-k", "eval-ks", "updates-negative",
+            "updates-int", "updates-strings", "updates-float", "updates-bool",
+            "updates-zero", "treatments-run", "treatments-compare"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, overrides, message):
         cfg = smoke_config(tmp_path, **overrides)
         assert run(command, "--config", str(cfg)) == 2

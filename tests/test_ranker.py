@@ -8,7 +8,8 @@ import pytest
 
 import newsrec.ranker
 from newsrec.corpus import DAY, WEEK, Corpus, day_start
-from newsrec.features import FeatureConfig, build_training_set, empty_profile
+from newsrec.features import (FeatureConfig, build_profile, build_training_set,
+                              empty_profile)
 from newsrec.gbdt import TrainConfig, TreeEnsemble, train
 from newsrec.ranker import (PipelineConfig, RankedList, RankerError, Section,
                             Treatment, candidates, dyn_score_at,
@@ -118,28 +119,38 @@ class TestSliceSections:
 
     def test_all_old_widget_empty(self):
         corpus, full = self.make_full([30, 40, 50])
-        sections = slice_sections(full, T0, corpus)
+        sections = slice_sections(full, T0, corpus, frozenset(), None)
         assert sections[Section.MN_WIDGET].items == ()
         assert len(sections[Section.MISSED_LW].items) == 3
 
     def test_caps_at_five(self):
         corpus, full = self.make_full([1, 2, 3, 4, 5, 6, 7] + [30, 31, 32, 33, 34, 35, 36])
-        sections = slice_sections(full, T0, corpus)
+        sections = slice_sections(full, T0, corpus, frozenset(), None)
         assert len(sections[Section.MN_WIDGET].items) == 5
         assert len(sections[Section.MISSED_LW].items) == 5
         assert len(sections[Section.MN_PAGE].items) == 14
 
     def test_exactly_24h_is_fresh(self):
         corpus, full = self.make_full([24])
-        sections = slice_sections(full, T0, corpus)
+        sections = slice_sections(full, T0, corpus, frozenset(), None)
         assert sections[Section.MN_WIDGET].ids() == ["a0"]
         assert sections[Section.MISSED_LW].items == ()
 
     def test_order_preserved(self):
         corpus, full = self.make_full([2, 30, 1, 40, 3])
-        sections = slice_sections(full, T0, corpus)
+        sections = slice_sections(full, T0, corpus, frozenset(), None)
         assert sections[Section.MN_WIDGET].ids() == ["a0", "a2", "a4"]
         assert sections[Section.MISSED_LW].ids() == ["a1", "a3"]
+
+    def test_labels_follow_recommended_and_page_is_capped(self):
+        corpus, full = self.make_full([2, 30, 1, 40, 3])
+        sections = slice_sections(full, T0, corpus, {"a0", "a3", "a4"}, 3)
+        assert list(sections) == [Section.MN_WIDGET, Section.MISSED_LW, Section.MN_PAGE]
+        assert sections[Section.MN_WIDGET].rec_labels == (True, False, True)
+        assert sections[Section.MISSED_LW].rec_labels == (False, True)
+        page = sections[Section.MN_PAGE]
+        assert page.ids() == ["a0", "a1", "a2"] and page.rec_labels == (True, False, False)
+        assert sections[Section.MN_WIDGET].ids() == ["a0", "a2", "a4"]  # cap is page-only
 
 
 class TestDynScore:
@@ -214,6 +225,12 @@ class TestRankedListInvariants:
     def test_sorted_by_score(self):
         with pytest.raises(RankerError, match="sorted"):
             RankedList("u", Section.MN_PAGE, T0, (("a", 0.5), ("b", 1.0)))
+
+    @pytest.mark.parametrize("labels", [(True,), (True, False, True), ()])
+    def test_rec_labels_as_long_as_items(self, labels):
+        with pytest.raises(RankerError, match="rec_labels must be as long as items"):
+            RankedList("u", Section.MN_PAGE, T0, (("a", 1.0), ("b", 0.5)),
+                       rec_labels=labels)
 
 
 class TestPipeline:
@@ -311,6 +328,99 @@ class TestPipeline:
                              models=[(T0 + DAY, model)])
 
 
+def emit_user_oracle(out, corpus, cfg, cache, model, user_id, at):
+    """One user's lists built step by step, the reference for the serve
+    path: rank (or the fallback), rerank, slice, cut the page with `top`,
+    then rebuild each list to attach its labels."""
+    cands = candidates(corpus, at, cfg.candidate_window)
+    if model is None:
+        full = newsrec.ranker._fallback_list(user_id, cands, at, cfg.t_start)
+        labels = {aid: False for aid, _ in full.items}
+    else:
+        profile = build_profile(corpus, user_id, at)
+        full = rank(model, profile, cands, at, cache)
+        labels = {aid: s >= cfg.rec_label_threshold for aid, s in full.items}
+        if cfg.treatment is Treatment.DYNAMISM:
+            full = rerank(full, cfg.blend_lambda, cfg.t_start, corpus)
+    sections = slice_sections(full, at, corpus, frozenset(), None)
+    for section in (Section.MN_WIDGET, Section.MISSED_LW, Section.MN_PAGE):
+        lst = sections[section]
+        if section is Section.MN_PAGE and cfg.mnpage_cap is not None:
+            lst = lst.top(cfg.mnpage_cap)
+        out.append(RankedList(lst.user_id, lst.section, lst.at, lst.items,
+                              fallback=lst.fallback,
+                              rec_labels=tuple(labels[aid] for aid, _ in lst.items)))
+
+
+CLICK_AT = T0 + DAY + 10 * 3600 + 1800  # 10:30 on day 1
+
+
+def clicked_mini_corpus():
+    """`mini_corpus` plus a serving-day click by u1, which triggers an
+    extra regeneration at CLICK_AT."""
+    corpus = mini_corpus()
+    events = list(corpus.events) + [impression("u1", "d1a", CLICK_AT - 60),
+                                    click("u1", "d1a", CLICK_AT)]
+    return Corpus(list(corpus.articles.values()), events, 4)
+
+
+class TestServeOracle:
+    @pytest.mark.parametrize("mnpage_cap", [None, 2])
+    @pytest.mark.parametrize("treatment", list(Treatment))
+    def test_pipeline_equals_step_by_step_oracle(self, tiny_world, monkeypatch,
+                                                 treatment, mnpage_cap):
+        wcfg, corpus, _ = tiny_world
+        # first model at 03:00: the ticks before it serve fallback lists
+        cfg = pipe_config(
+            t_start=wcfg.start + DAY, refresh_interval=6 * 3600.0, nightly_train_hour=3,
+            treatment=treatment, train=TrainConfig(n_trees=4, max_depth=2, learning_rate=0.3),
+            features=FeatureConfig(embedding_dim=wcfg.embedding_dim), mnpage_cap=mnpage_cap)
+        users = corpus.user_ids()[:5]
+        got = run_pipeline(corpus, cfg, users)
+        monkeypatch.setattr(
+            newsrec.ranker, "_emit_user",
+            lambda out, corpus, cfg, cache, model, user_id, at, cands:
+                emit_user_oracle(out, corpus, cfg, cache, model, user_id, at))
+        assert got == run_pipeline(corpus, cfg, users)
+        assert {e.fallback for e in got} == {False, True}
+        assert {label for e in got if not e.fallback for label in e.rec_labels} == {False, True}
+        assert any((e.at - cfg.t_start) % cfg.refresh_interval for e in got)  # click triggers
+        pages = [len(e.items) for e in got if e.section is Section.MN_PAGE]
+        assert max(pages) == 2 if mnpage_cap else max(pages) > 2
+
+    def test_each_emitted_list_constructed_once(self, monkeypatch):
+        corpus = clicked_mini_corpus()
+        cfg = pipe_config(nightly_train_hour=3, treatment=Treatment.DYNAMISM, mnpage_cap=2)
+        models = train_schedule(corpus, cfg, T0 + 2 * DAY)
+        counts = {"constructions": 0, "steps": 0, "candidates": 0}
+        check = RankedList.__post_init__
+
+        def constructed(lst):
+            counts["constructions"] += 1
+            check(lst)
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(RankedList, "__post_init__", constructed)
+        for name in ("rank", "_fallback_list", "rerank"):
+            monkeypatch.setattr(newsrec.ranker, name,
+                                counted(getattr(newsrec.ranker, name), "steps"))
+        monkeypatch.setattr(newsrec.ranker, "candidates",
+                            counted(candidates, "candidates"))
+        out = run_pipeline(corpus, cfg, ["u1", "u2"], t_end=T0 + 2 * DAY, models=models)
+        monkeypatch.undo()
+        assert len(out) == 3 * (2 * 24 + 1)
+        assert counts["constructions"] == len(out) + counts["steps"]
+        # rank or fallback per regeneration, plus rerank after each rank
+        assert counts["steps"] == (2 * 24 + 1) + sum(
+            1 for e in out if e.section is Section.MN_PAGE and not e.fallback)
+        assert counts["candidates"] == 24 + 1  # once per tick, once per click
+
+
 def schedule_oracle(corpus, cfg):
     """Nightly models, building every day's examples again on each night
     whose seven-day window holds it (the path without per-day reuse)."""
@@ -384,6 +494,11 @@ class TestManualLists:
             for aid in lst.ids():
                 assert corpus.articles[aid].published_at <= lst.at
 
+    @pytest.mark.parametrize("updates", [(-3, -1), (3, 2), (0, 0), (2.5, 4), (True, 3), (5,)])
+    def test_bad_updates_range_rejected(self, updates):
+        with pytest.raises(RankerError, match="0 <= low <= high"):
+            manual_lists(mini_corpus(), T0 + DAY, T0 + 2 * DAY, updates_range=updates)
+
     def test_synthesized_deterministic(self, tiny_world):
         wcfg, corpus, _ = tiny_world
         a = manual_lists(corpus, wcfg.start + DAY, wcfg.start + 3 * DAY, rng_seed=5)
@@ -413,7 +528,13 @@ EMISSION = {"user": "u1", "section": "mn_widget", "at": T0, "ids": ["a", "b"],
     (json.dumps({**EMISSION, "user": 7}), "user must be a string"),
     (json.dumps({**EMISSION, "ids": ["a", 2]}), "ids must be a list of strings"),
     (json.dumps({**EMISSION, "scores": [0.9]}), "2 ids but 1 scores"),
-], ids=["json", "key", "invariant", "object", "user", "ids", "lengths"])
+    (json.dumps({**EMISSION, "section": "mn_page", "ids": [f"a{i}" for i in range(8)],
+                 "scores": [0.5] * 8, "rec_labels": [True]}),
+     "rec_labels must be as long as items"),
+    (json.dumps({**EMISSION, "rec_labels": "ab"}), "rec_labels must be a list of booleans"),
+    (json.dumps({**EMISSION, "rec_labels": [1, 0]}), "rec_labels must be a list of booleans"),
+], ids=["json", "key", "invariant", "object", "user", "ids", "lengths", "labels-length",
+        "labels-string", "labels-ints"])
 def test_read_emissions_errors_name_the_line(tmp_path, bad, message):
     path = tmp_path / "e.jsonl"
     path.write_text(json.dumps(EMISSION) + "\n\n" + bad + "\n", encoding="utf-8")
