@@ -37,7 +37,7 @@ for i in range(0, len(curve), 5):
     bar = "#" * int(60 * curve[i] / curve[0])
     print(f"  round {i:3d}  {curve[i]:.4f}  {bar}")
 
-X = np.stack([e.features.values for e in examples])
+X = np.stack([e.features for e in examples])
 y = np.array([e.label for e in examples])
 p = model.predict_matrix(X)
 print(f"\nmean predicted probability on positives: {p[y == 1].mean():.3f}")

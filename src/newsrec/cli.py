@@ -30,7 +30,7 @@ from .evaluation import (TTestVariant, collect_metric_samples, compare_manual_re
                          compare_treatments, format_accuracy_table,
                          format_comparison_table, offline_eval, scorers_from_schedule)
 from .features import SCHEMA_VERSION, ArticleFeatureCache, FeatureConfig, write_schema
-from .gbdt import TrainConfig, TreeEnsemble
+from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
 from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,
@@ -103,6 +103,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
             corpus_files = {k: Path(v) for k, v in raw["corpus"].items()}
     if "out" not in raw:
         problems.append("'out' directory is required")
+    elif not isinstance(raw["out"], str):
+        problems.append(f"'out' must be a string, not {raw['out']!r}")
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        problems.append(f"seed must be an integer, not {seed!r}")
     try:
         train = TrainConfig(**raw.get("train", {}))
     except (TypeError, ValueError) as exc:
@@ -143,7 +148,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise CliError("invalid config:\n  " + "\n  ".join(problems))
 
     return ExperimentConfig(
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         out=Path(raw["out"]),
         world=world,
         corpus_files=corpus_files,
@@ -195,28 +200,40 @@ def _feature_config(cfg: ExperimentConfig, corpus: Corpus) -> FeatureConfig:
     return FeatureConfig(embedding_dim=corpus.embedding_dim, **cfg.features_raw)
 
 
+def _pop_number(raw: dict, key: str, default, kind=(int, float)):
+    """raw[key] (popped) or the default; a present value must be a JSON
+    number (an integer where `kind` is int), never a bool."""
+    if key not in raw:
+        return default
+    value = raw.pop(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is int else "a number"
+        raise CliError(f"invalid config: pipeline: {key} must be {what}, not {value!r}")
+    return value
+
+
 def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus) -> PipelineConfig:
     """The `pipeline` section as a baseline PipelineConfig; every key it
     knows is popped here, and a bad value or a key left over is a config error."""
     raw = dict(cfg.pipeline_raw)
     first_ts = corpus.time_span()[0]
     features = _feature_config(cfg, corpus)
+    t_start = _pop_number(raw, "t_start", None)
+    offset_days = _pop_number(raw, "start_day_offset", 1, int)
+    if t_start is None:
+        t_start = day_start(first_ts) + offset_days * DAY
     try:
-        t_start = raw.pop("t_start", None)
-        offset_days = raw.pop("start_day_offset", 1)
-        if t_start is None:
-            t_start = day_start(first_ts) + offset_days * DAY
         pipe = PipelineConfig(
             t_start=float(t_start),
-            candidate_window=float(raw.pop("candidate_window_days", 7.0)) * DAY,
-            refresh_interval=float(raw.pop("refresh_interval_hours", 1.0)) * 3600.0,
-            nightly_train_hour=int(raw.pop("nightly_train_hour", 2)),
-            blend_lambda=float(raw.pop("lambda", 0.5)),
-            rec_label_threshold=float(raw.pop("rec_label_threshold", 0.5)),
+            candidate_window=float(_pop_number(raw, "candidate_window_days", 7.0)) * DAY,
+            refresh_interval=float(_pop_number(raw, "refresh_interval_hours", 1.0)) * 3600.0,
+            nightly_train_hour=_pop_number(raw, "nightly_train_hour", 2, int),
+            blend_lambda=float(_pop_number(raw, "lambda", 0.5)),
+            rec_label_threshold=float(_pop_number(raw, "rec_label_threshold", 0.5)),
             rng_seed=cfg.seed,
             train=cfg.train,
             features=features,
-            mnpage_cap=raw.pop("mnpage_cap", None),
+            mnpage_cap=_pop_number(raw, "mnpage_cap", None, int),
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid config: pipeline: {exc}") from exc
@@ -244,7 +261,10 @@ def _load_schedule(cfg: ExperimentConfig, pipe: PipelineConfig
     for f in files:
         day = _model_day(f)
         ts = dt.datetime(day.year, day.month, day.day, tzinfo=dt.timezone.utc).timestamp()
-        model = load_model(f)
+        try:
+            model = load_model(f)
+        except GbdtError as exc:  # a malformed model file is bad input
+            raise CliError(str(exc)) from exc
         error = model.schema_error(pipe.features.width)
         if error:
             raise CliError(f"{f}: {error} (run 'newsrec train' again)")

@@ -476,6 +476,9 @@ DEFAULT_WORLD_START = 1_704_067_200.0
 _CONTEXT_CHOICES = [Context.MANUAL, Context.MN_WIDGET, Context.MISSED_LW,
                     Context.MN_PAGE, Context.RECOMMENDED_LABEL, Context.OTHER]
 _CONTEXT_WEIGHTS = [0.25, 0.20, 0.10, 0.15, 0.05, 0.25]
+_AFFINITY_GAIN = 6.0
+_APPEAL_GAIN = 1.0
+_CLICK_BIAS = -3.0
 
 
 @dataclass(frozen=True)
@@ -497,9 +500,6 @@ class SyntheticWorldConfig:
     sessions_per_day: int = 2
     impressions_per_session: int = 8
     click_threshold: float = 0.5
-    affinity_gain: float = 6.0
-    appeal_gain: float = 1.0
-    click_bias: float = -3.0
     start: float = DEFAULT_WORLD_START
 
     def __post_init__(self):
@@ -534,17 +534,14 @@ class GroundTruth:
     appeal: dict[str, float]
     click_threshold: float
     click_noise: float
-    affinity_gain: float
-    appeal_gain: float
-    click_bias: float
     word_vectors: WordVectors
 
     def click_prob(self, user_id: str, article_id: str) -> float:
         u = self.user_vectors[user_id]
         a = self.article_vectors[article_id]
-        z = (self.affinity_gain * float(u @ a)
-             + self.appeal_gain * (self.appeal[article_id] - 0.5)
-             + self.click_bias)
+        z = (_AFFINITY_GAIN * float(u @ a)
+             + _APPEAL_GAIN * (self.appeal[article_id] - 0.5)
+             + _CLICK_BIAS)
         return 1.0 / (1.0 + math.exp(-z))
 
 
@@ -665,9 +662,6 @@ def generate_world(cfg: SyntheticWorldConfig) -> tuple[Corpus, GroundTruth]:
         appeal=appeal,
         click_threshold=cfg.click_threshold,
         click_noise=cfg.click_noise,
-        affinity_gain=cfg.affinity_gain,
-        appeal_gain=cfg.appeal_gain,
-        click_bias=cfg.click_bias,
         word_vectors=word_vectors,
     )
 

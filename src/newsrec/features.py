@@ -160,15 +160,9 @@ class ProfileCache:
         return self._cache[key]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    schema_version: int = SCHEMA_VERSION
-
-
 @dataclass(frozen=True, slots=True)
 class LabeledExample:
-    features: FeatureVector
+    features: np.ndarray  # one `extract_matrix` row
     label: int
     user_id: str
     article_id: str
@@ -344,7 +338,6 @@ def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int,
     for ev, label in [(e, 1) for e in clicks] + [(e, 0) for e in negatives]:
         prof = profiles.get(ev.user_id, ev.at)
         row = extract_matrix(prof, [ev.article_id], ev.at, cache)[0]
-        examples.append(LabeledExample(FeatureVector(row), label, ev.user_id,
-                                       ev.article_id, ev.at))
+        examples.append(LabeledExample(row, label, ev.user_id, ev.article_id, ev.at))
     examples.sort(key=lambda ex: (ex.at, ex.user_id, ex.article_id, -ex.label))
     return examples

@@ -14,16 +14,15 @@ order by stable filtering at each split, give one cumulative-sum gain
 matrix (`_TreeBuilder`). Ties in gain resolve to the lowest feature index,
 then the lowest threshold, so training is fully deterministic. The raw
 score is base_score (log-odds of the positive rate) plus learning_rate
-times the sum of routed leaf weights; predictions are its sigmoid. Scoring
-validates a model's trees once and compiles them into one node table that
-routes all trees together, one depth level at a time (`_NodeTable`).
+times the sum of routed leaf weights; predictions are its sigmoid. A model
+validates its trees when it is made and compiles them into one node table
+that routes all trees together, one depth level at a time (`_NodeTable`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -167,21 +166,18 @@ class _NodeTable:
     """
 
     def __init__(self, trees: Sequence[Tree], n_features: int, learning_rate: float):
-        self.trees = tuple(trees)
-        self.n_features = n_features
-        self.learning_rate = learning_rate
         self.depth = 0
-        for k, tree in enumerate(self.trees):
+        for k, tree in enumerate(trees):
             try:
                 self.depth = max(self.depth, _tree_depth(tree, n_features))
             except GbdtError as exc:
                 raise GbdtError(f"tree {k} {exc}") from None
 
-        sizes = [t.n_nodes for t in self.trees]
+        sizes = [t.n_nodes for t in trees]
         self.roots = np.cumsum([0] + sizes, dtype=np.int64)[:-1]
 
         def cat(name: str, dtype) -> np.ndarray:
-            parts = [getattr(t, name) for t in self.trees]
+            parts = [getattr(t, name) for t in trees]
             return np.concatenate(parts).astype(dtype) if parts else np.empty(0, dtype)
 
         own = np.arange(sum(sizes), dtype=np.int64)
@@ -195,12 +191,6 @@ class _NodeTable:
         # child[2 * node + go_left]: one gather takes the step for both branches
         self.child = np.stack((right, left), axis=1).ravel()
         self.value = learning_rate * cat("weight", np.float64)
-
-    def built_from(self, model: "TreeEnsemble") -> bool:
-        return (self.learning_rate == model.learning_rate
-                and self.n_features == model.n_features
-                and len(self.trees) == len(model.trees)
-                and all(map(operator.is_, self.trees, model.trees)))
 
     def raw_scores(self, X: np.ndarray, base_score: float) -> np.ndarray:
         n = len(X)
@@ -217,32 +207,32 @@ class _NodeTable:
         return np.add.accumulate(terms, axis=0)[-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeEnsemble:
-    trees: list[Tree]
+    """An immutable model. Making one (by training, `load` or by hand)
+    validates its trees and scalars and compiles the node table that scores
+    it; `schema_version` is the feature schema it was trained under."""
+
+    trees: tuple[Tree, ...]
     learning_rate: float
     base_score: float
     schema_version: int
     n_features: int
-    train_losses: list[float] = field(default_factory=list)
-    schema_mismatch: bool = False
-    _table: Optional[_NodeTable] = field(default=None, init=False, repr=False,
-                                         compare=False)
+    train_losses: tuple[float, ...] = ()
+    _table: _NodeTable = field(init=False, repr=False, compare=False)
 
-    def _node_table(self) -> _NodeTable:
-        """Validate the trees and build the table that scores them.
-
-        The table is reused until `trees`, `learning_rate` or `n_features`
-        change; a changed ensemble is validated and compiled again.
-        """
-        if self._table is None or not self._table.built_from(self):
-            self._table = _NodeTable(self.trees, self.n_features, self.learning_rate)
-        return self._table
+    def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and math.isfinite(self.base_score)):
+            raise GbdtError("learning_rate and base_score must be finite")
+        object.__setattr__(self, "trees", tuple(self.trees))
+        object.__setattr__(self, "train_losses", tuple(self.train_losses))
+        object.__setattr__(self, "_table",
+                           _NodeTable(self.trees, self.n_features, self.learning_rate))
 
     def schema_error(self, width: int) -> Optional[str]:
         """Why this model may not serve under the running feature schema,
         whose rows are `width` features wide."""
-        if self.schema_mismatch:
+        if self.schema_version != SCHEMA_VERSION:
             return (f"model uses feature schema version {self.schema_version}, "
                     f"but the running schema is version {SCHEMA_VERSION}")
         if self.n_features != width:
@@ -254,7 +244,7 @@ class TreeEnsemble:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise GbdtError(f"feature width {X.shape} does not match model "
                             f"({self.n_features})")
-        return self._node_table().raw_scores(X, self.base_score)
+        return self._table.raw_scores(X, self.base_score)
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.raw_scores(X))
@@ -389,9 +379,9 @@ class _TreeBuilder:
 
 
 def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-                 schema_version: int = SCHEMA_VERSION,
                  base_score: Optional[float] = None) -> TreeEnsemble:
-    """Fit an ensemble on a raw (n, F) matrix with {0,1} labels.
+    """Fit an ensemble on a raw (n, F) matrix with {0,1} labels, under the
+    running feature schema.
 
     base_score defaults to the log-odds of the positive rate; pass an
     explicit value to pin the starting margin (useful for analytic checks).
@@ -412,11 +402,9 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     order_T = np.argsort(X.T, axis=1, kind="stable")
     sorted_T = np.take_along_axis(X.T, order_T, axis=1)
 
-    ensemble = TreeEnsemble(trees=[], learning_rate=cfg.learning_rate,
-                            base_score=base, schema_version=schema_version,
-                            n_features=X.shape[1])
+    trees = []
     prev = _logloss(y, _sigmoid(margins))
-    ensemble.train_losses.append(prev)
+    losses = [prev]
     for _ in range(cfg.n_trees):
         p = _sigmoid(margins)
         g = p - y
@@ -427,24 +415,22 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
         if loss > prev + 1e-9:
             raise GbdtError(f"training loss increased ({prev} -> {loss})")
         prev = loss
-        ensemble.train_losses.append(loss)
-        ensemble.trees.append(tree)
-    ensemble._node_table()
-    return ensemble
+        losses.append(loss)
+        trees.append(tree)
+    return TreeEnsemble(trees=trees, learning_rate=cfg.learning_rate, base_score=base,
+                        schema_version=SCHEMA_VERSION, n_features=X.shape[1],
+                        train_losses=losses)
 
 
 def train(examples: Sequence[LabeledExample], cfg: TrainConfig) -> TreeEnsemble:
     if not examples:
         raise GbdtError("no training examples")
-    widths = {len(ex.features.values) for ex in examples}
+    widths = {len(ex.features) for ex in examples}
     if len(widths) != 1:
         raise GbdtError(f"non-uniform feature widths: {sorted(widths)}")
-    versions = {ex.features.schema_version for ex in examples}
-    if len(versions) != 1:
-        raise GbdtError(f"mixed schema versions: {sorted(versions)}")
-    X = np.stack([ex.features.values for ex in examples])
+    X = np.stack([ex.features for ex in examples])
     y = np.array([ex.label for ex in examples], dtype=np.float64)
-    return train_arrays(X, y, cfg, schema_version=versions.pop())
+    return train_arrays(X, y, cfg)
 
 
 MODEL_FORMAT = 1
@@ -462,12 +448,11 @@ def save(model: TreeEnsemble, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load(path: str | Path, current_schema_version: int = SCHEMA_VERSION) -> TreeEnsemble:
-    """Load a saved ensemble and validate every tree (see `_tree_depth`);
+def load(path: str | Path) -> TreeEnsemble:
+    """Load a saved ensemble, which validates every tree (see `_tree_depth`);
     any problem raises GbdtError naming the file, and for a malformed tree
-    its index and node. A schema_version different from the running feature
-    schema sets `schema_mismatch` instead of failing; serving code refuses
-    such a model."""
+    its index and node. A model saved under another feature schema version
+    still loads; `schema_error` names the mismatch and serving refuses it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if payload["format"] != MODEL_FORMAT:
@@ -478,18 +463,9 @@ def load(path: str | Path, current_schema_version: int = SCHEMA_VERSION) -> Tree
                 trees.append(Tree.from_dict(obj))
             except GbdtError as exc:
                 raise GbdtError(f"tree {k} {exc}") from None
-        model = TreeEnsemble(
-            trees=trees,
-            learning_rate=float(payload["learning_rate"]),
-            base_score=float(payload["base_score"]),
-            schema_version=int(payload["schema_version"]),
-            n_features=int(payload["n_features"]),
-        )
-        if not (math.isfinite(model.learning_rate) and math.isfinite(model.base_score)):
-            raise GbdtError("learning_rate and base_score must be finite")
-        model._node_table()
+        return TreeEnsemble(trees=trees, learning_rate=float(payload["learning_rate"]),
+                            base_score=float(payload["base_score"]),
+                            schema_version=int(payload["schema_version"]),
+                            n_features=int(payload["n_features"]))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise GbdtError(f"cannot load model from {path}: {exc}") from exc
-    if model.schema_version != current_schema_version:
-        model.schema_mismatch = True
-    return model

@@ -116,6 +116,24 @@ class TestErrors:
             err = capsys.readouterr().err
             assert model_file.name in err and message in err, err
 
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    def test_unloadable_model_file_exit_2(self, chain, tmp_path, capsys, command):
+        out, cfg = chain
+
+        def bad_feature(text):
+            payload = json.loads(text)
+            payload["trees"][0]["feature"][0] = 999
+            return json.dumps(payload)
+
+        for name, edit, message in (("json", lambda text: "{not json", "cannot load model"),
+                                    ("tree", bad_feature, "tree 0 node 0: feature")):
+            copy = tmp_path / name
+            shutil.copytree(out, copy)
+            model_file = sorted((copy / "models").glob("model_*.json"))[-1]
+            model_file.write_text(edit(model_file.read_text()), encoding="utf-8")
+            assert run(command, "--config", str(cfg), "--out", str(copy)) == 2, name
+            err = capsys.readouterr().err
+            assert model_file.name in err and message in err, err
 
     @pytest.mark.parametrize("features, message", [
         ({"embedding_dim": 8}, "'embedding_dim' is taken from the corpus"),
@@ -182,9 +200,14 @@ class TestErrors:
         ("run", {"manual_updates_per_day": [0, 0]}, "manual_updates_per_day: must be"),
         ("run", {"treatments": []}, "treatments must be a non-empty list"),
         ("compare", {"treatments": []}, "treatments must be a non-empty list"),
+        ("generate", {"seed": "x"}, "seed must be an integer, not 'x'"),
+        ("generate", {"seed": 2.7}, "seed must be an integer, not 2.7"),
+        ("generate", {"seed": True}, "seed must be an integer, not True"),
+        ("generate", {"out": 5}, "'out' must be a string, not 5"),
     ], ids=["rng-seed", "section-buckets", "top-k", "eval-ks", "updates-negative",
             "updates-int", "updates-strings", "updates-float", "updates-bool",
-            "updates-zero", "treatments-run", "treatments-compare"])
+            "updates-zero", "treatments-run", "treatments-compare", "seed-string",
+            "seed-float", "seed-bool", "out-int"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, overrides, message):
         cfg = smoke_config(tmp_path, **overrides)
         assert run(command, "--config", str(cfg)) == 2
@@ -197,7 +220,14 @@ class TestErrors:
         ({"mnpage_cap": 0}, "mnpage_cap must be an integer >= 1"),
         ({"mnpage_cap": -1}, "mnpage_cap must be an integer >= 1"),
         ({"lamda": 0.5}, "unknown keys ['lamda']"),
-    ], ids=["lambda", "window", "cap-0", "cap-minus-1", "unknown-key"])
+        ({"nightly_train_hour": 2.5}, "nightly_train_hour must be an integer, not 2.5"),
+        ({"start_day_offset": 1.0}, "start_day_offset must be an integer, not 1.0"),
+        ({"mnpage_cap": 10.0}, "mnpage_cap must be an integer, not 10.0"),
+        ({"refresh_interval_hours": "3"}, "refresh_interval_hours must be a number, not '3'"),
+        ({"lambda": True}, "lambda must be a number, not True"),
+        ({"t_start": None}, "t_start must be a number, not None"),
+    ], ids=["lambda", "window", "cap-0", "cap-minus-1", "unknown-key", "hour-float",
+            "offset-float", "cap-float", "refresh-string", "lambda-bool", "t-start-null"])
     def test_bad_pipeline_section_exit_2(self, chain, tmp_path, capsys, pipeline, message):
         out, _ = chain
         smoke = json.loads(SMOKE.read_text())

@@ -127,7 +127,7 @@ class TestOfflineEval:
     def test_schema_mismatch_refused(self):
         corpus = self.build_world()
         stale = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
-                             schema_version=99, n_features=1, schema_mismatch=True)
+                             schema_version=99, n_features=1)
         narrow = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
                               schema_version=1, n_features=1)
         cache = ArticleFeatureCache(corpus, FeatureConfig(embedding_dim=corpus.embedding_dim))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from newsrec.corpus import WEEK, Article, Corpus
 from newsrec.features import (SCHEMA_VERSION, ArticleFeatureCache, FeatureConfig,
-                              FeatureError, FeatureVector, UserProfile, _pub_dow,
+                              FeatureError, UserProfile, _pub_dow,
                               _pub_hour, _topk_mass, build_profile,
                               build_training_set, empty_profile, extract_matrix,
                               feature_names, stable_bucket, write_schema)
@@ -47,7 +47,7 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def extract(profile: UserProfile, article: Article, at: float,
-            cfg: FeatureConfig) -> FeatureVector:
+            cfg: FeatureConfig) -> np.ndarray:
     out = np.zeros(cfg.width)
     out[stable_bucket(article.section, cfg.section_buckets)] = 1.0
     base = cfg.section_buckets
@@ -79,7 +79,7 @@ def extract(profile: UserProfile, article: Article, at: float,
     out[ua0 + 4] = (article.word_count / profile.mean_word_count
                     if profile.mean_word_count > 0 else 1.0)
     out[ua0 + 5] = (at - article.published_at) / 3600.0
-    return FeatureVector(out)
+    return out
 
 
 @pytest.mark.parametrize("key", ["embedding_dim", "section_buckets", "top_k"])
@@ -196,9 +196,7 @@ class TestExtract:
     def test_width_matches_schema(self):
         assert CFG.width == len(feature_names(CFG))
         art = make_article("a1")
-        fv = FeatureVector(extract_row(empty_profile("u1", T0, 4), art, T0))
-        assert len(fv.values) == CFG.width
-        assert fv.schema_version == SCHEMA_VERSION
+        assert len(extract_row(empty_profile("u1", T0, 4), art, T0)) == CFG.width
 
     def test_schema_json(self, tmp_path):
         write_schema(CFG, tmp_path / "schema.json")
@@ -219,7 +217,7 @@ class TestExtractMatrix:
             prof = build_profile(corpus, uid, at)
             M = extract_matrix(prof, ids, at, cache)
             for i, aid in enumerate(ids[:10]):
-                row = extract(prof, corpus.articles[aid], at, fcfg).values
+                row = extract(prof, corpus.articles[aid], at, fcfg)
                 assert np.allclose(M[i], row, atol=1e-12), aid
 
     def test_all_finite_over_world(self, tiny_world):

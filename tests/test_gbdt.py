@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from newsrec.features import SCHEMA_VERSION, FeatureVector, LabeledExample
+from newsrec.features import SCHEMA_VERSION, LabeledExample
 from newsrec.gbdt import (GbdtError, TrainConfig, Tree, TreeEnsemble, _TreeBuilder,
                           load, save, train, train_arrays)
 
@@ -25,7 +26,7 @@ def auc_oracle(y, scores):
 
 
 def examples_from(X, y):
-    return [LabeledExample(FeatureVector(np.asarray(row, dtype=float)), int(label),
+    return [LabeledExample(np.asarray(row, dtype=float), int(label),
                            f"u{i}", f"a{i}", float(i))
             for i, (row, label) in enumerate(zip(X, y))]
 
@@ -159,7 +160,7 @@ class TestSaveLoad:
         again = load(tmp_path / "m.json")
         probe = np.random.default_rng(0).normal(size=(100, 3))
         assert np.array_equal(model.predict_matrix(probe), again.predict_matrix(probe))
-        assert not again.schema_mismatch
+        assert again.schema_error(3) is None
 
     def test_corrupted_file_structured_error(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
@@ -169,14 +170,19 @@ class TestSaveLoad:
         with pytest.raises(GbdtError, match="cannot load"):
             load(tmp_path / "partial.json")
 
-    def test_schema_mismatch_sets_warning_flag(self, tmp_path):
+    def test_other_schema_version_loads_and_is_named(self, tmp_path):
         X, y = separable_dataset(n=40, seed=19)
-        model = train_arrays(X, y, TrainConfig(n_trees=2, max_depth=1),
-                             schema_version=99)
+        model = train_arrays(X, y, TrainConfig(n_trees=2, max_depth=1))
+        assert model.schema_version == SCHEMA_VERSION
         save(model, tmp_path / "m.json")
-        again = load(tmp_path / "m.json", current_schema_version=SCHEMA_VERSION)
-        assert again.schema_mismatch
+        payload = json.loads((tmp_path / "m.json").read_text())
+        payload["schema_version"] = 99
+        (tmp_path / "m.json").write_text(json.dumps(payload), encoding="utf-8")
+        again = load(tmp_path / "m.json")
         assert again.schema_version == 99
+        assert again.schema_error(3) == (
+            f"model uses feature schema version 99, but the running schema is "
+            f"version {SCHEMA_VERSION}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +281,18 @@ class TestCompiledScoring:
         probe = np.random.default_rng(1).normal(size=(200, 3))
         assert np.array_equal(model.raw_scores(probe), raw_scores_oracle(model, probe))
 
-    def test_no_stale_table_after_trees_change(self):
+    def test_model_is_immutable(self):
         X, y = separable_dataset(n=120, seed=29)
         model = train_arrays(X, y, TrainConfig(n_trees=3, max_depth=2))
-        extra = train_arrays(X, 1 - y, TrainConfig(n_trees=2, max_depth=3))
-        probe = np.random.default_rng(2).normal(size=(50, 3))
-        first = model.raw_scores(probe)
-        model.trees.append(extra.trees[0])
-        assert np.array_equal(model.raw_scores(probe), raw_scores_oracle(model, probe))
-        assert not np.array_equal(model.raw_scores(probe), first)
-        model.trees[0] = extra.trees[1]
-        assert np.array_equal(model.raw_scores(probe), raw_scores_oracle(model, probe))
-        model.learning_rate = 0.5
-        assert np.array_equal(model.raw_scores(probe), raw_scores_oracle(model, probe))
+        for name, value in (("trees", ()), ("learning_rate", 0.5),
+                            ("schema_version", 99), ("n_features", 2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, value)
+        assert not hasattr(model.trees, "append")
+        assert not hasattr(model.train_losses, "append")
+        hand_built = TreeEnsemble(trees=list(model.trees), learning_rate=0.1,
+                                  base_score=0.0, schema_version=1, n_features=3)
+        assert isinstance(hand_built.trees, tuple)
 
     def test_tree_arrays_are_read_only(self):
         tree = Tree([-1], [0.0], [-1], [-1], [1.0])
@@ -363,12 +368,11 @@ class TestModelValidation:
         with pytest.raises(GbdtError, match="finite"):
             load(path)
 
-    def test_hand_built_self_loop_rejected_at_first_score(self):
+    def test_hand_built_self_loop_rejected_at_construction(self):
         tree = Tree(**tree_with(left=(0, 0)))
-        model = TreeEnsemble(trees=[tree], learning_rate=0.1, base_score=0.0,
-                             schema_version=1, n_features=2)
         with pytest.raises(GbdtError, match="tree 0 node 0"):
-            model.raw_scores(np.zeros((1, 2)))
+            TreeEnsemble(trees=[tree], learning_rate=0.1, base_score=0.0,
+                         schema_version=1, n_features=2)
 
 
 def _raised(fn, *args):

@@ -318,7 +318,7 @@ class TestPipeline:
 
     def test_schema_mismatch_refused(self):
         stale = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
-                             schema_version=99, n_features=1, schema_mismatch=True)
+                             schema_version=99, n_features=1)
         narrow = constant_model(1)
         width = pipe_config().features.width
         for model, message in ((stale, "version 99.*running schema is version 1"),
