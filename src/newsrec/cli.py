@@ -18,18 +18,20 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
+import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
 from .corpus import (DAY, Corpus, CorpusError, SyntheticWorldConfig, WordVectors,
-                     day_start, generate_world, load_corpus, save_corpus)
+                     date_start, day_start, generate_world, load_corpus, save_corpus,
+                     utc_date)
 from .evaluation import (TTestVariant, collect_metric_samples, compare_manual_recsys,
                          compare_treatments, format_accuracy_table,
                          format_comparison_table, offline_eval, scorers_from_schedule)
-from .features import SCHEMA_VERSION, ArticleFeatureCache, FeatureConfig, write_schema
+from .features import ArticleFeatureCache, FeatureConfig, write_schema
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
@@ -43,18 +45,21 @@ class CliError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked experiment config; `_pipeline_config` completes `pipeline`
+    from the corpus."""
+
     seed: int
     out: Path
     world: Optional[SyntheticWorldConfig]
     corpus_files: Optional[dict[str, Path]]
-    pipeline_raw: dict
-    train: TrainConfig
-    features_raw: dict
-    treatments: list[Treatment]
+    pipeline: PipelineConfig
+    t_start: Optional[float]
+    start_day_offset: int
+    treatments: tuple[Treatment, ...]
     manual_updates: tuple[int, int]
-    eval_ks: list[int]
+    eval_ks: tuple[int, ...]
     variant: TTestVariant
 
     @property
@@ -77,42 +82,117 @@ class ExperimentConfig:
         return self.out / "manual.jsonl"
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+_TOP_LEVEL_KEYS = {"seed", "out", "world", "corpus", "pipeline", "train", "features",
+                   "treatments", "manual_updates_per_day", "eval_ks", "variant"}
+_CORPUS_KEYS = {"articles": "str", "events": "str", "vectors": "str"}
+_PIPELINE_KEYS = {"t_start": "float", "start_day_offset": "int",
+                  "candidate_window_days": "float", "refresh_interval_hours": "float",
+                  "nightly_train_hour": "int", "lambda": "float",
+                  "rec_label_threshold": "float", "mnpage_cap": "int"}
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "str": (str, "a string")}
+
+
+def _field_kinds(cls) -> dict[str, str]:
+    """Each field of dataclass `cls` with its annotation, a type name such as "int"."""
+    return {f.name: f.type for f in fields(cls)}
+
+
+def _section(name: str, section, kinds: dict[str, str], problems: list[str]) -> dict:
+    """The entries of config section `name` whose key `kinds` knows and whose
+    value is of that key's kind; every other key or value is a problem."""
+    if not isinstance(section, dict):
+        problems.append(f"{name} must be a JSON object, not {section!r}")
+        return {}
+    unknown = sorted(set(section) - set(kinds))
+    if unknown:
+        problems.append(f"{name}: unknown keys {unknown}")
+    valid = {}
+    for key, value in section.items():
+        if key in kinds:
+            types, what = _KINDS[kinds[key]]
+            if isinstance(value, bool) or not isinstance(value, types):  # JSON true/false
+                problems.append(f"{name}: {key} must be {what}, not {value!r}")
+            elif isinstance(value, float) and not math.isfinite(value):
+                # Python's json reads NaN and Infinity, which JSON does not have.
+                problems.append(f"{name}: {key} must be finite, not {value!r}")
+            else:
+                valid[key] = value
+    return valid
+
+
+def _build(name: str, cls, entries: dict, problems: list[str]):
+    """`cls(**entries)`, or None with the value it refuses as a problem."""
+    try:
+        return cls(**entries)
+    except ValueError as exc:
+        problems.append(f"{name}: {exc}")
+        return None
+
+
+def load_config(path: str | Path, seed: Optional[int] = None,
+                out: Optional[str | Path] = None) -> ExperimentConfig:
+    """The config file at `path`, with every problem listed in one CliError;
+    `seed` (the world's too) and `out` override the file's where given."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc.msg}")
+    if not isinstance(raw, dict):
+        raise CliError(f"invalid config: {path} must hold a JSON object, not {raw!r}")
 
     problems: list[str] = []
-    world = None
-    corpus_files = None
+    unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
+    if unknown:
+        problems.append(f"unknown top-level keys {unknown}")
     if ("world" in raw) == ("corpus" in raw):
         problems.append("exactly one of 'world' or 'corpus' must be configured")
+    world = None
     if "world" in raw:
-        try:
-            world = SyntheticWorldConfig(**raw["world"])
-        except (TypeError, ValueError) as exc:
-            problems.append(f"world: {exc}")
+        entries = _section("world", raw["world"], _field_kinds(SyntheticWorldConfig), problems)
+        if seed is not None:
+            entries["seed"] = seed
+        world = _build("world", SyntheticWorldConfig, entries, problems)
+    corpus_files = None
     if "corpus" in raw:
-        missing = [k for k in ("articles", "events", "vectors") if k not in raw["corpus"]]
-        if missing:
-            problems.append(f"corpus: missing keys {missing}")
-        else:
-            corpus_files = {k: Path(v) for k, v in raw["corpus"].items()}
+        files = _section("corpus", raw["corpus"], _CORPUS_KEYS, problems)
+        if isinstance(raw["corpus"], dict):
+            missing = [k for k in _CORPUS_KEYS if k not in raw["corpus"]]
+            if missing:
+                problems.append(f"corpus: missing keys {missing}")
+        corpus_files = {k: Path(v) for k, v in files.items()}
     if "out" not in raw:
         problems.append("'out' directory is required")
     elif not isinstance(raw["out"], str):
         problems.append(f"'out' must be a string, not {raw['out']!r}")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        problems.append(f"seed must be an integer, not {seed!r}")
-    try:
-        train = TrainConfig(**raw.get("train", {}))
-    except (TypeError, ValueError) as exc:
-        problems.append(f"train: {exc}")
-        train = TrainConfig()
+    config_seed = raw.get("seed", 0)
+    if isinstance(config_seed, bool) or not isinstance(config_seed, int):
+        problems.append(f"seed must be an integer, not {config_seed!r}")
+    if seed is None:
+        seed = config_seed
+    train = _build("train", TrainConfig, _section(
+        "train", raw.get("train", {}), _field_kinds(TrainConfig), problems), problems)
+    feature_entries = _section("features", raw.get("features", {}),
+                               _field_kinds(FeatureConfig), problems)
+    if "embedding_dim" in feature_entries:
+        problems.append("features: 'embedding_dim' is taken from the corpus "
+                        "and may not be set")
+    features = _build("features", FeatureConfig, feature_entries, problems)
+    pipe = _section("pipeline", raw.get("pipeline", {}), _PIPELINE_KEYS, problems)
+    pipeline = _build("pipeline", PipelineConfig, dict(
+        t_start=0.0,  # a placeholder: _pipeline_config sets it from the corpus
+        candidate_window=float(pipe.get("candidate_window_days", 7.0)) * DAY,
+        refresh_interval=float(pipe.get("refresh_interval_hours", 1.0)) * 3600.0,
+        nightly_train_hour=pipe.get("nightly_train_hour", 2),
+        blend_lambda=float(pipe.get("lambda", 0.5)),
+        rec_label_threshold=float(pipe.get("rec_label_threshold", 0.5)),
+        rng_seed=seed,
+        train=train or TrainConfig(),
+        features=features or FeatureConfig(),
+        mnpage_cap=pipe.get("mnpage_cap"),
+    ), problems)
     treatments = []
     names = raw.get("treatments", ["baseline", "dynamism"])
     if not isinstance(names, list) or not names:
@@ -127,14 +207,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         manual_updates = manual_updates_range(raw.get("manual_updates_per_day", [8, 16]))
     except RankerError as exc:
         problems.append(f"manual_updates_per_day: {exc}")
-    features_raw = raw.get("features", {})
-    try:
-        FeatureConfig(**features_raw)
-        if "embedding_dim" in features_raw:
-            problems.append("features: 'embedding_dim' is taken from the corpus "
-                            "and may not be set")
-    except (TypeError, ValueError) as exc:
-        problems.append(f"features: {exc}")
     eval_ks = raw.get("eval_ks", [5, 10])
     if not isinstance(eval_ks, list) or any(
             isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in eval_ks):
@@ -143,21 +215,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
         variant = TTestVariant(raw.get("variant", "student"))
     except ValueError:
         problems.append(f"variant: unknown variant {raw.get('variant')!r}")
-        variant = TTestVariant.STUDENT
     if problems:
-        raise CliError("invalid config:\n  " + "\n  ".join(problems))
+        raise CliError("\n".join(f"invalid config: {p}" for p in problems))
 
+    t_start = pipe.get("t_start")
     return ExperimentConfig(
         seed=seed,
-        out=Path(raw["out"]),
+        out=Path(raw["out"] if out is None else out),
         world=world,
         corpus_files=corpus_files,
-        pipeline_raw=raw.get("pipeline", {}),
-        train=train,
-        features_raw=features_raw,
-        treatments=treatments,
+        pipeline=pipeline,
+        t_start=None if t_start is None else float(t_start),
+        start_day_offset=pipe.get("start_day_offset", 1),
+        treatments=tuple(treatments),
         manual_updates=manual_updates,
-        eval_ks=eval_ks,
+        eval_ks=tuple(eval_ks),
         variant=variant,
     )
 
@@ -196,50 +268,14 @@ def _read_lists(path: Path) -> list[RankedList]:
         raise CliError(str(exc)) from exc
 
 
-def _feature_config(cfg: ExperimentConfig, corpus: Corpus) -> FeatureConfig:
-    return FeatureConfig(embedding_dim=corpus.embedding_dim, **cfg.features_raw)
-
-
-def _pop_number(raw: dict, key: str, default, kind=(int, float)):
-    """raw[key] (popped) or the default; a present value must be a JSON
-    number (an integer where `kind` is int), never a bool."""
-    if key not in raw:
-        return default
-    value = raw.pop(key)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is int else "a number"
-        raise CliError(f"invalid config: pipeline: {key} must be {what}, not {value!r}")
-    return value
-
-
 def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus) -> PipelineConfig:
-    """The `pipeline` section as a baseline PipelineConfig; every key it
-    knows is popped here, and a bad value or a key left over is a config error."""
-    raw = dict(cfg.pipeline_raw)
-    first_ts = corpus.time_span()[0]
-    features = _feature_config(cfg, corpus)
-    t_start = _pop_number(raw, "t_start", None)
-    offset_days = _pop_number(raw, "start_day_offset", 1, int)
+    """The config's pipeline, starting `t_start` or `start_day_offset` days
+    after the corpus's first day, with the corpus's embedding width."""
+    t_start = cfg.t_start
     if t_start is None:
-        t_start = day_start(first_ts) + offset_days * DAY
-    try:
-        pipe = PipelineConfig(
-            t_start=float(t_start),
-            candidate_window=float(_pop_number(raw, "candidate_window_days", 7.0)) * DAY,
-            refresh_interval=float(_pop_number(raw, "refresh_interval_hours", 1.0)) * 3600.0,
-            nightly_train_hour=_pop_number(raw, "nightly_train_hour", 2, int),
-            blend_lambda=float(_pop_number(raw, "lambda", 0.5)),
-            rec_label_threshold=float(_pop_number(raw, "rec_label_threshold", 0.5)),
-            rng_seed=cfg.seed,
-            train=cfg.train,
-            features=features,
-            mnpage_cap=_pop_number(raw, "mnpage_cap", None, int),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid config: pipeline: {exc}") from exc
-    if raw:
-        raise CliError(f"invalid config: pipeline: unknown keys {sorted(raw)}")
-    return pipe
+        t_start = day_start(corpus.time_span()[0]) + cfg.start_day_offset * DAY
+    features = replace(cfg.pipeline.features, embedding_dim=corpus.embedding_dim)
+    return replace(cfg.pipeline, t_start=float(t_start), features=features)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -259,8 +295,7 @@ def _load_schedule(cfg: ExperimentConfig, pipe: PipelineConfig
         raise CliError(f"no model files under {cfg.models_dir} (run 'newsrec train' first)")
     schedule = []
     for f in files:
-        day = _model_day(f)
-        ts = dt.datetime(day.year, day.month, day.day, tzinfo=dt.timezone.utc).timestamp()
+        ts = date_start(_model_day(f))
         try:
             model = load_model(f)
         except GbdtError as exc:  # a malformed model file is bad input
@@ -292,7 +327,7 @@ def cmd_train(cfg: ExperimentConfig) -> None:
     for old in cfg.models_dir.glob("model_*.json"):
         old.unlink()
     for ts, model in schedule:
-        day = dt.datetime.fromtimestamp(day_start(ts), tz=dt.timezone.utc).date()
+        day = utc_date(ts)
         save_model(model, cfg.models_dir / f"model_{day.isoformat()}.json")
     write_schema(pipe.features, cfg.models_dir / "schema.json")
     print(f"trained {len(schedule)} nightly models under {cfg.models_dir}")
@@ -402,14 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-            if cfg.world is not None:
-                cfg.world = SyntheticWorldConfig(
-                    **{**cfg.world.__dict__, "seed": args.seed})
-        if args.out is not None:
-            cfg.out = Path(args.out)
+        cfg = load_config(args.config, seed=args.seed, out=args.out)
         cfg.out.mkdir(parents=True, exist_ok=True)
         if args.command == "generate":
             cmd_generate(cfg)

@@ -15,11 +15,11 @@ import json
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
+from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Iterable, Mapping, Optional, Protocol
 
 import numpy as np
 
@@ -44,6 +44,16 @@ def tokenize(text: str) -> list[str]:
 def day_start(at: float) -> float:
     """Midnight (UTC) of the day containing `at`, as epoch seconds."""
     return math.floor(at / DAY) * DAY
+
+
+def date_start(day: date) -> float:
+    """Midnight (UTC) starting `day`, as epoch seconds."""
+    return datetime(day.year, day.month, day.day, tzinfo=timezone.utc).timestamp()
+
+
+def utc_date(at: float) -> date:
+    """The UTC date of the day containing `at`."""
+    return datetime.fromtimestamp(day_start(at), tz=timezone.utc).date()
 
 
 class EmbeddingProvider(Protocol):

@@ -16,17 +16,17 @@ from __future__ import annotations
 import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import DAY, Article, Corpus, Kind, day_start
+from .corpus import DAY, Article, Corpus, Kind, date_start, day_start, utc_date
 from .features import (ArticleFeatureCache, ProfileCache, UserProfile,
                        build_profile, extract_matrix)
 from .gbdt import TreeEnsemble
-from .ranker import MANUAL_USER, RankedList, Section, _sort_items
+from .ranker import RankedList, Section, _sort_items
 from .usefulness import (AttributeKind, CoverageScope, MetricSample, align, coverage,
                          dynamism, intra_list_diversity, serendipity)
 
@@ -105,7 +105,7 @@ def scorers_from_schedule(schedule: Sequence[tuple[float, TreeEnsemble]],
     (i.e. on data through the previous day)."""
     out: dict[dt.date, Scorer] = {}
     for t, model in schedule:
-        day = dt.datetime.fromtimestamp(day_start(t), tz=dt.timezone.utc).date()
+        day = utc_date(t)
         out[day] = ensemble_scorer(model, cache)
     return out
 
@@ -144,8 +144,7 @@ def offline_eval(corpus: Corpus, models: Mapping[dt.date, Scorer],
         if scorer is None:
             warnings.warn(f"no model for {day.isoformat()}; day skipped", stacklevel=2)
             continue
-        day_ts = dt.datetime(day.year, day.month, day.day,
-                             tzinfo=dt.timezone.utc).timestamp()
+        day_ts = date_start(day)
         per_user = _user_day_candidates(corpus, day_ts)
         for uid in sorted(per_user):
             clicks, pool_ids = per_user[uid]

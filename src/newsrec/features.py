@@ -15,13 +15,13 @@ import datetime as dt
 import json
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import DAY, WEEK, Corpus, Kind
+from .corpus import DAY, WEEK, Corpus, Kind, date_start
 
 SCHEMA_VERSION = 1
 
@@ -310,7 +310,7 @@ def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int,
 
     Features are extracted with each user's profile as of the event time.
     """
-    t0 = dt.datetime(day.year, day.month, day.day, tzinfo=dt.timezone.utc).timestamp()
+    t0 = date_start(day)
     day_events = corpus.events_between(t0, t0 + DAY)
     clicks = [e for e in day_events if e.kind is Kind.CLICK]
     clicked_pairs = {(e.user_id, e.article_id) for e in clicks}

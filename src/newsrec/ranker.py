@@ -29,11 +29,11 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import (DAY, WEEK, Article, Corpus, Kind, _str, _str_list, day_start,
-                     read_jsonl, write_jsonl)
+                     read_jsonl, utc_date, write_jsonl)
 from .features import (ArticleFeatureCache, FeatureConfig, LabeledExample,
                        UserProfile, build_profile, build_training_set,
                        extract_matrix)
-from .gbdt import GbdtError, TrainConfig, TreeEnsemble, train
+from .gbdt import TrainConfig, TreeEnsemble, train
 
 MANUAL_USER = "__manual__"
 
@@ -219,7 +219,7 @@ def train_schedule(corpus: Corpus, cfg: PipelineConfig,
     schedule: list[tuple[float, TreeEnsemble]] = []
     by_day: dict[dt.date, list[LabeledExample]] = {}
     for t in _nightly_times(cfg, t_end):
-        day0 = dt.datetime.fromtimestamp(day_start(t), tz=dt.timezone.utc).date()
+        day0 = utc_date(t)
         examples = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

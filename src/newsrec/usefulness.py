@@ -22,7 +22,6 @@ the cross-check dispersion measures.
 from __future__ import annotations
 
 import csv
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +30,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Article, Corpus
+from .corpus import Article
 from .features import UserProfile
 from .ranker import RankedList
 

@@ -1,13 +1,16 @@
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from newsrec.cli import CliError, load_config, main
+from newsrec.worlds import reference_pipeline, reference_world
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke.json"
+SMOKE_CFG = json.loads(SMOKE.read_text())
 
 
 def smoke_config(tmp_path, **overrides):
@@ -77,12 +80,19 @@ class TestErrors:
         assert run("generate", "--config", str(tmp_path / "nope.json")) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]", encoding="utf-8")
+        assert run("generate", "--config", str(cfg)) == 2
+        assert "must hold a JSON object, not [1, 2]" in capsys.readouterr().err
+
     def test_config_validation_lists_all_problems(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "world": {"n_users": 0},
             "corpus": {"articles": "a", "events": "e", "vectors": "v"},
             "treatments": ["nope"],
+            "pipeline": {"lambda": 2},
         }), encoding="utf-8")
         with pytest.raises(CliError) as exc:
             load_config(bad)
@@ -91,6 +101,7 @@ class TestErrors:
         assert "n_users" in msg
         assert "nope" in msg
         assert "'out'" in msg
+        assert "invalid config: pipeline: lambda must be in [0, 1]" in msg
 
     def test_generate_requires_world(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -204,10 +215,27 @@ class TestErrors:
         ("generate", {"seed": 2.7}, "seed must be an integer, not 2.7"),
         ("generate", {"seed": True}, "seed must be an integer, not True"),
         ("generate", {"out": 5}, "'out' must be a string, not 5"),
+        ("generate", {"world": {**SMOKE_CFG["world"], "n_users": 2.5}},
+         "world: n_users must be an integer, not 2.5"),
+        ("generate", {"world": {**SMOKE_CFG["world"], "zipf_exponent": "1.1"}},
+         "world: zipf_exponent must be a number, not '1.1'"),
+        ("generate", {"train": {"n_trees": 2.5}}, "train: n_trees must be an integer, not 2.5"),
+        ("generate", {"corpus": 5}, "corpus must be a JSON object, not 5"),
+        ("generate", {"pipeline": 5}, "pipeline must be a JSON object, not 5"),
+        ("generate", {"pipeline": {**SMOKE_CFG["pipeline"], "lambda": 2}},
+         "pipeline: lambda must be in [0, 1]"),
+        ("generate", {"variantt": "welch"}, "unknown top-level keys ['variantt']"),
+        ("generate", {"world": {**SMOKE_CFG["world"], "zipf_exponent": float("inf")}},
+         "world: zipf_exponent must be finite, not inf"),
+        ("generate",
+         {"pipeline": {**SMOKE_CFG["pipeline"], "candidate_window_days": float("nan")}},
+         "pipeline: candidate_window_days must be finite, not nan"),
     ], ids=["rng-seed", "section-buckets", "top-k", "eval-ks", "updates-negative",
             "updates-int", "updates-strings", "updates-float", "updates-bool",
             "updates-zero", "treatments-run", "treatments-compare", "seed-string",
-            "seed-float", "seed-bool", "out-int"])
+            "seed-float", "seed-bool", "out-int", "world-int-float", "world-number-string",
+            "train-int-float", "corpus-int", "pipeline-int", "generate-lambda",
+            "unknown-top-level-key", "world-inf", "pipeline-nan"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, overrides, message):
         cfg = smoke_config(tmp_path, **overrides)
         assert run(command, "--config", str(cfg)) == 2
@@ -243,6 +271,14 @@ class TestErrors:
         shutil.copytree(out, copy)
         assert run("run", "--config", str(cfg), "--out", str(copy), "--lambda", "2") == 2
         assert "--lambda: lambda must be in [0, 1]" in capsys.readouterr().err
+
+
+def test_reference_config_is_the_reference_study():
+    cfg = load_config(REPO / "configs" / "reference.json")
+    pipe = reference_pipeline(reference_world())
+    assert cfg.world == reference_world()
+    assert replace(cfg.pipeline, t_start=pipe.t_start, features=pipe.features) == pipe
+    assert cfg.t_start is None and cfg.start_day_offset == 1
 
 
 class TestSeedOverride:

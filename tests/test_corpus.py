@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import math
 from collections import Counter
@@ -7,8 +8,8 @@ import pytest
 
 from newsrec.corpus import (DAY, Article, Corpus, CorpusError, Kind,
                             SyntheticWorldConfig, WordVectors, compute_embedding,
-                            generate_world, load_corpus, save_corpus, text_stats,
-                            tokenize)
+                            date_start, day_start, generate_world, load_corpus,
+                            save_corpus, text_stats, tokenize, utc_date)
 
 from conftest import T0, click, impression, make_provider
 
@@ -35,6 +36,12 @@ class TestTokenize:
 
     def test_unicode(self):
         assert tokenize("Crème brûlée!") == ["crème", "brûlée"]
+
+
+def test_utc_day_conversions():
+    at = T0 + 2 * DAY + 5 * 3600.0  # 2024-01-03T05:00:00Z
+    assert utc_date(at) == utc_date(day_start(at)) == dt.date(2024, 1, 3)
+    assert date_start(dt.date(2024, 1, 3)) == day_start(at) == T0 + 2 * DAY
 
 
 class TestTextStats:
