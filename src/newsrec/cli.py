@@ -38,7 +38,7 @@ from .gbdt import save as save_model
 from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,
                      manual_lists, manual_updates_range, read_emissions, run_pipeline,
                      train_schedule, write_emissions)
-from .usefulness import write_metric_samples
+from .usefulness import MetricEngine, write_metric_samples
 
 
 class CliError(Exception):
@@ -98,6 +98,15 @@ def _field_kinds(cls) -> dict[str, str]:
     return {f.name: f.type for f in fields(cls)}
 
 
+def _finite(value: int | float) -> bool:
+    """Whether a JSON number converts to a finite float. Python's json also
+    reads NaN and Infinity, and an integer can be too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to convert to a float
+        return False
+
+
 def _section(name: str, section, kinds: dict[str, str], problems: list[str]) -> dict:
     """The entries of config section `name` whose key `kinds` knows and whose
     value is of that key's kind; every other key or value is a problem."""
@@ -113,8 +122,7 @@ def _section(name: str, section, kinds: dict[str, str], problems: list[str]) -> 
             types, what = _KINDS[kinds[key]]
             if isinstance(value, bool) or not isinstance(value, types):  # JSON true/false
                 problems.append(f"{name}: {key} must be {what}, not {value!r}")
-            elif isinstance(value, float) and not math.isfinite(value):
-                # Python's json reads NaN and Infinity, which JSON does not have.
+            elif kinds[key] == "float" and not _finite(value):
                 problems.append(f"{name}: {key} must be finite, not {value!r}")
             else:
                 valid[key] = value
@@ -140,6 +148,8 @@ def load_config(path: str | Path, seed: Optional[int] = None,
         raise CliError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc.msg}")
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise CliError(f"{path}: {exc}")
     if not isinstance(raw, dict):
         raise CliError(f"invalid config: {path} must hold a JSON object, not {raw!r}")
 
@@ -372,11 +382,13 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
         format_accuracy_table(report) + "\n", encoding="utf-8")
 
     samples = []
+    engine = MetricEngine(corpus)
     for treatment in cfg.treatments:
         path = cfg.emissions_path(treatment)
         if path.exists():
             emissions = _read_lists(path)
-            samples.extend(collect_metric_samples(emissions, corpus, treatment.value))
+            samples.extend(collect_metric_samples(emissions, corpus, treatment.value,
+                                                  engine=engine))
     write_metric_samples(cfg.reports_dir / "metrics.csv", samples)
     print(format_accuracy_table(report))
     print(f"reports under {cfg.reports_dir}")

@@ -23,12 +23,11 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import DAY, Article, Corpus, Kind, date_start, day_start, utc_date
-from .features import (ArticleFeatureCache, ProfileCache, UserProfile,
-                       build_profile, extract_matrix)
+from .features import ArticleFeatureCache, UserProfile, build_profile, extract_matrix
 from .gbdt import TreeEnsemble
 from .ranker import RankedList, Section, _sort_items
-from .usefulness import (AttributeKind, CoverageScope, MetricSample, align, coverage,
-                         dynamism, intra_list_diversity, serendipity)
+from .usefulness import (AttributeKind, CoverageScope, MetricEngine, MetricSample, align,
+                         coverage, dynamism)
 
 
 class EvalError(ValueError):
@@ -343,15 +342,18 @@ STUDY_METRICS = ("dynamism", "serendipity", "coverage", "diversity")
 
 def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
                            treatment: str, top_n: int = 5,
-                           profiles: Optional[ProfileCache] = None
+                           engine: Optional[MetricEngine] = None
                            ) -> list[MetricSample]:
     """Per-attribute MetricSample rows over an emission stream (lists
     truncated to top_n): diversity and serendipity per (list, attribute),
     dynamism between consecutive lists of the same (user, section) stream,
     and daily coverage in both scopes. Feeds the audit CSV and the Study 2
-    t-tests of `compare_treatments`."""
-    if profiles is None:
-        profiles = ProfileCache(corpus)
+    t-tests of `compare_treatments`. `engine`, made for `corpus`, may be
+    shared with other streams over the same corpus."""
+    if engine is None:
+        engine = MetricEngine(corpus)
+    elif engine.corpus is not corpus:
+        raise EvalError("the metric engine was made for another corpus")
     rows: list[MetricSample] = []
     ordered = sorted(emissions, key=lambda l: (l.at, l.user_id, l.section.value))
     previous: dict[tuple[str, Section], RankedList] = {}
@@ -366,15 +368,15 @@ def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
                 rows.append(MetricSample("dynamism", value, None, treatment,
                                          lst.section.value, lst.at))
         previous[key] = top
-        articles = [corpus.articles[aid] for aid in top.ids()]
-        profile = profiles.get(lst.user_id, lst.at) if articles else None
+        ids = top.ids()
+        profile = engine.profile(lst.user_id, lst.at) if ids else None
         for attr in ALL_ATTRIBUTES:
-            div = intra_list_diversity(articles, attr)
+            div = engine.diversity(ids, attr)
             if div is not None:
                 rows.append(MetricSample("diversity", div, attr, treatment,
                                          lst.section.value, lst.at))
-            if articles:
-                ser = serendipity(articles, profile, attr)
+            if ids:
+                ser = engine.serendipity(ids, profile, attr)
                 if ser is not None:
                     rows.append(MetricSample("serendipity", ser, attr, treatment,
                                              lst.section.value, lst.at))
@@ -390,14 +392,14 @@ def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
 
 
 def _study_samples(emissions: Sequence[RankedList], corpus: Corpus, top_n: int,
-                   profiles: ProfileCache) -> dict[str, list[float]]:
+                   engine: MetricEngine) -> dict[str, list[float]]:
     """Study 2 sample sets from one stream's metric rows: dynamism per
     consecutive pair, all-users coverage per day, and diversity and
     serendipity per list as the mean of its attribute rows. A list yields a
     row for every attribute or for none, so consecutive runs of
     len(ALL_ATTRIBUTES) rows are one list's."""
     samples: dict[str, list[float]] = {metric: [] for metric in STUDY_METRICS}
-    for row in collect_metric_samples(emissions, corpus, "", top_n, profiles):
+    for row in collect_metric_samples(emissions, corpus, "", top_n, engine):
         if row.metric != "coverage" or row.scope == CoverageScope.ALL_USERS.value:
             samples[row.metric].append(row.value)
     n = len(ALL_ATTRIBUTES)
@@ -461,9 +463,9 @@ def compare_treatments(emissions_a: Sequence[RankedList],
     omitted from the result."""
     if not emissions_a or not emissions_b:
         raise EvalError("empty emission stream")
-    profiles = ProfileCache(corpus)
-    samples_a = _study_samples(emissions_a, corpus, top_n, profiles)
-    samples_b = _study_samples(emissions_b, corpus, top_n, profiles)
+    engine = MetricEngine(corpus)
+    samples_a = _study_samples(emissions_a, corpus, top_n, engine)
+    samples_b = _study_samples(emissions_b, corpus, top_n, engine)
     reports = []
     for metric in STUDY_METRICS:
         if len(samples_a[metric]) >= 2 and len(samples_b[metric]) >= 2:
@@ -497,25 +499,24 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     pairs = align(manual_stream, recsys_stream)
     if not pairs:
         raise EvalError("alignment produced no pairs")
-    profiles = ProfileCache(corpus)
-    arts = lambda lst: [corpus.articles[aid] for aid in lst.ids()]
+    engine = MetricEngine(corpus)
 
     reports: list[ComparisonReport] = []
     for attr in ALL_ATTRIBUTES:
         manual_div = [v for lst in manual_stream
-                      if (v := intra_list_diversity(arts(lst), attr)) is not None]
+                      if (v := engine.diversity(lst.ids(), attr)) is not None]
         recsys_div = [v for _, lst in pairs
-                      if (v := intra_list_diversity(arts(lst), attr)) is not None]
+                      if (v := engine.diversity(lst.ids(), attr)) is not None]
         reports.append(t_test(manual_div, recsys_div, variant=variant,
                               metric=f"diversity_{attr.value}"))
     for attr in ALL_ATTRIBUTES:
         manual_ser, recsys_ser = [], []
         for manual, lst in pairs:
-            profile = profiles.get(lst.user_id, manual.at)
-            v = serendipity(arts(manual), profile, attr)
+            profile = engine.profile(lst.user_id, manual.at)
+            v = engine.serendipity(manual.ids(), profile, attr)
             if v is not None:
                 manual_ser.append(v)
-            v = serendipity(arts(lst), profile, attr)
+            v = engine.serendipity(lst.ids(), profile, attr)
             if v is not None:
                 recsys_ser.append(v)
         reports.append(t_test(manual_ser, recsys_ser, variant=variant,
@@ -575,18 +576,20 @@ def behavior_shift(corpus: Corpus, before: tuple[float, float],
     """Reading-behavior comparison between two periods: per-user daily-click
     diversity per attribute, plus all-users daily coverage of clicks."""
 
+    engine = MetricEngine(corpus)
+
     def period_samples(t0: float, t1: float):
-        clicks: dict[tuple[str, float], list[Article]] = {}
+        clicks: dict[tuple[str, float], list[str]] = {}
         for ev in corpus.events_between(t0, t1):
             if ev.kind is Kind.CLICK:
                 key = (ev.user_id, day_start(ev.at))
-                clicks.setdefault(key, []).append(corpus.articles[ev.article_id])
+                clicks.setdefault(key, []).append(ev.article_id)
         if not clicks:
             raise EvalError("period has no clicks")
         div: dict[AttributeKind, list[float]] = {a: [] for a in ALL_ATTRIBUTES}
         for key in sorted(clicks):
             for attr in ALL_ATTRIBUTES:
-                value = intra_list_diversity(clicks[key], attr)
+                value = engine.diversity(clicks[key], attr)
                 if value is not None:
                     div[attr].append(value)
         cov: list[float] = []
@@ -596,9 +599,9 @@ def behavior_shift(corpus: Corpus, before: tuple[float, float],
             if not published:
                 continue
             served: set[str] = set()
-            for (uid, d), arts in clicks.items():
+            for (uid, d), ids in clicks.items():
                 if d == day_ts:
-                    served.update(a.id for a in arts)
+                    served.update(ids)
             cov.append(len(served & published) / len(published))
         return div, cov
 

@@ -15,6 +15,11 @@ pairs of consecutive lists) drawn from an emission log:
 * coverage: share of the day's publications served, per user
   (macro-averaged) or unioned across users.
 
+`sim`, `intra_list_diversity`, `item_unexpectedness` and `serendipity` are
+the definitions over Article objects. `MetricEngine` evaluates diversity and
+serendipity by article id over one corpus, with each article's norm and value
+sets computed once, and gives the same float for the same list.
+
 Gini and Shannon entropy of attribute count distributions are provided as
 the cross-check dispersion measures.
 """
@@ -22,7 +27,7 @@ the cross-check dispersion measures.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -30,8 +35,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Article
-from .features import UserProfile
+from .corpus import WEEK, Article, Corpus
+from .features import UserProfile, build_profile
 from .ranker import RankedList
 
 
@@ -72,8 +77,11 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 def _cosine01(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine mapped to [0, 1]; zero vectors are maximally dissimilar."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    return _cosine01_of_norms(u, v, np.linalg.norm(u), np.linalg.norm(v))
+
+
+def _cosine01_of_norms(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
+    """`_cosine01` given the norms of `u` and `v`."""
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return (float(u @ v / (nu * nv)) + 1.0) / 2.0
@@ -126,11 +134,24 @@ def dynamism(l1, l2) -> Optional[float]:
 
 
 def _freq_mass(values: frozenset[str], freq: Mapping[str, int]) -> float:
-    total = sum(freq.values())
+    return _freq_mass_of_total(values, freq, sum(freq.values()))
+
+
+def _freq_mass_of_total(values: frozenset[str], freq: Mapping[str, int],
+                        total: int) -> float:
+    """`_freq_mass` given the sum of `freq`'s counts."""
     if total == 0:
         return 0.0
     mass = sum(freq.get(v, 0) for v in values) / total
     return min(mass, 1.0)
+
+
+def _profile_freq(profile: UserProfile, attr: AttributeKind) -> Mapping[str, int]:
+    if attr is AttributeKind.SECTION:
+        return profile.section_freq
+    if attr is AttributeKind.TAGS:
+        return profile.tag_freq
+    return profile.author_freq
 
 
 def item_unexpectedness(article: Article, profile: UserProfile,
@@ -140,13 +161,7 @@ def item_unexpectedness(article: Article, profile: UserProfile,
         return 1.0
     if attr is AttributeKind.EMBEDDING:
         return 1.0 - _cosine01(profile.mean_embedding, article.embedding)
-    if attr is AttributeKind.SECTION:
-        freq: Mapping[str, int] = profile.section_freq
-    elif attr is AttributeKind.TAGS:
-        freq = profile.tag_freq
-    else:
-        freq = profile.author_freq
-    return 1.0 - _freq_mass(attribute_values(article, attr), freq)
+    return 1.0 - _freq_mass(attribute_values(article, attr), _profile_freq(profile, attr))
 
 
 def serendipity(articles: Sequence[Article], profile: UserProfile,
@@ -155,6 +170,102 @@ def serendipity(articles: Sequence[Article], profile: UserProfile,
     if not articles:
         return None
     return sum(item_unexpectedness(a, profile, attr) for a in articles) / len(articles)
+
+
+def _event_at(ev) -> float:
+    return ev.at
+
+
+class WindowProfile:
+    """A user's 7-day profile with the constants serendipity reads from it:
+    the mean embedding's norm and each discrete attribute's frequency total.
+    Instants whose windows hold the same clicks share one."""
+
+    __slots__ = ("profile", "embedding_norm", "freqs")
+
+    def __init__(self, profile: UserProfile):
+        self.profile = profile
+        self.embedding_norm = float(np.linalg.norm(profile.mean_embedding))
+        self.freqs: dict[AttributeKind, tuple[Mapping[str, int], int]] = {}
+        for attr in DISCRETE_ATTRIBUTES:
+            freq = _profile_freq(profile, attr)
+            self.freqs[attr] = (freq, sum(freq.values()))
+
+
+class MetricEngine:
+    """Diversity and serendipity by article id over one corpus.
+
+    It holds O(articles + click windows) state: a row per article id, each
+    article's embedding norm (one `np.linalg.norm` per vector, as `_cosine01`
+    takes it; an `axis=1` norm sums in another order) and discrete value
+    sets, and one WindowProfile per distinct click window asked for. Pair
+    and item terms are not memoized. Each value is the same float that
+    `intra_list_diversity` and `serendipity` give for the same articles: the
+    same scalar expressions, in the same pair and item order, summed in
+    Python. Article ids repeat across corpora, so make one engine per corpus
+    and per comparison, never one shared between them.
+    """
+
+    def __init__(self, corpus: Corpus):
+        self.corpus = corpus
+        articles = list(corpus.articles.values())
+        self.row = {a.id: i for i, a in enumerate(articles)}
+        self._embeddings = [a.embedding for a in articles]
+        self.norms = np.array([np.linalg.norm(a.embedding) for a in articles],
+                              dtype=np.float64)
+        self._values = {attr: [attribute_values(a, attr) for a in articles]
+                        for attr in DISCRETE_ATTRIBUTES}
+        self._windows: dict[tuple[str, int, int], WindowProfile] = {}
+
+    def profile(self, user_id: str, at: float) -> WindowProfile:
+        """The user's profile at `at`, keyed by the positions of the window
+        [at - 7d, at) in the user's time-sorted clicks."""
+        clicks = self.corpus.clicks_of(user_id)
+        lo = bisect_left(clicks, at - WEEK, key=_event_at)
+        key = (user_id, lo, bisect_left(clicks, at, lo, key=_event_at))
+        window = self._windows.get(key)
+        if window is None:
+            window = self._windows[key] = WindowProfile(build_profile(self.corpus, user_id, at))
+        return window
+
+    def diversity(self, ids: Sequence[str], attr: AttributeKind) -> Optional[float]:
+        """`intra_list_diversity` of the articles `ids`."""
+        n = len(ids)
+        if n < 2:
+            return None
+        rows = [self.row[aid] for aid in ids]
+        if attr is AttributeKind.EMBEDDING:
+            vecs = [self._embeddings[r] for r in rows]
+            norms = self.norms[rows].tolist()
+            sims = [_cosine01_of_norms(vecs[i], vecs[j], norms[i], norms[j])
+                    for i in range(n) for j in range(i + 1, n)]
+            top = max(sims)
+            if top > 0.0:
+                sims = [s / top for s in sims]
+        else:
+            values = self._values[attr]
+            sets = [values[r] for r in rows]
+            sims = [_jaccard(sets[i], sets[j]) for i in range(n) for j in range(i + 1, n)]
+        return sum(1.0 - s for s in sims) / len(sims)
+
+    def serendipity(self, ids: Sequence[str], window: WindowProfile,
+                    attr: AttributeKind) -> Optional[float]:
+        """`serendipity` of the articles `ids` against `window.profile`."""
+        if not ids:
+            return None
+        rows = [self.row[aid] for aid in ids]
+        if window.profile.n_clicks == 0:
+            terms = [1.0 for _ in rows]
+        elif attr is AttributeKind.EMBEDDING:
+            mean, mean_norm = window.profile.mean_embedding, window.embedding_norm
+            norms = self.norms[rows].tolist()
+            terms = [1.0 - _cosine01_of_norms(mean, self._embeddings[r], mean_norm, nv)
+                     for r, nv in zip(rows, norms)]
+        else:
+            freq, total = window.freqs[attr]
+            values = self._values[attr]
+            terms = [1.0 - _freq_mass_of_total(values[r], freq, total) for r in rows]
+        return sum(terms) / len(rows)
 
 
 class CoverageScope(Enum):

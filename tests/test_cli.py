@@ -11,6 +11,7 @@ from newsrec.worlds import reference_pipeline, reference_world
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke.json"
 SMOKE_CFG = json.loads(SMOKE.read_text())
+HUGE_INT = 10 ** 400  # a JSON number no float can hold
 
 
 def smoke_config(tmp_path, **overrides):
@@ -85,6 +86,13 @@ class TestErrors:
         cfg.write_text("[1, 2]", encoding="utf-8")
         assert run("generate", "--config", str(cfg)) == 2
         assert "must hold a JSON object, not [1, 2]" in capsys.readouterr().err
+
+    def test_config_integer_beyond_digit_limit_exit_2(self, tmp_path, capsys):
+        # Python's int parsing refuses more than 4300 digits by default
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
+        assert run("generate", "--config", str(cfg)) == 2
+        assert f"{cfg}: Exceeds the limit" in capsys.readouterr().err
 
     def test_config_validation_lists_all_problems(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -230,12 +238,19 @@ class TestErrors:
         ("generate",
          {"pipeline": {**SMOKE_CFG["pipeline"], "candidate_window_days": float("nan")}},
          "pipeline: candidate_window_days must be finite, not nan"),
+        ("generate", {"pipeline": {**SMOKE_CFG["pipeline"], "lambda": HUGE_INT}},
+         f"pipeline: lambda must be finite, not {HUGE_INT}"),
+        ("generate", {"pipeline": {**SMOKE_CFG["pipeline"], "t_start": HUGE_INT}},
+         f"pipeline: t_start must be finite, not {HUGE_INT}"),
+        ("generate", {"world": {**SMOKE_CFG["world"], "zipf_exponent": HUGE_INT}},
+         f"world: zipf_exponent must be finite, not {HUGE_INT}"),
     ], ids=["rng-seed", "section-buckets", "top-k", "eval-ks", "updates-negative",
             "updates-int", "updates-strings", "updates-float", "updates-bool",
             "updates-zero", "treatments-run", "treatments-compare", "seed-string",
             "seed-float", "seed-bool", "out-int", "world-int-float", "world-number-string",
             "train-int-float", "corpus-int", "pipeline-int", "generate-lambda",
-            "unknown-top-level-key", "world-inf", "pipeline-nan"])
+            "unknown-top-level-key", "world-inf", "pipeline-nan", "lambda-huge-int",
+            "t-start-huge-int", "world-huge-int"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, overrides, message):
         cfg = smoke_config(tmp_path, **overrides)
         assert run(command, "--config", str(cfg)) == 2

@@ -1,21 +1,26 @@
 import datetime as dt
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from newsrec import evaluation
 from newsrec.corpus import DAY, Corpus
 from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
                                 collect_metric_samples, compare_manual_recsys,
                                 compare_treatments, ensemble_scorer, ndcg, offline_eval,
                                 precision_recall_at, regularized_incomplete_beta,
                                 t_test)
-from newsrec.features import ArticleFeatureCache, FeatureConfig
+from newsrec.features import ArticleFeatureCache, FeatureConfig, build_profile
 from newsrec.gbdt import TrainConfig, TreeEnsemble
 from newsrec.ranker import (MANUAL_USER, PipelineConfig, RankedList, Section,
                             Treatment, manual_lists, run_pipeline, train_schedule)
+from newsrec.usefulness import (AttributeKind, MetricEngine, intra_list_diversity,
+                                serendipity)
 
 from conftest import T0, click, impression, make_article
 
@@ -458,3 +463,90 @@ class TestMidnightPublication:
         cov = {r.metric: r for r in reports}["coverage"]
         # u1 clicks everything published on days 0 and 1, m1 included
         assert (cov.group_a.n, cov.group_a.mean) == (2, 1.0)
+
+
+class TestMetricEngineScope:
+    """Two corpora with the same article ids but different embeddings, tags
+    and clicks: each comparison call makes its own engine, and none is left
+    behind when the call returns."""
+
+    H = 3600.0
+    IDS = ("a0", "b0", "m1", "a1")
+
+    def build_corpus(self, variant):
+        H = self.H
+        times = (T0 + 6 * H, T0 + 6 * H, T0 + DAY, T0 + DAY + 6 * H)
+        arts = [make_article(aid, at, section=f"s{i % 2}" if variant else "s",
+                             tags=(f"t{i % 2}",) if variant else (f"t{i}",),
+                             authors=("p",) if variant else (f"p{i}",),
+                             embedding=[2, i * i, 0, 1] if variant else [0, 1, i, 1])
+                for i, (aid, at) in enumerate(zip(self.IDS, times))]
+        clicked = ("a0", "b0", "m1", "a1") if variant else ("b0", "a0", "a1", "m1")
+        clicks = [click("u1", aid, T0 + h * H)
+                  for aid, h in zip(clicked, (10, 11, DAY / H + 10, DAY / H + 11))]
+        return Corpus(arts, clicks, 4)
+
+    def lists(self, user, section, *served):
+        return [RankedList(user, section, T0 + at * self.H,
+                           tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids)))
+                for at, ids in served]
+
+    def streams(self):
+        recsys = self.lists("u1", Section.MN_WIDGET, (7, ("a0", "b0")), (8.5, ("b0", "a0")),
+                            (31, ("m1", "a0", "a1")), (32.5, ("a1", "m1")))
+        dynamic = self.lists("u1", Section.MN_WIDGET, (7, ("b0", "a0")), (8.5, ("a0",)),
+                             (31, ("a1", "m1")), (32.5, ("a0", "a1", "m1")))
+        manual = self.lists(MANUAL_USER, Section.MANUAL,
+                            (8, ("a0", "b0")), (9, ("b0", "a0")),
+                            (32, ("m1", "a1")), (33, ("a1", "m1")))
+        return recsys, dynamic, manual
+
+    def reports(self, corpus):
+        recsys, dynamic, manual = self.streams()
+        period = (T0, T0 + 2 * DAY)
+        out = [r.to_dict() for r in compare_treatments(recsys, dynamic, corpus)]
+        out += [r.to_dict() for r in compare_manual_recsys(manual, recsys, corpus)]
+        out += [r.to_dict() for r in behavior_shift(corpus, period, period)]
+        out += collect_metric_samples(recsys, corpus, "t")
+        return out
+
+    def test_separate_engines_give_each_corpus_its_values(self):
+        first, second = self.build_corpus(0), self.build_corpus(1)
+        engines = {0: MetricEngine(first), 1: MetricEngine(second)}
+        ids = ["m1", "a0", "a1"]
+        at = T0 + DAY + 12 * self.H
+        values = {}
+        for variant, corpus in ((0, first), (1, second)):
+            engine = engines[variant]
+            articles = [corpus.articles[aid] for aid in ids]
+            profile = build_profile(corpus, "u1", at)
+            for attr in AttributeKind:
+                div = engine.diversity(ids, attr)
+                ser = engine.serendipity(ids, engine.profile("u1", at), attr)
+                assert div == intra_list_diversity(articles, attr)
+                assert ser == serendipity(articles, profile, attr)
+                values[variant, attr] = (div, ser)
+        for attr in AttributeKind:
+            assert values[0, attr] != values[1, attr], attr
+
+    def test_engine_of_another_corpus_refused(self):
+        first, second = self.build_corpus(0), self.build_corpus(1)
+        recsys, _, _ = self.streams()
+        with pytest.raises(EvalError, match="another corpus"):
+            collect_metric_samples(recsys, first, "t", engine=MetricEngine(second))
+
+    def test_no_engine_outlives_the_comparison_call(self, monkeypatch):
+        made = []
+
+        class RecordedEngine(MetricEngine):
+            def __init__(self, corpus):
+                super().__init__(corpus)
+                made.append(weakref.ref(self))
+
+        alone = {v: self.reports(self.build_corpus(v)) for v in (1, 0)}
+        monkeypatch.setattr(evaluation, "MetricEngine", RecordedEngine)
+        for variant in (0, 1, 0):
+            assert self.reports(self.build_corpus(variant)) == alone[variant]
+            gc.collect()
+            assert made and all(ref() is None for ref in made)
+        assert alone[0] != alone[1]

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newsrec.features import UserProfile, empty_profile
+from newsrec.corpus import DAY, WEEK
+from newsrec.features import UserProfile, build_profile, empty_profile
 from newsrec.ranker import RankedList, Section
-from newsrec.usefulness import (AttributeKind, CoverageScope, MetricSample, align,
-                                coverage, dynamism, entropy, gini,
+from newsrec.usefulness import (AttributeKind, CoverageScope, MetricEngine, MetricSample,
+                                align, coverage, dynamism, entropy, gini,
                                 intra_list_diversity, item_unexpectedness,
                                 serendipity, sim, write_metric_samples)
 
-from conftest import T0, make_article
+from conftest import T0, click, make_article, make_corpus
 
 
 def profile_with(tag_freq=None, author_freq=None, section_freq=None,
@@ -190,6 +191,144 @@ class TestSerendipity:
         extended = base + [make_article("z", tags=("never-seen",))]
         after = serendipity(extended, prof, AttributeKind.TAGS)
         assert after >= before
+
+
+H = 3600.0
+
+
+@st.composite
+def small_corpora(draw):
+    """A corpus of one zero-embedding article ("z") and up to five drawn
+    ones, with drawn clicks by "u1" and "u2"; "u0" never clicks."""
+    arts = [make_article("z", section="s0", tags=("a",), authors=("p",))]
+    for i in range(draw(st.integers(1, 5))):
+        arts.append(make_article(
+            f"a{i}", section=draw(st.sampled_from(["s0", "s1", "s2"])),
+            tags=draw(st.frozensets(st.sampled_from("abcd"), max_size=3)),
+            authors=draw(st.frozensets(st.sampled_from("pq"), max_size=2)),
+            embedding=draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4))))
+    ids = [a.id for a in arts]
+    clicks = [click(user, aid, T0 + h * H) for user, aid, h in draw(st.lists(
+        st.tuples(st.sampled_from(["u1", "u2"]), st.sampled_from(ids), st.integers(0, 240)),
+        max_size=12))]
+    return make_corpus(arts, clicks)
+
+
+def engine_matches_oracle(corpus, ids, user, at, engine=None):
+    engine = engine or MetricEngine(corpus)
+    articles = [corpus.articles[aid] for aid in ids]
+    profile = build_profile(corpus, user, at)
+    for attr in AttributeKind:
+        assert engine.diversity(ids, attr) == intra_list_diversity(articles, attr)
+        assert (engine.serendipity(ids, engine.profile(user, at), attr)
+                == serendipity(articles, profile, attr))
+
+
+class TestMetricEngine:
+    """MetricEngine gives the same float as the Article-level definitions."""
+
+    @given(st.data())
+    def test_equals_definitions_on_random_lists(self, data):
+        # one engine answers several lists, users and instants, as in a study
+        corpus = data.draw(small_corpora())
+        engine = MetricEngine(corpus)
+        for _ in range(data.draw(st.integers(1, 4))):
+            ids = data.draw(st.lists(st.sampled_from(sorted(corpus.articles)), max_size=7))
+            user = data.draw(st.sampled_from(["u0", "u1", "u2"]))
+            at = T0 + data.draw(st.integers(0, 420)) * H
+            engine_matches_oracle(corpus, ids, user, at, engine)
+
+    @pytest.mark.parametrize("ids", [
+        [], ["a"], ["z", "a"], ["a", "a"], ["a", "z", "b", "a", "c"], ["z", "z", "z"],
+    ], ids=["empty", "one-item", "zero-embedding", "repeated-id", "mixed", "all-zero"])
+    @pytest.mark.parametrize("user", ["u0", "u1"], ids=["empty-history", "history"])
+    def test_equals_definitions_on_edge_lists(self, ids, user):
+        arts = [make_article("z", tags=("x",)),
+                make_article("a", section="s1", tags=("x", "y"), authors=("p",),
+                             embedding=[1, 2, 0, 0]),
+                make_article("b", tags=("y",), authors=("p", "q"), embedding=[0, -1, 3, 0]),
+                make_article("c", section="s2", embedding=[1, 1, 1, 1])]
+        clicks = [click("u1", "a", T0 + H), click("u1", "z", T0 + 2 * H),
+                  click("u1", "c", T0 + 3 * H)]
+        engine_matches_oracle(make_corpus(arts, clicks), ids, user, T0 + DAY)
+
+    def test_zero_mean_embedding_profile(self):
+        # the only click in the window is on the zero-embedding article
+        arts = [make_article("z"), make_article("a", embedding=[1, 0, 0, 0])]
+        corpus = make_corpus(arts, [click("u1", "z", T0)])
+        engine = MetricEngine(corpus)
+        window = engine.profile("u1", T0 + H)
+        assert window.embedding_norm == 0.0 and window.profile.n_clicks == 1
+        engine_matches_oracle(corpus, ["a", "z"], "u1", T0 + H)
+
+    def test_norms_are_per_vector(self):
+        arts = [make_article("z"), make_article("a", embedding=[3, 4, 0, 0])]
+        engine = MetricEngine(make_corpus(arts))
+        assert engine.norms.dtype == np.float64
+        assert engine.norms.tolist() == [np.linalg.norm(a.embedding) for a in arts]
+
+
+class TestMetricEngineWindows:
+    """One WindowProfile per distinct set of clicks in [at - 7d, at)."""
+
+    def build(self):
+        arts = [make_article("a", tags=("x",), embedding=[1, 0, 0, 0]),
+                make_article("b", tags=("y",), embedding=[0, 1, 0, 0]),
+                make_article("c", tags=("x", "y"), embedding=[1, 1, 0, 0])]
+        clicks = [click("u1", "a", T0 + H), click("u1", "b", T0 + 2 * DAY)]
+        return make_corpus(arts, clicks)
+
+    def check(self, corpus, engine, at):
+        window = engine.profile("u1", at)
+        profile = build_profile(corpus, "u1", at)
+        articles = list(corpus.articles.values())
+        for attr in AttributeKind:
+            assert (engine.serendipity(["a", "b", "c"], window, attr)
+                    == serendipity(articles, profile, attr))
+        return window
+
+    def test_same_clicks_share_one_state(self):
+        corpus = self.build()
+        engine = MetricEngine(corpus)
+        first = self.check(corpus, engine, T0 + 3 * H)
+        assert self.check(corpus, engine, T0 + DAY) is first
+        assert engine.profile("u1", T0 + 2 * DAY) is first  # [at - 7d, at) excludes at
+        # the window still holds the click at T0 + H exactly 7 days later
+        both = self.check(corpus, engine, T0 + H + WEEK)
+        assert both is not first and both.profile.n_clicks == 2
+        assert self.check(corpus, engine, T0 + H + WEEK + 1.0).profile.n_clicks == 1
+
+    def test_users_never_share_a_state(self):
+        arts = [make_article("a", tags=("x",), embedding=[1, 0, 0, 0]),
+                make_article("b", tags=("y",), embedding=[0, 1, 0, 0])]
+        corpus = make_corpus(arts, [click("u1", "a", T0), click("u2", "b", T0)])
+        engine = MetricEngine(corpus)
+        for user in ("u1", "u2"):
+            profile = build_profile(corpus, user, T0 + H)
+            for attr in AttributeKind:
+                assert (engine.serendipity(["a"], engine.profile(user, T0 + H), attr)
+                        == serendipity([arts[0]], profile, attr))
+        assert engine.profile("u1", T0 + H) is not engine.profile("u2", T0 + H)
+
+    def test_click_entering_or_leaving_gives_new_state(self):
+        corpus = self.build()
+        engine = MetricEngine(corpus)
+        only_a = self.check(corpus, engine, T0 + DAY)
+        both = self.check(corpus, engine, T0 + 2 * DAY + H)  # b enters
+        only_b = self.check(corpus, engine, T0 + H + WEEK + 1.0)  # a leaves
+        empty = self.check(corpus, engine, T0 + 10 * DAY)  # b leaves
+        assert len({id(w) for w in (only_a, both, only_b, empty)}) == 4
+        assert (only_a.profile.n_clicks, both.profile.n_clicks,
+                only_b.profile.n_clicks, empty.profile.n_clicks) == (1, 2, 1, 0)
+        assert only_a.freqs[AttributeKind.TAGS] == ({"x": 1}, 1)
+        assert only_b.freqs[AttributeKind.TAGS] == ({"y": 1}, 1)
+
+    def test_unknown_user_has_empty_profile(self):
+        corpus = self.build()
+        engine = MetricEngine(corpus)
+        window = engine.profile("nobody", T0 + DAY)
+        assert window.profile.n_clicks == 0
+        assert engine.serendipity(["a"], window, AttributeKind.TAGS) == 1.0
 
 
 class TestCoverage:
