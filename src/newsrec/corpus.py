@@ -303,7 +303,10 @@ class Corpus:
         self._event_times = [e.at for e in self.events]
         self._pub_sorted = sorted(self.articles.values(), key=lambda a: (a.published_at, a.id))
         self._pub_times = [a.published_at for a in self._pub_sorted]
-        self._clicks_by_user: Optional[dict[str, list[InteractionEvent]]] = None
+        self._clicks_by_user: dict[str, list[InteractionEvent]] = {}
+        for ev in self.events:
+            if ev.kind is Kind.CLICK:
+                self._clicks_by_user.setdefault(ev.user_id, []).append(ev)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
@@ -335,12 +338,7 @@ class Corpus:
         return self._pub_sorted[lo:hi]
 
     def clicks_of(self, user_id: str) -> list[InteractionEvent]:
-        if self._clicks_by_user is None:
-            index: dict[str, list[InteractionEvent]] = {}
-            for ev in self.events:
-                if ev.kind is Kind.CLICK:
-                    index.setdefault(ev.user_id, []).append(ev)
-            self._clicks_by_user = index
+        """The user's clicks in time order; empty for an unknown user."""
         return self._clicks_by_user.get(user_id, [])
 
     def user_ids(self) -> list[str]:

@@ -369,7 +369,7 @@ def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
                                          lst.section.value, lst.at))
         previous[key] = top
         ids = top.ids()
-        profile = engine.profile(lst.user_id, lst.at) if ids else None
+        profile = engine.profiles.get(lst.user_id, lst.at) if ids else None
         for attr in ALL_ATTRIBUTES:
             div = engine.diversity(ids, attr)
             if div is not None:
@@ -512,7 +512,7 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     for attr in ALL_ATTRIBUTES:
         manual_ser, recsys_ser = [], []
         for manual, lst in pairs:
-            profile = engine.profile(lst.user_id, manual.at)
+            profile = engine.profiles.get(lst.user_id, manual.at)
             v = engine.serendipity(manual.ids(), profile, attr)
             if v is not None:
                 manual_ser.append(v)

@@ -15,15 +15,20 @@ import datetime as dt
 import json
 import warnings
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import DAY, WEEK, Corpus, Kind, date_start
+from .corpus import DAY, WEEK, Corpus, InteractionEvent, Kind, date_start
 
 SCHEMA_VERSION = 1
+
+_event_at = attrgetter("at")
 
 
 class FeatureError(ValueError):
@@ -85,13 +90,12 @@ def write_schema(cfg: FeatureConfig, path: str | Path) -> None:
                           encoding="utf-8")
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserProfile:
-    """Rolling aggregate of one user's clicks in [window_start, window_end)."""
+    """Aggregate of one user's clicks in a 7-day window. Instants whose
+    windows hold the same clicks may share one profile, so it is frozen."""
 
     user_id: str
-    window_start: float
-    window_end: float
     tag_freq: dict[str, int]
     author_freq: dict[str, int]
     section_freq: dict[str, int]
@@ -99,19 +103,23 @@ class UserProfile:
     mean_embedding: np.ndarray
     n_clicks: int
 
+    @cached_property
+    def embedding_norm(self) -> float:
+        """Norm of `mean_embedding`, computed once per profile."""
+        return float(np.linalg.norm(self.mean_embedding))
 
-def empty_profile(user_id: str, as_of: float, embedding_dim: int) -> UserProfile:
-    return UserProfile(
-        user_id=user_id,
-        window_start=as_of - WEEK,
-        window_end=as_of,
-        tag_freq={},
-        author_freq={},
-        section_freq={},
-        mean_word_count=0.0,
-        mean_embedding=np.zeros(embedding_dim),
-        n_clicks=0,
-    )
+
+def empty_profile(user_id: str, embedding_dim: int) -> UserProfile:
+    return UserProfile(user_id=user_id, tag_freq={}, author_freq={}, section_freq={},
+                       mean_word_count=0.0, mean_embedding=np.zeros(embedding_dim),
+                       n_clicks=0)
+
+
+def _click_window(clicks: list[InteractionEvent], as_of: float) -> tuple[int, int]:
+    """Positions `lo:hi` of the clicks with at in [as_of - 7d, as_of) in a
+    user's time-sorted clicks."""
+    lo = bisect_left(clicks, as_of - WEEK, key=_event_at)
+    return lo, bisect_left(clicks, as_of, lo, key=_event_at)
 
 
 def build_profile(corpus: Corpus, user_id: str, as_of: float) -> UserProfile:
@@ -119,42 +127,39 @@ def build_profile(corpus: Corpus, user_id: str, as_of: float) -> UserProfile:
 
     Unknown users get an empty profile; impressions never contribute.
     """
-    profile = empty_profile(user_id, as_of, corpus.embedding_dim)
     clicks = corpus.clicks_of(user_id)
-    if not clicks:
-        return profile
+    lo, hi = _click_window(clicks, as_of)
+    if lo == hi:
+        return empty_profile(user_id, corpus.embedding_dim)
+    tag_freq: dict[str, int] = {}
+    author_freq: dict[str, int] = {}
+    section_freq: dict[str, int] = {}
     emb_total = np.zeros(corpus.embedding_dim)
     wc_total = 0
-    n = 0
-    for ev in clicks:
-        if not (as_of - WEEK <= ev.at < as_of):
-            continue
+    for ev in clicks[lo:hi]:
         art = corpus.articles[ev.article_id]
         for t in art.tags:
-            profile.tag_freq[t] = profile.tag_freq.get(t, 0) + 1
+            tag_freq[t] = tag_freq.get(t, 0) + 1
         for a in art.authors:
-            profile.author_freq[a] = profile.author_freq.get(a, 0) + 1
-        profile.section_freq[art.section] = profile.section_freq.get(art.section, 0) + 1
+            author_freq[a] = author_freq.get(a, 0) + 1
+        section_freq[art.section] = section_freq.get(art.section, 0) + 1
         emb_total += art.embedding
         wc_total += art.word_count
-        n += 1
-    if n:
-        profile.n_clicks = n
-        profile.mean_word_count = wc_total / n
-        profile.mean_embedding = emb_total / n
-    return profile
+    n = hi - lo
+    return UserProfile(user_id, tag_freq, author_freq, section_freq,
+                       wc_total / n, emb_total / n, n)
 
 
 class ProfileCache:
-    """`build_profile` results keyed by (user, as_of), for callers that ask
-    for the same user at the same instant more than once."""
+    """`build_profile` results keyed by click window: instants whose
+    [at - 7d, at) windows hold the same clicks of a user share one profile."""
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self._cache: dict[tuple[str, float], UserProfile] = {}
+        self._cache: dict[tuple[str, int, int], UserProfile] = {}
 
     def get(self, user_id: str, at: float) -> UserProfile:
-        key = (user_id, at)
+        key = (user_id, *_click_window(self.corpus.clicks_of(user_id), at))
         if key not in self._cache:
             self._cache[key] = build_profile(self.corpus, user_id, at)
         return self._cache[key]
@@ -287,9 +292,8 @@ def extract_matrix(profile: UserProfile, article_ids: Sequence[str], at: float,
     read_sections = {s for s, c in profile.section_freq.items() if c > 0}
     out[:, ua0 + 2] = [1.0 if cache.sections[r] in read_sections else 0.0 for r in rows]
 
-    pn = np.linalg.norm(profile.mean_embedding)
-    if pn > 0:
-        denom = cache.emb_norm[rows] * pn
+    if profile.embedding_norm > 0:
+        denom = cache.emb_norm[rows] * profile.embedding_norm
         dots = cache.emb[rows] @ profile.mean_embedding
         np.divide(dots, denom, out=out[:, ua0 + 3], where=denom > 0)
 

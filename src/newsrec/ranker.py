@@ -85,7 +85,7 @@ class RankedList:
     def top(self, n: int) -> "RankedList":
         return RankedList(self.user_id, self.section, self.at, self.items[:n],
                           self.fallback,
-                          self.rec_labels[:n] if self.rec_labels else None)
+                          self.rec_labels[:n] if self.rec_labels is not None else None)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ the cross-check dispersion measures.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -35,8 +35,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import WEEK, Article, Corpus
-from .features import UserProfile, build_profile
+from .corpus import Article, Corpus
+from .features import ProfileCache, UserProfile
 from .ranker import RankedList
 
 
@@ -172,38 +172,19 @@ def serendipity(articles: Sequence[Article], profile: UserProfile,
     return sum(item_unexpectedness(a, profile, attr) for a in articles) / len(articles)
 
 
-def _event_at(ev) -> float:
-    return ev.at
-
-
-class WindowProfile:
-    """A user's 7-day profile with the constants serendipity reads from it:
-    the mean embedding's norm and each discrete attribute's frequency total.
-    Instants whose windows hold the same clicks share one."""
-
-    __slots__ = ("profile", "embedding_norm", "freqs")
-
-    def __init__(self, profile: UserProfile):
-        self.profile = profile
-        self.embedding_norm = float(np.linalg.norm(profile.mean_embedding))
-        self.freqs: dict[AttributeKind, tuple[Mapping[str, int], int]] = {}
-        for attr in DISCRETE_ATTRIBUTES:
-            freq = _profile_freq(profile, attr)
-            self.freqs[attr] = (freq, sum(freq.values()))
-
-
 class MetricEngine:
     """Diversity and serendipity by article id over one corpus.
 
     It holds O(articles + click windows) state: a row per article id, each
     article's embedding norm (one `np.linalg.norm` per vector, as `_cosine01`
     takes it; an `axis=1` norm sums in another order) and discrete value
-    sets, and one WindowProfile per distinct click window asked for. Pair
-    and item terms are not memoized. Each value is the same float that
-    `intra_list_diversity` and `serendipity` give for the same articles: the
-    same scalar expressions, in the same pair and item order, summed in
-    Python. Article ids repeat across corpora, so make one engine per corpus
-    and per comparison, never one shared between them.
+    sets, and `profiles`, a `features.ProfileCache` holding one profile per
+    distinct click window asked for. Pair and item terms are not memoized.
+    Each value is the same float that `intra_list_diversity` and
+    `serendipity` give for the same articles: the same scalar expressions, in
+    the same pair and item order, summed in Python. Article ids repeat across
+    corpora, so make one engine per corpus and per comparison, never one
+    shared between them.
     """
 
     def __init__(self, corpus: Corpus):
@@ -215,18 +196,7 @@ class MetricEngine:
                               dtype=np.float64)
         self._values = {attr: [attribute_values(a, attr) for a in articles]
                         for attr in DISCRETE_ATTRIBUTES}
-        self._windows: dict[tuple[str, int, int], WindowProfile] = {}
-
-    def profile(self, user_id: str, at: float) -> WindowProfile:
-        """The user's profile at `at`, keyed by the positions of the window
-        [at - 7d, at) in the user's time-sorted clicks."""
-        clicks = self.corpus.clicks_of(user_id)
-        lo = bisect_left(clicks, at - WEEK, key=_event_at)
-        key = (user_id, lo, bisect_left(clicks, at, lo, key=_event_at))
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = WindowProfile(build_profile(self.corpus, user_id, at))
-        return window
+        self.profiles = ProfileCache(corpus)
 
     def diversity(self, ids: Sequence[str], attr: AttributeKind) -> Optional[float]:
         """`intra_list_diversity` of the articles `ids`."""
@@ -248,21 +218,22 @@ class MetricEngine:
             sims = [_jaccard(sets[i], sets[j]) for i in range(n) for j in range(i + 1, n)]
         return sum(1.0 - s for s in sims) / len(sims)
 
-    def serendipity(self, ids: Sequence[str], window: WindowProfile,
+    def serendipity(self, ids: Sequence[str], profile: UserProfile,
                     attr: AttributeKind) -> Optional[float]:
-        """`serendipity` of the articles `ids` against `window.profile`."""
+        """`serendipity` of the articles `ids` against `profile`."""
         if not ids:
             return None
         rows = [self.row[aid] for aid in ids]
-        if window.profile.n_clicks == 0:
+        if profile.n_clicks == 0:
             terms = [1.0 for _ in rows]
         elif attr is AttributeKind.EMBEDDING:
-            mean, mean_norm = window.profile.mean_embedding, window.embedding_norm
+            mean, mean_norm = profile.mean_embedding, profile.embedding_norm
             norms = self.norms[rows].tolist()
             terms = [1.0 - _cosine01_of_norms(mean, self._embeddings[r], mean_norm, nv)
                      for r, nv in zip(rows, norms)]
         else:
-            freq, total = window.freqs[attr]
+            freq = _profile_freq(profile, attr)
+            total = sum(freq.values())
             values = self._values[attr]
             terms = [1.0 - _freq_mass_of_total(values[r], freq, total) for r in rows]
         return sum(terms) / len(rows)

@@ -522,7 +522,7 @@ class TestMetricEngineScope:
             profile = build_profile(corpus, "u1", at)
             for attr in AttributeKind:
                 div = engine.diversity(ids, attr)
-                ser = engine.serendipity(ids, engine.profile("u1", at), attr)
+                ser = engine.serendipity(ids, engine.profiles.get("u1", at), attr)
                 assert div == intra_list_diversity(articles, attr)
                 assert ser == serendipity(articles, profile, attr)
                 values[variant, attr] = (div, ser)

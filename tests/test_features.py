@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 
@@ -6,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsrec.corpus import WEEK, Article, Corpus
+from newsrec.corpus import DAY, WEEK, Article, Corpus, Kind
 from newsrec.features import (SCHEMA_VERSION, ArticleFeatureCache, FeatureConfig,
-                              FeatureError, UserProfile, _pub_dow,
+                              FeatureError, ProfileCache, UserProfile, _pub_dow,
                               _pub_hour, _topk_mass, build_profile,
                               build_training_set, empty_profile, extract_matrix,
                               feature_names, stable_bucket, write_schema)
 
-from conftest import T0, click, impression, make_article, make_provider
+from conftest import T0, click, impression, make_article, make_corpus, make_provider
+
+H = 3600.0
 
 
 def corpus_with_clicks(articles, events, dim=4):
@@ -82,6 +85,45 @@ def extract(profile: UserProfile, article: Article, at: float,
     return out
 
 
+# Linear-scan reference profile: `build_profile` must reproduce it field by field.
+
+def profile_oracle(corpus: Corpus, user_id: str, as_of: float) -> UserProfile:
+    tag_freq: dict[str, int] = {}
+    author_freq: dict[str, int] = {}
+    section_freq: dict[str, int] = {}
+    emb_total = np.zeros(corpus.embedding_dim)
+    wc_total = 0
+    n = 0
+    for ev in corpus.events:
+        if ev.kind is not Kind.CLICK or ev.user_id != user_id:
+            continue
+        if not (as_of - WEEK <= ev.at < as_of):
+            continue
+        art = corpus.articles[ev.article_id]
+        for t in art.tags:
+            tag_freq[t] = tag_freq.get(t, 0) + 1
+        for a in art.authors:
+            author_freq[a] = author_freq.get(a, 0) + 1
+        section_freq[art.section] = section_freq.get(art.section, 0) + 1
+        emb_total += art.embedding
+        wc_total += art.word_count
+        n += 1
+    if n == 0:
+        return UserProfile(user_id, {}, {}, {}, 0.0, np.zeros(corpus.embedding_dim), 0)
+    return UserProfile(user_id, tag_freq, author_freq, section_freq,
+                       wc_total / n, emb_total / n, n)
+
+
+def assert_same_profile(got: UserProfile, want: UserProfile):
+    assert got.user_id == want.user_id
+    assert got.n_clicks == want.n_clicks
+    assert got.mean_word_count == want.mean_word_count
+    assert got.tag_freq == want.tag_freq
+    assert got.author_freq == want.author_freq
+    assert got.section_freq == want.section_freq
+    assert np.array_equal(got.mean_embedding, want.mean_embedding)
+
+
 @pytest.mark.parametrize("key", ["embedding_dim", "section_buckets", "top_k"])
 def test_feature_config_sizes_below_one_rejected(key):
     with pytest.raises(FeatureError, match=f"must be >= 1: {key}"):
@@ -132,11 +174,82 @@ class TestBuildProfile:
         corpus = corpus_with_clicks([art], [impression("u1", "a1", T0 - 5)])
         assert build_profile(corpus, "u1", T0).n_clicks == 0
 
+    @given(st.data())
+    def test_equals_linear_scan(self, data):
+        arts = [make_article(
+            f"a{i}", section=data.draw(st.sampled_from(["s0", "s1"])),
+            tags=data.draw(st.frozensets(st.sampled_from("abc"), max_size=2)),
+            authors=data.draw(st.frozensets(st.sampled_from("pq"), max_size=2)),
+            embedding=data.draw(st.lists(st.floats(-3, 3), min_size=4, max_size=4)),
+            word_count=data.draw(st.integers(20, 500)))
+            for i in range(data.draw(st.integers(1, 4)))]
+        as_of = T0 + WEEK
+        # offsets from as_of in hours: -168 is the window's first instant,
+        # 0 is as_of itself; repeats give equal timestamps
+        offsets = st.sampled_from([-200.0, -168.0, -167.5, -100.0, -1.0, 0.0, 5.0])
+        events = [(click if kind else impression)(user, aid, as_of + h * H)
+                  for kind, user, aid, h in data.draw(st.lists(st.tuples(
+                      st.booleans(), st.sampled_from(["u1", "u2"]),
+                      st.sampled_from([a.id for a in arts]), offsets), max_size=12))]
+        corpus = make_corpus(arts, events)
+        for user in ("u1", "u2", "nobody"):
+            assert_same_profile(build_profile(corpus, user, as_of),
+                                profile_oracle(corpus, user, as_of))
+
+
+class TestProfileCache:
+    """One profile per distinct set of a user's clicks in [at - 7d, at)."""
+
+    def build(self):
+        arts = [make_article("a", tags=("x",), embedding=[1, 0, 0, 0]),
+                make_article("b", tags=("y",), embedding=[0, 1, 0, 0]),
+                make_article("c", tags=("x", "y"), embedding=[1, 1, 0, 0])]
+        clicks = [click("u1", "a", T0 + H), click("u1", "b", T0 + 2 * DAY)]
+        return make_corpus(arts, clicks)
+
+    def check(self, cache, user, at):
+        profile = cache.get(user, at)
+        assert_same_profile(profile, profile_oracle(cache.corpus, user, at))
+        return profile
+
+    def test_same_clicks_share_one_profile(self):
+        cache = ProfileCache(self.build())
+        first = self.check(cache, "u1", T0 + 3 * H)
+        assert self.check(cache, "u1", T0 + DAY) is first
+        assert cache.get("u1", T0 + 2 * DAY) is first  # [at - 7d, at) excludes at
+        # the window still holds the click at T0 + H exactly 7 days later
+        both = self.check(cache, "u1", T0 + H + WEEK)
+        assert both is not first and both.n_clicks == 2
+        assert self.check(cache, "u1", T0 + H + WEEK + 1.0).n_clicks == 1
+
+    def test_users_never_share_a_profile(self):
+        arts = [make_article("a", tags=("x",), embedding=[1, 0, 0, 0]),
+                make_article("b", tags=("y",), embedding=[0, 1, 0, 0])]
+        cache = ProfileCache(make_corpus(arts, [click("u1", "a", T0), click("u2", "b", T0)]))
+        u1, u2 = self.check(cache, "u1", T0 + H), self.check(cache, "u2", T0 + H)
+        assert u1 is not u2
+        assert (u1.tag_freq, u2.tag_freq) == ({"x": 1}, {"y": 1})
+
+    def test_click_entering_or_leaving_gives_new_profile(self):
+        cache = ProfileCache(self.build())
+        only_a = self.check(cache, "u1", T0 + DAY)
+        both = self.check(cache, "u1", T0 + 2 * DAY + H)  # b enters
+        only_b = self.check(cache, "u1", T0 + H + WEEK + 1.0)  # a leaves
+        empty = self.check(cache, "u1", T0 + 10 * DAY)  # b leaves
+        assert len({id(p) for p in (only_a, both, only_b, empty)}) == 4
+        assert [p.n_clicks for p in (only_a, both, only_b, empty)] == [1, 2, 1, 0]
+        assert (only_a.tag_freq, only_b.tag_freq) == ({"x": 1}, {"y": 1})
+
+    def test_unknown_user_has_empty_profile(self):
+        cache = ProfileCache(self.build())
+        profile = self.check(cache, "nobody", T0 + DAY)
+        assert profile.n_clicks == 0 and profile.embedding_norm == 0.0
+
 
 class TestExtract:
     def test_empty_profile_conventions(self):
         art = make_article("a1", tags=("a",), authors=("x",), embedding=[1, 0, 0, 0])
-        prof = empty_profile("u1", T0, 4)
+        prof = empty_profile("u1", 4)
         names = feature_names(CFG)
         fv = extract_row(prof, art, T0)
         get = lambda name: fv[names.index(name)]
@@ -178,7 +291,7 @@ class TestExtract:
         # a corpus rejects hapax + 2 * dis above the word count
         art = make_article("a1", word_count=0, hapax_count=0, dis_count=0,
                            embedding=[0, 0, 0, 0])
-        prof = empty_profile("u1", T0, 4)
+        prof = empty_profile("u1", 4)
         v1 = extract_row(prof, art, T0)
         v2 = extract_row(prof, art, T0)
         assert np.array_equal(v1, v2)
@@ -186,17 +299,17 @@ class TestExtract:
 
     def test_dimension_mismatch_raises(self):
         art = make_article("a1", dim=8)
-        prof = empty_profile("u1", T0, 4)
+        prof = empty_profile("u1", 4)
         with pytest.raises(FeatureError, match="dim"):
             extract_row(prof, art, T0, dim=8)
-        prof.mean_embedding = np.ones(4)
+        prof = dataclasses.replace(prof, mean_embedding=np.ones(4))
         with pytest.raises(FeatureError, match="dim"):
             extract_row(prof, art, T0, dim=8)
 
     def test_width_matches_schema(self):
         assert CFG.width == len(feature_names(CFG))
         art = make_article("a1")
-        assert len(extract_row(empty_profile("u1", T0, 4), art, T0)) == CFG.width
+        assert len(extract_row(empty_profile("u1", 4), art, T0)) == CFG.width
 
     def test_schema_json(self, tmp_path):
         write_schema(CFG, tmp_path / "schema.json")
@@ -224,7 +337,7 @@ class TestExtractMatrix:
         cfg, corpus, _ = tiny_world
         fcfg = FeatureConfig(embedding_dim=cfg.embedding_dim)
         cache = ArticleFeatureCache(corpus, fcfg)
-        prof = empty_profile("u1", cfg.start, cfg.embedding_dim)
+        prof = empty_profile("u1", cfg.embedding_dim)
         M = extract_matrix(prof, sorted(corpus.articles), cfg.start, cache)
         assert np.isfinite(M).all()
 

@@ -78,7 +78,7 @@ class TestRank:
         corpus = Corpus([art], [], 4)
         cache = ArticleFeatureCache(corpus, FeatureConfig(embedding_dim=4))
         lst = rank(constant_model(FeatureConfig(embedding_dim=4).width),
-                   empty_profile("u1", T0, 4), [art], T0, cache)
+                   empty_profile("u1", 4), [art], T0, cache)
         assert len(lst.items) == 1
         assert lst.section is Section.MN_PAGE
 
@@ -88,7 +88,7 @@ class TestRank:
         corpus = Corpus(arts, [], 4)
         cfg = FeatureConfig(embedding_dim=4)
         cache = ArticleFeatureCache(corpus, cfg)
-        lst = rank(constant_model(cfg.width), empty_profile("u1", T0, 4),
+        lst = rank(constant_model(cfg.width), empty_profile("u1", 4),
                    arts, T0, cache)
         assert lst.ids() == ["apple", "newer", "older"]
 
@@ -97,7 +97,7 @@ class TestRank:
         corpus = Corpus(arts, [], 4)
         cfg = FeatureConfig(embedding_dim=4)
         cache = ArticleFeatureCache(corpus, cfg)
-        prof = empty_profile("u1", T0, 4)
+        prof = empty_profile("u1", 4)
         model = constant_model(cfg.width)
         base = rank(model, prof, arts, T0, cache).ids()
         assert rank(model, prof, arts[::-1], T0, cache).ids() == base
@@ -106,7 +106,7 @@ class TestRank:
         corpus = Corpus([], [], 4)
         cfg = FeatureConfig(embedding_dim=4)
         cache = ArticleFeatureCache(corpus, cfg)
-        lst = rank(constant_model(cfg.width), empty_profile("u1", T0, 4), [], T0, cache)
+        lst = rank(constant_model(cfg.width), empty_profile("u1", 4), [], T0, cache)
         assert lst.items == ()
 
 
@@ -231,6 +231,12 @@ class TestRankedListInvariants:
         with pytest.raises(RankerError, match="rec_labels must be as long as items"):
             RankedList("u", Section.MN_PAGE, T0, (("a", 1.0), ("b", 0.5)),
                        rec_labels=labels)
+
+    @pytest.mark.parametrize("labels", [None, (), (True,)], ids=["unlabelled", "empty", "one"])
+    def test_top_keeps_labels(self, labels):
+        items = (("a", 1.0),) if labels else ()
+        lst = RankedList("u", Section.MN_PAGE, T0, items, rec_labels=labels)
+        assert lst.top(5) == lst
 
 
 class TestPipeline:

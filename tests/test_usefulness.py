@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newsrec.corpus import DAY, WEEK
+from newsrec.corpus import DAY
 from newsrec.features import UserProfile, build_profile, empty_profile
 from newsrec.ranker import RankedList, Section
 from newsrec.usefulness import (AttributeKind, CoverageScope, MetricEngine, MetricSample,
@@ -20,8 +20,7 @@ from conftest import T0, click, make_article, make_corpus
 def profile_with(tag_freq=None, author_freq=None, section_freq=None,
                  mean_embedding=None, n_clicks=1, dim=4):
     return UserProfile(
-        user_id="u1", window_start=T0 - 7 * 86400, window_end=T0,
-        tag_freq=tag_freq or {}, author_freq=author_freq or {},
+        user_id="u1", tag_freq=tag_freq or {}, author_freq=author_freq or {},
         section_freq=section_freq or {}, mean_word_count=100.0,
         mean_embedding=np.zeros(dim) if mean_embedding is None
         else np.asarray(mean_embedding, dtype=float),
@@ -176,7 +175,7 @@ class TestSerendipity:
         assert value == 0.0  # mass 1.0 clamped, never negative
 
     def test_empty_profile_everything_new(self):
-        prof = empty_profile("u1", T0, 4)
+        prof = empty_profile("u1", 4)
         arts = [make_article("a", tags=("t",), embedding=[1, 0, 0, 0])]
         for attr in AttributeKind:
             assert serendipity(arts, prof, attr) == 1.0
@@ -220,7 +219,7 @@ def engine_matches_oracle(corpus, ids, user, at, engine=None):
     profile = build_profile(corpus, user, at)
     for attr in AttributeKind:
         assert engine.diversity(ids, attr) == intra_list_diversity(articles, attr)
-        assert (engine.serendipity(ids, engine.profile(user, at), attr)
+        assert (engine.serendipity(ids, engine.profiles.get(user, at), attr)
                 == serendipity(articles, profile, attr))
 
 
@@ -257,8 +256,8 @@ class TestMetricEngine:
         arts = [make_article("z"), make_article("a", embedding=[1, 0, 0, 0])]
         corpus = make_corpus(arts, [click("u1", "z", T0)])
         engine = MetricEngine(corpus)
-        window = engine.profile("u1", T0 + H)
-        assert window.embedding_norm == 0.0 and window.profile.n_clicks == 1
+        profile = engine.profiles.get("u1", T0 + H)
+        assert profile.embedding_norm == 0.0 and profile.n_clicks == 1
         engine_matches_oracle(corpus, ["a", "z"], "u1", T0 + H)
 
     def test_norms_are_per_vector(self):
@@ -266,69 +265,6 @@ class TestMetricEngine:
         engine = MetricEngine(make_corpus(arts))
         assert engine.norms.dtype == np.float64
         assert engine.norms.tolist() == [np.linalg.norm(a.embedding) for a in arts]
-
-
-class TestMetricEngineWindows:
-    """One WindowProfile per distinct set of clicks in [at - 7d, at)."""
-
-    def build(self):
-        arts = [make_article("a", tags=("x",), embedding=[1, 0, 0, 0]),
-                make_article("b", tags=("y",), embedding=[0, 1, 0, 0]),
-                make_article("c", tags=("x", "y"), embedding=[1, 1, 0, 0])]
-        clicks = [click("u1", "a", T0 + H), click("u1", "b", T0 + 2 * DAY)]
-        return make_corpus(arts, clicks)
-
-    def check(self, corpus, engine, at):
-        window = engine.profile("u1", at)
-        profile = build_profile(corpus, "u1", at)
-        articles = list(corpus.articles.values())
-        for attr in AttributeKind:
-            assert (engine.serendipity(["a", "b", "c"], window, attr)
-                    == serendipity(articles, profile, attr))
-        return window
-
-    def test_same_clicks_share_one_state(self):
-        corpus = self.build()
-        engine = MetricEngine(corpus)
-        first = self.check(corpus, engine, T0 + 3 * H)
-        assert self.check(corpus, engine, T0 + DAY) is first
-        assert engine.profile("u1", T0 + 2 * DAY) is first  # [at - 7d, at) excludes at
-        # the window still holds the click at T0 + H exactly 7 days later
-        both = self.check(corpus, engine, T0 + H + WEEK)
-        assert both is not first and both.profile.n_clicks == 2
-        assert self.check(corpus, engine, T0 + H + WEEK + 1.0).profile.n_clicks == 1
-
-    def test_users_never_share_a_state(self):
-        arts = [make_article("a", tags=("x",), embedding=[1, 0, 0, 0]),
-                make_article("b", tags=("y",), embedding=[0, 1, 0, 0])]
-        corpus = make_corpus(arts, [click("u1", "a", T0), click("u2", "b", T0)])
-        engine = MetricEngine(corpus)
-        for user in ("u1", "u2"):
-            profile = build_profile(corpus, user, T0 + H)
-            for attr in AttributeKind:
-                assert (engine.serendipity(["a"], engine.profile(user, T0 + H), attr)
-                        == serendipity([arts[0]], profile, attr))
-        assert engine.profile("u1", T0 + H) is not engine.profile("u2", T0 + H)
-
-    def test_click_entering_or_leaving_gives_new_state(self):
-        corpus = self.build()
-        engine = MetricEngine(corpus)
-        only_a = self.check(corpus, engine, T0 + DAY)
-        both = self.check(corpus, engine, T0 + 2 * DAY + H)  # b enters
-        only_b = self.check(corpus, engine, T0 + H + WEEK + 1.0)  # a leaves
-        empty = self.check(corpus, engine, T0 + 10 * DAY)  # b leaves
-        assert len({id(w) for w in (only_a, both, only_b, empty)}) == 4
-        assert (only_a.profile.n_clicks, both.profile.n_clicks,
-                only_b.profile.n_clicks, empty.profile.n_clicks) == (1, 2, 1, 0)
-        assert only_a.freqs[AttributeKind.TAGS] == ({"x": 1}, 1)
-        assert only_b.freqs[AttributeKind.TAGS] == ({"y": 1}, 1)
-
-    def test_unknown_user_has_empty_profile(self):
-        corpus = self.build()
-        engine = MetricEngine(corpus)
-        window = engine.profile("nobody", T0 + DAY)
-        assert window.profile.n_clicks == 0
-        assert engine.serendipity(["a"], window, AttributeKind.TAGS) == 1.0
 
 
 class TestCoverage:
