@@ -62,5 +62,5 @@ print(f"served-section dispersion: gini {gini(freqs):.3f}, "
 manual = manual_lists(corpus, pipe.t_start, corpus.time_span()[1], rng_seed=404)
 print(f"\neditor baseline: {len(manual)} irregular top-5 updates; aligned pairs: "
       f"{len(align(manual, widget))}")
-reports = compare_manual_recsys(manual, widget, corpus)
+reports = compare_manual_recsys(manual, emissions, corpus)
 print(format_comparison_table(reports, "manual", "recsys"))

@@ -35,7 +35,7 @@ from .features import ArticleFeatureCache, FeatureConfig, write_schema
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
-from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,
+from .ranker import (PipelineConfig, RankedList, RankerError, Treatment,
                      manual_lists, manual_updates_range, read_emissions, run_pipeline,
                      train_schedule, write_emissions)
 from .usefulness import MetricEngine, write_metric_samples
@@ -210,9 +210,13 @@ def load_config(path: str | Path, seed: Optional[int] = None,
         names = []
     for name in names:
         try:
-            treatments.append(Treatment(name))
+            treatment = Treatment(name)
         except ValueError:
             problems.append(f"treatments: unknown treatment {name!r}")
+            continue
+        if treatment in treatments:
+            problems.append(f"treatments: {name!r} is listed more than once")
+        treatments.append(treatment)
     try:
         manual_updates = manual_updates_range(raw.get("manual_updates_per_day", [8, 16]))
     except RankerError as exc:
@@ -415,8 +419,7 @@ def cmd_compare(cfg: ExperimentConfig, variant: Optional[TTestVariant] = None) -
     baseline_path = cfg.emissions_path(cfg.treatments[0])
     manual = _read_lists(_require(cfg.manual_path, "newsrec run"))
     recsys = _read_lists(_require(baseline_path, "newsrec run"))
-    widget = [l for l in recsys if l.section is Section.MN_WIDGET and not l.fallback]
-    reports = compare_manual_recsys(manual, widget, corpus, variant=variant)
+    reports = compare_manual_recsys(manual, recsys, corpus, variant=variant)
     for r in reports:
         r.validate()
     _write_json(cfg.reports_dir / "compare_manual.json", [r.to_dict() for r in reports])

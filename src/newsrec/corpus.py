@@ -15,7 +15,7 @@ import json
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -221,22 +221,11 @@ class Article:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Article):
             return NotImplemented
-        return (
-            self.id == other.id
-            and self.published_at == other.published_at
-            and self.section == other.section
-            and self.tags == other.tags
-            and self.authors == other.authors
-            and self.title == other.title
-            and self.body == other.body
-            and self.word_count == other.word_count
-            and self.sentence_count == other.sentence_count
-            and self.paragraph_count == other.paragraph_count
-            and self.char_length == other.char_length
-            and self.hapax_count == other.hapax_count
-            and self.dis_count == other.dis_count
-            and np.array_equal(self.embedding, other.embedding)
-        )
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(mine, theirs) if f.name == "embedding" else mine == theirs):
+                return False
+        return True
 
 
 class Kind(Enum):

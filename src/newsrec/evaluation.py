@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -411,17 +411,14 @@ def _study_samples(emissions: Sequence[RankedList], corpus: Corpus, top_n: int,
 
 def _clicks_by_user_day_section(corpus: Corpus) -> dict[tuple[str, float, Section], set[str]]:
     """Click ids grouped by (user, day, section), using each click event's
-    display context to attribute it to a section."""
-    context_section = {
-        "mn_widget": Section.MN_WIDGET,
-        "missed_lw": Section.MISSED_LW,
-        "mn_page": Section.MN_PAGE,
-    }
+    display context to attribute it to a section; a click whose context
+    names no section is left out."""
+    sections = {s.value: s for s in Section}
     out: dict[tuple[str, float, Section], set[str]] = {}
     for ev in corpus.events:
         if ev.kind is not Kind.CLICK:
             continue
-        section = context_section.get(ev.context.value)
+        section = sections.get(ev.context.value)
         if section is None:
             continue
         key = (ev.user_id, day_start(ev.at), section)
@@ -480,21 +477,39 @@ def compare_treatments(emissions_a: Sequence[RankedList],
     return reports
 
 
+def _consecutive_dynamism(lists: Iterable[RankedList]) -> list[float]:
+    """Dynamism between each user's consecutive lists, in the order given;
+    users in id order."""
+    by_user: dict[str, list[RankedList]] = {}
+    for lst in lists:
+        by_user.setdefault(lst.user_id, []).append(lst)
+    samples = []
+    for uid in sorted(by_user):
+        user_lists = by_user[uid]
+        samples.extend(v for prev, curr in zip(user_lists, user_lists[1:])
+                       if (v := dynamism(prev, curr)) is not None)
+    return samples
+
+
 def compare_manual_recsys(manual_stream: Sequence[RankedList],
                           recsys_stream: Sequence[RankedList], corpus: Corpus,
                           variant: TTestVariant = TTestVariant.STUDENT
                           ) -> list[ComparisonReport]:
     """Manual-curation baseline vs personalized lists (group_a = manual).
 
-    Updates are aligned at manual timestamps: per manual update, each user's
-    most recent emission. Diversity and serendipity are compared per
-    attribute over lists (manual serendipity is measured against each
-    aligned user's own history); dynamism over consecutive lists (aligned
-    and all-changes variants); coverage per day in both per-user and
-    all-users scopes.
+    Of `recsys_stream` only the widget lists served by a model count: the
+    editors' top 5 is compared with the MN widget, and fallback lists are
+    no recommendations. Updates are aligned at manual timestamps: per manual
+    update, each user's most recent widget list. Diversity and serendipity
+    are compared per attribute over lists (manual serendipity is measured
+    against each aligned user's own history); dynamism over consecutive
+    lists (aligned and all-changes variants); coverage per day in both
+    per-user and all-users scopes.
     """
+    recsys_stream = [l for l in recsys_stream
+                     if l.section is Section.MN_WIDGET and not l.fallback]
     if not manual_stream or not recsys_stream:
-        raise EvalError("empty emission stream")
+        raise EvalError("empty emission stream (no manual or model-served widget lists)")
     manual_stream = sorted(manual_stream, key=lambda l: l.at)
     pairs = align(manual_stream, recsys_stream)
     if not pairs:
@@ -524,22 +539,8 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
 
     manual_dyn = [v for prev, curr in zip(manual_stream, manual_stream[1:])
                   if (v := dynamism(prev, curr)) is not None]
-    aligned_by_user: dict[str, list[RankedList]] = {}
-    for _, lst in pairs:
-        aligned_by_user.setdefault(lst.user_id, []).append(lst)
-    aligned_dyn = []
-    for uid in sorted(aligned_by_user):
-        lists = aligned_by_user[uid]
-        aligned_dyn.extend(v for prev, curr in zip(lists, lists[1:])
-                           if (v := dynamism(prev, curr)) is not None)
-    all_by_user: dict[str, list[RankedList]] = {}
-    for lst in sorted(recsys_stream, key=lambda l: (l.at, l.user_id)):
-        all_by_user.setdefault(lst.user_id, []).append(lst)
-    all_dyn = []
-    for uid in sorted(all_by_user):
-        lists = all_by_user[uid]
-        all_dyn.extend(v for prev, curr in zip(lists, lists[1:])
-                       if (v := dynamism(prev, curr)) is not None)
+    aligned_dyn = _consecutive_dynamism(lst for _, lst in pairs)
+    all_dyn = _consecutive_dynamism(sorted(recsys_stream, key=lambda l: (l.at, l.user_id)))
     reports.append(t_test(manual_dyn, aligned_dyn, variant=variant,
                           metric="dynamism_aligned"))
     reports.append(t_test(manual_dyn, all_dyn, variant=variant, metric="dynamism_all"))
@@ -555,7 +556,7 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
         published = [a.id for a in corpus.published_on(day_ts)]
         if not published:
             continue
-        m = coverage(manual_by_day[day_ts], published, CoverageScope.MANUAL)
+        m = coverage(manual_by_day[day_ts], published, CoverageScope.ALL_USERS)
         pu = coverage(recsys_by_day[day_ts], published, CoverageScope.PER_USER)
         au = coverage(recsys_by_day[day_ts], published, CoverageScope.ALL_USERS)
         if m is not None and pu is not None and au is not None:
@@ -592,17 +593,15 @@ def behavior_shift(corpus: Corpus, before: tuple[float, float],
                 value = engine.diversity(clicks[key], attr)
                 if value is not None:
                     div[attr].append(value)
+        by_day: dict[float, list[list[str]]] = {}
+        for (_, day_ts), ids in clicks.items():
+            by_day.setdefault(day_ts, []).append(ids)
         cov: list[float] = []
-        days = sorted({d for _, d in clicks})
-        for day_ts in days:
-            published = {a.id for a in corpus.published_on(day_ts)}
-            if not published:
-                continue
-            served: set[str] = set()
-            for (uid, d), ids in clicks.items():
-                if d == day_ts:
-                    served.update(ids)
-            cov.append(len(served & published) / len(published))
+        for day_ts in sorted(by_day):
+            published = [a.id for a in corpus.published_on(day_ts)]
+            value = coverage(by_day[day_ts], published, CoverageScope.ALL_USERS)
+            if value is not None:
+                cov.append(value)
         return div, cov
 
     div_before, cov_before = period_samples(*before)

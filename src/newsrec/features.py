@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -191,6 +191,33 @@ def _pub_dow(ts: float) -> float:
     return float((int(ts // DAY) + 3) % 7)
 
 
+class _ValueTable:
+    """One discrete attribute's value sets: which values of the corpus-wide
+    vocabulary each article holds, as a bool (article, value) matrix."""
+
+    def __init__(self, value_sets: Sequence[frozenset[str]]):
+        self.index = {v: j for j, v in enumerate(sorted(set().union(*value_sets)))}
+        self.member = np.zeros((len(value_sets), len(self.index)), dtype=bool)
+        for i, values in enumerate(value_sets):
+            for v in values:
+                self.member[i, self.index[v]] = True
+        self.counts = self.member.sum(axis=1)
+
+    def jaccard(self, rows: np.ndarray, values: Iterable[str], out: np.ndarray) -> None:
+        """Write the Jaccard overlap of each row's value set with `values`
+        into `out`. An empty union (no value on either side) leaves 0.0 there;
+        the article-article Jaccard in `usefulness` reads 1.0 there."""
+        vec = np.zeros(len(self.index), dtype=bool)
+        for v in values:
+            j = self.index.get(v)
+            if j is not None:
+                vec[j] = True
+        # bool @ bool would OR instead of count; cast the profile side to int.
+        inter = self.member[rows] @ vec.astype(np.int64)
+        union = self.counts[rows] + vec.sum() - inter
+        np.divide(inter, union, out=out, where=union > 0, casting="unsafe")
+
+
 class ArticleFeatureCache:
     """Precomputed per-article blocks so scoring can run matrix-at-a-time.
 
@@ -215,26 +242,13 @@ class ArticleFeatureCache:
                 a.paragraph_count, a.char_length, a.hapax_count, a.dis_count)
             self.static[i, b + 10:] = a.embedding
 
-        self.tag_vocab = sorted({t for a in arts for t in a.tags})
-        self.author_vocab = sorted({x for a in arts for x in a.authors})
-        tag_ix = {t: j for j, t in enumerate(self.tag_vocab)}
-        author_ix = {x: j for j, x in enumerate(self.author_vocab)}
-        self.tag_mat = np.zeros((n, len(self.tag_vocab)), dtype=bool)
-        self.author_mat = np.zeros((n, len(self.author_vocab)), dtype=bool)
-        for i, a in enumerate(arts):
-            for t in a.tags:
-                self.tag_mat[i, tag_ix[t]] = True
-            for x in a.authors:
-                self.author_mat[i, author_ix[x]] = True
-        self.tag_counts = self.tag_mat.sum(axis=1)
-        self.author_counts = self.author_mat.sum(axis=1)
+        self.tags = _ValueTable([a.tags for a in arts])
+        self.authors = _ValueTable([a.authors for a in arts])
         self.sections = [a.section for a in arts]
         self.word_counts = np.array([a.word_count for a in arts], dtype=np.float64)
         self.published = np.array([a.published_at for a in arts])
         self.emb = np.stack([a.embedding for a in arts]) if n else np.zeros((0, cfg.embedding_dim))
         self.emb_norm = np.linalg.norm(self.emb, axis=1) if n else np.zeros(0)
-        self._tag_ix = tag_ix
-        self._author_ix = author_ix
 
     def rows(self, article_ids: Sequence[str]) -> np.ndarray:
         return np.array([self.index[aid] for aid in article_ids], dtype=np.intp)
@@ -267,27 +281,8 @@ def extract_matrix(profile: UserProfile, article_ids: Sequence[str], at: float,
     out[:, user0 + 4] = _topk_mass(profile.section_freq, cfg.top_k)
 
     ua0 = user0 + 5
-    tag_vec = np.zeros(len(cache.tag_vocab), dtype=bool)
-    for t in profile.tag_freq:
-        j = cache._tag_ix.get(t)
-        if j is not None:
-            tag_vec[j] = True
-    author_vec = np.zeros(len(cache.author_vocab), dtype=bool)
-    for x in profile.author_freq:
-        j = cache._author_ix.get(x)
-        if j is not None:
-            author_vec[j] = True
-    # bool @ bool would OR instead of count; cast the profile side to int.
-    # An empty union (no value on either side) leaves the Jaccard at 0.0;
-    # the article-article Jaccard in `usefulness` reads 1.0 there.
-    inter_t = cache.tag_mat[rows] @ tag_vec.astype(np.int64)
-    union_t = cache.tag_counts[rows] + tag_vec.sum() - inter_t
-    np.divide(inter_t, union_t, out=out[:, ua0 + 0], where=union_t > 0,
-              casting="unsafe")
-    inter_a = cache.author_mat[rows] @ author_vec.astype(np.int64)
-    union_a = cache.author_counts[rows] + author_vec.sum() - inter_a
-    np.divide(inter_a, union_a, out=out[:, ua0 + 1], where=union_a > 0,
-              casting="unsafe")
+    cache.tags.jaccard(rows, profile.tag_freq, out[:, ua0 + 0])
+    cache.authors.jaccard(rows, profile.author_freq, out[:, ua0 + 1])
 
     read_sections = {s for s, c in profile.section_freq.items() if c > 0}
     out[:, ua0 + 2] = [1.0 if cache.sections[r] in read_sections else 0.0 for r in rows]

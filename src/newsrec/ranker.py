@@ -21,6 +21,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -248,6 +249,10 @@ def _fallback_list(user_id: str, cands: Sequence[Article], at: float,
     return RankedList(user_id, Section.MN_PAGE, at, tuple(items), fallback=True)
 
 
+def _utc(t: float) -> str:
+    return dt.datetime.fromtimestamp(t, tz=dt.timezone.utc).isoformat()
+
+
 def _emit_user(out: list[RankedList], corpus: Corpus, cfg: PipelineConfig,
                cache: ArticleFeatureCache, model: Optional[TreeEnsemble],
                user_id: str, at: float, cands: Sequence[Article]) -> None:
@@ -273,7 +278,8 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
     each of their clicks. Until the first nightly model exists users get
     recency-ordered lists flagged as fallback. Pass a precomputed
     `models` schedule (e.g. from train_schedule) to share training across
-    treatments; by default it is computed here.
+    treatments; by default it is computed here. Its times must increase
+    strictly; a model serves from its time (inclusive) until the next one's.
     """
     if t_end is None:
         t_end = corpus.time_span()[1]
@@ -282,16 +288,20 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
     cache = ArticleFeatureCache(corpus, cfg.features)
     if models is None:
         models = train_schedule(corpus, cfg, t_end, cache=cache)
-    for t, model in models:
+    times = [t for t, _ in models]
+    for i, (t, model) in enumerate(models):
+        if i and t <= times[i - 1]:
+            raise RankerError(
+                f"model schedule out of order: model {i} active from {_utc(t)} does not "
+                f"follow model {i - 1} active from {_utc(times[i - 1])}")
         error = model.schema_error(cfg.features.width)
         if error:
-            since = dt.datetime.fromtimestamp(t, tz=dt.timezone.utc).isoformat()
-            raise RankerError(f"model active from {since}: {error}")
+            raise RankerError(f"model active from {_utc(t)}: {error}")
 
-    # Event queue ordered by (time, priority): training precedes refreshes,
-    # refreshes precede click triggers at equal timestamps.
-    TRAIN, REFRESH, CLICK = 0, 1, 2
-    queue: list[tuple[float, int, Optional[str]]] = [(t, TRAIN, None) for t, _ in models]
+    # Event queue ordered by (time, priority): refreshes precede click
+    # triggers at equal timestamps.
+    REFRESH, CLICK = 0, 1
+    queue: list[tuple[float, int, Optional[str]]] = []
     t = cfg.t_start
     while t < t_end:
         queue.append((t, REFRESH, None))
@@ -302,14 +312,12 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
             queue.append((ev.at, CLICK, ev.user_id))
     queue.sort(key=lambda q: (q[0], q[1], q[2] or ""))
 
-    active: Optional[TreeEnsemble] = None
-    upcoming = iter(models)
     out: list[RankedList] = []
     ordered_users = sorted(user_set)
     for at, kind, uid in queue:
-        if kind == TRAIN:
-            active = next(upcoming)[1]
-            continue
+        # the latest model trained at or before `at`, if any
+        i = bisect_right(times, at)
+        active = models[i - 1][1] if i else None
         cands = candidates(corpus, at, cfg.candidate_window)
         for user in ordered_users if kind == REFRESH else (uid,):
             _emit_user(out, corpus, cfg, cache, active, user, at, cands)

@@ -242,16 +242,15 @@ class MetricEngine:
 class CoverageScope(Enum):
     PER_USER = "per_user"
     ALL_USERS = "all_users"
-    MANUAL = "manual"
 
 
-def coverage(emissions: Iterable[RankedList], published: Iterable[str],
+def coverage(emissions: Iterable[RankedList | Sequence[str]], published: Iterable[str],
              scope: CoverageScope) -> Optional[float]:
     """Share of `published` article ids served by the emissions.
 
-    PER_USER computes each user's share and macro-averages; ALL_USERS (and
-    MANUAL, whose stream has a single pseudo-user) unions served ids across
-    the whole stream. None when nothing was published.
+    PER_USER computes each user's share of RankedLists and macro-averages;
+    ALL_USERS unions served ids across the whole stream, which may also hold
+    id sequences (a day's clicks, say). None when nothing was published.
     """
     pub = set(published)
     if not pub:
@@ -267,7 +266,7 @@ def coverage(emissions: Iterable[RankedList], published: Iterable[str],
         return sum(shares) / len(shares)
     served_all: set[str] = set()
     for lst in emissions:
-        served_all.update(aid for aid, _ in lst.items)
+        served_all.update(_ids_of(lst))
     return len(served_all & pub) / len(pub)
 
 

@@ -340,9 +340,7 @@ def test_criterion_6_study1_direction():
         base_cfg, _, ems_b, _ = reference_runs()
         manual = manual_lists(corpus, base_cfg.t_start, corpus.time_span()[1],
                               rng_seed=wcfg.seed * 7919 + 11)
-        widget = [l for l in ems_b
-                  if l.section is Section.MN_WIDGET and not l.fallback]
-        reports = {r.metric: r for r in compare_manual_recsys(manual, widget, corpus)}
+        reports = {r.metric: r for r in compare_manual_recsys(manual, ems_b, corpus)}
 
         cov_all = reports["coverage_all_users"]
         assert cov_all.group_b.mean > cov_all.group_a.mean  # recsys > manual

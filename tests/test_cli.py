@@ -62,6 +62,30 @@ class TestChain:
         for r in ab:
             assert 0.0 <= r["p_value"] <= 1.0
 
+    def test_run_single_treatment(self, chain, tmp_path):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        for name in ("corpus", "models"):
+            shutil.copytree(out / name, copy / name)
+        assert run("run", "--config", str(cfg), "--out", str(copy),
+                   "--treatment", "dynamism") == 0
+        written = sorted(p.name for p in copy.iterdir() if p.is_file())
+        assert written == ["emissions_dynamism.jsonl", "manual.jsonl"]
+        for name in written:
+            assert (copy / name).read_bytes() == (out / name).read_bytes()
+
+    def test_compare_variant_flag(self, chain, tmp_path):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        assert run("compare", "--config", str(cfg), "--out", str(copy),
+                   "--variant", "welch") == 0
+        for name in ("compare_ab.json", "compare_manual.json"):
+            assert {r["variant"] for r in json.loads((out / "reports" / name).read_text())
+                    } == {"student"}
+            assert {r["variant"] for r in json.loads((copy / "reports" / name).read_text())
+                    } == {"welch"}
+
     def test_evaluate_idempotent_byte_identical(self, chain):
         out, cfg = chain
         before = {p: p.read_bytes() for p in (out / "reports").glob("accuracy.*")}
@@ -219,6 +243,10 @@ class TestErrors:
         ("run", {"manual_updates_per_day": [0, 0]}, "manual_updates_per_day: must be"),
         ("run", {"treatments": []}, "treatments must be a non-empty list"),
         ("compare", {"treatments": []}, "treatments must be a non-empty list"),
+        ("run", {"treatments": ["baseline", "baseline"]},
+         "treatments: 'baseline' is listed more than once"),
+        ("compare", {"treatments": ["baseline", "dynamism", "baseline"]},
+         "treatments: 'baseline' is listed more than once"),
         ("generate", {"seed": "x"}, "seed must be an integer, not 'x'"),
         ("generate", {"seed": 2.7}, "seed must be an integer, not 2.7"),
         ("generate", {"seed": True}, "seed must be an integer, not True"),
@@ -246,7 +274,8 @@ class TestErrors:
          f"world: zipf_exponent must be finite, not {HUGE_INT}"),
     ], ids=["rng-seed", "section-buckets", "top-k", "eval-ks", "updates-negative",
             "updates-int", "updates-strings", "updates-float", "updates-bool",
-            "updates-zero", "treatments-run", "treatments-compare", "seed-string",
+            "updates-zero", "treatments-run", "treatments-compare",
+            "treatments-duplicate-run", "treatments-duplicate-compare", "seed-string",
             "seed-float", "seed-bool", "out-int", "world-int-float", "world-number-string",
             "train-int-float", "corpus-int", "pipeline-int", "generate-lambda",
             "unknown-top-level-key", "world-inf", "pipeline-nan", "lambda-huge-int",

@@ -2,6 +2,7 @@ import datetime as dt
 import json
 import math
 from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from newsrec.corpus import (DAY, Article, Corpus, CorpusError, Kind,
                             date_start, day_start, generate_world, load_corpus,
                             save_corpus, text_stats, tokenize, utc_date)
 
-from conftest import T0, click, impression, make_provider
+from conftest import T0, click, impression, make_article, make_provider
 
 
 def write_lines(path, lines):
@@ -181,6 +182,31 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError) as exc:
             load_corpus(arts, evts, make_provider())
         assert str(exc.value) == f"{path}:3: {message}"
+
+
+# For each Article field, a value other than `make_article`'s default.
+OTHER_VALUE = {
+    "id": "a2", "published_at": T0 + 1.0, "section": "sport",
+    "tags": frozenset({"t2"}), "authors": frozenset({"au2"}), "title": "other",
+    "body": "alpha.", "word_count": 101, "sentence_count": 6, "paragraph_count": 3,
+    "char_length": 501, "hapax_count": 11, "dis_count": 6,
+    "embedding": np.array([1.0, 0.0, 0.0, 1e-12]),
+}
+
+
+class TestArticleEquality:
+    def base(self):
+        return make_article("a1", tags=("t1",), authors=("au1",), embedding=[1, 0, 0, 0])
+
+    def test_equal_copies(self):
+        base = self.base()
+        assert replace(base, embedding=base.embedding.copy()) == base
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(Article)])
+    def test_one_differing_field_unequal(self, name):
+        base = self.base()
+        other = replace(base, **{name: OTHER_VALUE[name]})
+        assert other != base and base != other
 
 
 class TestRoundTrip:

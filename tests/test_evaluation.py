@@ -360,14 +360,105 @@ class TestCompareManualRecsys:
         _, ems_b, _ = small_runs
         manual = manual_lists(corpus, wcfg.start + DAY, corpus.time_span()[1],
                               rng_seed=99)
-        widget = [l for l in ems_b if l.section is Section.MN_WIDGET and not l.fallback]
-        reports = compare_manual_recsys(manual, widget, corpus)
+        reports = compare_manual_recsys(manual, ems_b, corpus)
         by_name = {r.metric: r for r in reports}
         assert "diversity_section" in by_name
         assert "coverage_all_users" in by_name
         assert "dynamism_aligned" in by_name
         for r in reports:
             r.validate()
+
+    def test_full_stream_equals_widget_stream(self, small_runs, tiny_world):
+        wcfg, corpus, _ = tiny_world
+        _, ems_b, _ = small_runs
+        manual = manual_lists(corpus, wcfg.start + DAY, corpus.time_span()[1],
+                              rng_seed=99)
+        widget = [l for l in ems_b if l.section is Section.MN_WIDGET and not l.fallback]
+        assert len(widget) < len(ems_b) and any(l.fallback for l in ems_b)
+        full = [r.to_dict() for r in compare_manual_recsys(manual, ems_b, corpus)]
+        assert full == [r.to_dict() for r in compare_manual_recsys(manual, widget, corpus)]
+
+    def test_hand_built_stream_samples(self):
+        H = 3600.0
+        day0, day1 = T0 + H / 2, T0 + DAY + H / 2  # publication times
+        arts = [
+            make_article("a", day0, section="s1", tags=("x",), authors=("p",),
+                         embedding=[1, 0, 0, 0]),
+            make_article("b", day0, section="s2", tags=("x", "y"), authors=("q",),
+                         embedding=[0, 1, 0, 0]),
+            make_article("e", day0),  # no tags, no authors, zero embedding
+            make_article("c", day1, section="s1", tags=("y",), authors=("p",),
+                         embedding=[1, 0, 0, 0]),
+            make_article("d", day1, section="s2", authors=("q",),
+                         embedding=[0, 0, 1, 0]),
+        ]
+        # u1's profile from here on is one click on a; u2 and u3 never click
+        corpus = Corpus(arts, [click("u1", "a", T0 + H)], 4)
+
+        def lst(user, section, at, *ids, fallback=False):
+            items = tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids))
+            return RankedList(user, section, at, items, fallback=fallback)
+
+        W = Section.MN_WIDGET
+        manual = [lst(MANUAL_USER, Section.MANUAL, at, *ids) for at, ids in (
+            (T0 + 6 * H, ("b", "e")),  # out of order on purpose
+            (T0 + 4 * H, ("a", "b")),
+            (T0 + DAY + 4 * H, ("c", "d")),
+            (T0 + DAY + 6 * H, ("d",)),
+        )]
+        recsys = [
+            lst("u1", W, T0 + 2 * H, "a", "b"),
+            lst("u2", W, T0 + 3 * H, "b"),
+            # ignored: they would be u1's and u2's latest lists at 4h and 6h
+            lst("u1", Section.MN_PAGE, T0 + 3 * H, "e", "a", "b"),
+            lst("u1", Section.MISSED_LW, T0 + 3 * H, "e"),
+            lst("u2", W, T0 + 3.5 * H, "a", "e", fallback=True),
+            lst("u1", W, T0 + 5 * H, "b"),
+            lst("u3", W, T0 + 5 * H, "a"),  # nothing before the 4h update
+            lst("u1", W, T0 + DAY + 2 * H, "c"),
+            lst("u2", W, T0 + DAY + 2 * H, "c", "d"),
+        ]
+        reports = {r.metric: r for r in compare_manual_recsys(manual, recsys, corpus)}
+        assert len(reports) == 12
+
+        def check(metric, manual_side, recsys_side):
+            got = reports[metric]
+            for summary, (n, mean) in ((got.group_a, manual_side),
+                                       (got.group_b, recsys_side)):
+                assert summary.n == n, metric
+                assert summary.mean == pytest.approx(mean), metric
+
+        # The 11 aligned pairs, per manual update in time order and user
+        # order: 4h: u1 [a, b], u2 [b]; 6h: u1 [b], u2 [b], u3 [a];
+        # day 1 4h and 6h each: u1 [c], u2 [c, d], u3 [a].
+        # Diversity over manual [a, b], [b, e], [c, d] and over recsys
+        # [a, b], [c, d], [c, d]; an orthogonal pair is its own embedding
+        # maximum, and e's zero embedding leaves no maximum to divide by.
+        check("diversity_section", (3, 1.0), (3, 1.0))
+        check("diversity_tags", (3, (0.5 + 1 + 1) / 3), (3, (0.5 + 1 + 1) / 3))
+        check("diversity_authors", (3, 1.0), (3, 1.0))
+        check("diversity_embedding", (3, (0 + 1 + 0) / 3), (3, 0.0))
+        # Serendipity per pair against its user's profile: u2 and u3 find
+        # everything unexpected (7 pairs of 1.0). Against u1's click on a,
+        # manual [a, b], [b, e], [c, d], [d] and recsys [a, b], [b], [c], [c]:
+        check("serendipity_section", (11, (0.5 + 1 + 0.5 + 1 + 7) / 11),
+              (11, (0.5 + 1 + 0 + 0 + 7) / 11))
+        check("serendipity_tags", (11, (0 + 0.5 + 1 + 1 + 7) / 11),
+              (11, (0 + 0 + 1 + 1 + 7) / 11))
+        check("serendipity_authors", (11, (0.5 + 1 + 0.5 + 1 + 7) / 11),
+              (11, (0.5 + 1 + 0 + 0 + 7) / 11))
+        check("serendipity_embedding", (11, (0.25 + 0.75 + 0.25 + 0.5 + 7) / 11),
+              (11, (0.25 + 0.5 + 0 + 0 + 7) / 11))
+        # manual: [a, b] -> [b, e] -> [c, d] -> [d] reads 1/2, 1, 0.
+        # aligned, per user: u1 [a, b] [b] [c] [c] and u2 [b] [b] [c, d] [c, d]
+        # read 0, 1, 0 each, u3 [a] [a] [a] reads 0, 0. All lists, per user:
+        # u1 [a, b] [b] [c] reads 0, 1; u2 [b] [c, d] reads 1; u3 has one list.
+        check("dynamism_aligned", (3, 0.5), (8, 2 / 8))
+        check("dynamism_all", (3, 0.5), (3, 2 / 3))
+        # day 0 publishes a, b, e: the editors serve all three; u1 serves a
+        # and b, u2 b, u3 a. Day 1 publishes c and d: u1 serves c, u2 both.
+        check("coverage_per_user", (2, 1.0), (2, ((2 / 3 + 1 / 3 + 1 / 3) / 3 + 3 / 4) / 2))
+        check("coverage_all_users", (2, 1.0), (2, (2 / 3 + 1) / 2))
 
 
 class TestBehaviorShift:

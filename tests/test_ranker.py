@@ -322,6 +322,32 @@ class TestPipeline:
                 assert label == (score >= 0.5)
 
 
+    def test_out_of_order_schedule_refused(self):
+        models = [(T0 + DAY + h * 3600.0, constant_model(pipe_config().features.width, b))
+                  for h, b in ((0, 0.1), (6, 0.2), (12, 0.3))]
+        for schedule, message in (
+                (models[::-1], r"model 1 active from 2024-01-02T06:00:00\+00:00 does not "
+                               r"follow model 0 active from 2024-01-02T12:00:00\+00:00"),
+                ([models[0], models[2], models[2]], "model 2 active from 2024-01-02T12")):
+            with pytest.raises(RankerError, match=message):
+                run_pipeline(mini_corpus(), pipe_config(), ["u1"], t_end=T0 + 2 * DAY,
+                             models=schedule)
+
+    def test_each_model_serves_from_its_time(self):
+        width = pipe_config().features.width
+        models = [(T0 + DAY + h * 3600.0, constant_model(width, b))
+                  for h, b in ((2, 0.1), (6, 0.2), (12, 0.3))]
+        ems = run_pipeline(mini_corpus(), pipe_config(), ["u1"], t_end=T0 + 2 * DAY,
+                           models=models)
+        pages = [e for e in ems if e.section is Section.MN_PAGE and e.items]
+        assert len({e.at for e in pages}) == 24
+        for e in pages:
+            served = [m for t, m in models if t <= e.at]
+            assert e.fallback == (not served)
+            if served:
+                score = served[-1].predict_matrix(np.zeros((1, width)))[0]
+                assert {s for _, s in e.items} == {score}
+
     def test_schema_mismatch_refused(self):
         stale = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
                              schema_version=99, n_features=1)

@@ -279,6 +279,8 @@ class TestCoverage:
                  ranked("u2", Section.MN_WIDGET, T0, [f"p{i}" for i in range(5, 10)])]
         assert coverage(lists, published, CoverageScope.ALL_USERS) == 1.0
         assert coverage(lists, published, CoverageScope.PER_USER) == pytest.approx(0.5)
+        id_lists = [l.ids() for l in lists]  # ALL_USERS also takes plain id sequences
+        assert coverage(id_lists, published, CoverageScope.ALL_USERS) == 1.0
 
     def test_all_users_dominates_per_user(self):
         rng = np.random.default_rng(4)
