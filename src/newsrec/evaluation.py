@@ -204,7 +204,7 @@ class ComparisonReport:
     def validate(self) -> None:
         if not 0.0 <= self.p_value <= 1.0:
             raise EvalError(f"{self.metric}: p-value {self.p_value} outside [0, 1]")
-        if self.significant != (self.p_value < 0.05):
+        if self.significant != (self.p_value < SIGNIFICANCE_LEVEL):
             raise EvalError(f"{self.metric}: significance flag inconsistent")
 
     def to_dict(self) -> dict:
@@ -221,6 +221,7 @@ class ComparisonReport:
 
 
 _BETA_TOL = 1e-10
+SIGNIFICANCE_LEVEL = 0.05  # a report is significant when p < SIGNIFICANCE_LEVEL
 
 
 def _beta_cont_fraction(a: float, b: float, x: float) -> float:
@@ -282,7 +283,7 @@ def t_sf_two_sided(t: float, df: float) -> float:
 
 def t_test(sample_a: Sequence[float], sample_b: Sequence[float],
            variant: TTestVariant = TTestVariant.STUDENT,
-           metric: str = "", alpha: float = 0.05) -> ComparisonReport:
+           metric: str = "") -> ComparisonReport:
     """Two-sample t-test. Student pools variances with df = na + nb - 2;
     Welch uses the Welch-Satterthwaite degrees of freedom."""
     a = np.asarray(sample_a, dtype=np.float64)
@@ -323,7 +324,7 @@ def t_test(sample_a: Sequence[float], sample_b: Sequence[float],
         group_b=SampleSummary(nb, mb, math.sqrt(vb)),
         t_stat=t,
         p_value=p,
-        significant=p < alpha,
+        significant=p < SIGNIFICANCE_LEVEL,
         variant=variant,
         df=df,
     )
@@ -338,75 +339,84 @@ def t_test(sample_a: Sequence[float], sample_b: Sequence[float],
 ALL_ATTRIBUTES = (AttributeKind.SECTION, AttributeKind.TAGS,
                   AttributeKind.AUTHORS, AttributeKind.EMBEDDING)
 STUDY_METRICS = ("dynamism", "serendipity", "coverage", "diversity")
+COVERAGE_SCOPES = (CoverageScope.PER_USER, CoverageScope.ALL_USERS)
+TOP_N = 5  # the studies measure each emitted list's top 5
+
+
+def _consecutive_dynamism(lists: Iterable[RankedList]) -> list[Optional[float]]:
+    """Per list, in the order given: its dynamism against the previous list
+    of its (user, section) stream; None for a stream's first list and for an
+    empty list."""
+    previous: dict[tuple[str, Section], RankedList] = {}
+    out = []
+    for lst in lists:
+        key = (lst.user_id, lst.section)
+        prev = previous.get(key)
+        out.append(None if prev is None else dynamism(prev, lst))
+        previous[key] = lst
+    return out
+
+
+def _daily_coverage(corpus: Corpus, served: Iterable[tuple[float, RankedList | Sequence[str]]],
+                    scopes: Sequence[CoverageScope]) -> dict[float, list[float]]:
+    """Per UTC day that published anything, in day order: the coverage of
+    that day's served lists over `corpus.published_on(day)`, one value per
+    scope. `served` pairs each list with a time on its day."""
+    by_day: dict[float, list] = {}
+    for at, lst in served:
+        by_day.setdefault(day_start(at), []).append(lst)
+    out = {}
+    for day_ts in sorted(by_day):
+        published = [a.id for a in corpus.published_on(day_ts)]
+        if published:
+            out[day_ts] = [coverage(by_day[day_ts], published, scope) for scope in scopes]
+    return out
+
+
+def _metric_pass(emissions: Sequence[RankedList], corpus: Corpus, engine: MetricEngine):
+    """The one metric pass over a stream: per list in (at, user, section)
+    order, its top-TOP_N cut, the cut's dynamism within its (user, section)
+    stream, and the cut's diversity and serendipity per attribute (lists in
+    ALL_ATTRIBUTES order, each value None where undefined); then the cuts'
+    `_daily_coverage` in COVERAGE_SCOPES."""
+    ordered = sorted(emissions, key=lambda l: (l.at, l.user_id, l.section.value))
+    tops = [lst.top(TOP_N) for lst in ordered]
+    diversity, serendipity = [], []
+    for top in tops:
+        ids = top.ids()
+        profile = engine.profiles.get(top.user_id, top.at) if ids else None
+        diversity.append([engine.diversity(ids, attr) for attr in ALL_ATTRIBUTES])
+        serendipity.append([engine.serendipity(ids, profile, attr) for attr in ALL_ATTRIBUTES])
+    daily = _daily_coverage(corpus, ((t.at, t) for t in tops), COVERAGE_SCOPES)
+    return tops, _consecutive_dynamism(tops), diversity, serendipity, daily
 
 
 def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
-                           treatment: str, top_n: int = 5,
-                           engine: Optional[MetricEngine] = None
+                           treatment: str, engine: Optional[MetricEngine] = None
                            ) -> list[MetricSample]:
-    """Per-attribute MetricSample rows over an emission stream (lists
-    truncated to top_n): diversity and serendipity per (list, attribute),
-    dynamism between consecutive lists of the same (user, section) stream,
-    and daily coverage in both scopes. Feeds the audit CSV and the Study 2
-    t-tests of `compare_treatments`. `engine`, made for `corpus`, may be
-    shared with other streams over the same corpus."""
+    """The audit CSV's MetricSample rows over an emission stream, from
+    `_metric_pass`: per list, its dynamism, then per attribute its diversity
+    and serendipity; then per day its coverage in each scope. `engine`, made
+    for `corpus`, may be shared with other streams over the same corpus."""
     if engine is None:
         engine = MetricEngine(corpus)
     elif engine.corpus is not corpus:
         raise EvalError("the metric engine was made for another corpus")
+    tops, dyns, diversity, serendipity, daily = _metric_pass(emissions, corpus, engine)
     rows: list[MetricSample] = []
-    ordered = sorted(emissions, key=lambda l: (l.at, l.user_id, l.section.value))
-    previous: dict[tuple[str, Section], RankedList] = {}
-    by_day: dict[float, list[RankedList]] = {}
-    for lst in ordered:
-        top = lst.top(top_n)
-        key = (lst.user_id, lst.section)
-        prev = previous.get(key)
-        if prev is not None:
-            value = dynamism(prev, top)
-            if value is not None:
-                rows.append(MetricSample("dynamism", value, None, treatment,
-                                         lst.section.value, lst.at))
-        previous[key] = top
-        ids = top.ids()
-        profile = engine.profiles.get(lst.user_id, lst.at) if ids else None
-        for attr in ALL_ATTRIBUTES:
-            div = engine.diversity(ids, attr)
+    for top, dyn, divs, sers in zip(tops, dyns, diversity, serendipity):
+        section = top.section.value
+        if dyn is not None:
+            rows.append(MetricSample("dynamism", dyn, None, treatment, section, top.at))
+        for attr, div, ser in zip(ALL_ATTRIBUTES, divs, sers):
             if div is not None:
-                rows.append(MetricSample("diversity", div, attr, treatment,
-                                         lst.section.value, lst.at))
-            if ids:
-                ser = engine.serendipity(ids, profile, attr)
-                if ser is not None:
-                    rows.append(MetricSample("serendipity", ser, attr, treatment,
-                                             lst.section.value, lst.at))
-        by_day.setdefault(day_start(lst.at), []).append(top)
-    for day_ts in sorted(by_day):
-        published = [a.id for a in corpus.published_on(day_ts)]
-        for scope in (CoverageScope.PER_USER, CoverageScope.ALL_USERS):
-            cov = coverage(by_day[day_ts], published, scope)
-            if cov is not None:
-                rows.append(MetricSample("coverage", cov, None, treatment,
-                                         scope.value, day_ts))
+                rows.append(MetricSample("diversity", div, attr, treatment, section, top.at))
+            if ser is not None:
+                rows.append(MetricSample("serendipity", ser, attr, treatment, section, top.at))
+    for day_ts, values in daily.items():
+        rows.extend(MetricSample("coverage", value, None, treatment, scope.value, day_ts)
+                    for scope, value in zip(COVERAGE_SCOPES, values))
     return rows
-
-
-def _study_samples(emissions: Sequence[RankedList], corpus: Corpus, top_n: int,
-                   engine: MetricEngine) -> dict[str, list[float]]:
-    """Study 2 sample sets from one stream's metric rows: dynamism per
-    consecutive pair, all-users coverage per day, and diversity and
-    serendipity per list as the mean of its attribute rows. A list yields a
-    row for every attribute or for none, so consecutive runs of
-    len(ALL_ATTRIBUTES) rows are one list's."""
-    samples: dict[str, list[float]] = {metric: [] for metric in STUDY_METRICS}
-    for row in collect_metric_samples(emissions, corpus, "", top_n, engine):
-        if row.metric != "coverage" or row.scope == CoverageScope.ALL_USERS.value:
-            samples[row.metric].append(row.value)
-    n = len(ALL_ATTRIBUTES)
-    for metric in ("serendipity", "diversity"):
-        values = samples[metric]
-        samples[metric] = [sum(values[i:i + n]) / n for i in range(0, len(values), n)]
-    return samples
 
 
 def _clicks_by_user_day_section(corpus: Corpus) -> dict[tuple[str, float, Section], set[str]]:
@@ -452,17 +462,27 @@ def ndcg_by_section(emissions: Sequence[RankedList], corpus: Corpus
 
 def compare_treatments(emissions_a: Sequence[RankedList],
                        emissions_b: Sequence[RankedList], corpus: Corpus,
-                       variant: TTestVariant = TTestVariant.STUDENT,
-                       top_n: int = 5) -> list[ComparisonReport]:
+                       variant: TTestVariant = TTestVariant.STUDENT
+                       ) -> list[ComparisonReport]:
     """Usefulness metrics plus per-section NDCG of two treatment streams,
-    each compared with a two-sample t-test (group_a vs group_b). Metrics
-    whose sample sets are too small to test (n < 2 on either side) are
-    omitted from the result."""
+    each compared with a two-sample t-test (group_a vs group_b). From
+    `_metric_pass`, in its list order: dynamism per list that has one,
+    diversity and serendipity per list as the mean over its attributes, and
+    all-users coverage per day. Metrics whose sample sets are too small to
+    test (n < 2 on either side) are omitted from the result."""
     if not emissions_a or not emissions_b:
         raise EvalError("empty emission stream")
     engine = MetricEngine(corpus)
-    samples_a = _study_samples(emissions_a, corpus, top_n, engine)
-    samples_b = _study_samples(emissions_b, corpus, top_n, engine)
+    samples = []
+    for emissions in (emissions_a, emissions_b):
+        _, dyns, diversity, serendipity, daily = _metric_pass(emissions, corpus, engine)
+        samples.append({
+            "dynamism": [v for v in dyns if v is not None],
+            "serendipity": [sum(v) / len(ALL_ATTRIBUTES) for v in serendipity if None not in v],
+            "coverage": [all_users for _, all_users in daily.values()],
+            "diversity": [sum(v) / len(ALL_ATTRIBUTES) for v in diversity if None not in v],
+        })
+    samples_a, samples_b = samples
     reports = []
     for metric in STUDY_METRICS:
         if len(samples_a[metric]) >= 2 and len(samples_b[metric]) >= 2:
@@ -475,20 +495,6 @@ def compare_treatments(emissions_a: Sequence[RankedList],
             reports.append(t_test(ndcg_a[section], ndcg_b[section], variant=variant,
                                   metric=f"ndcg_{section.value}"))
     return reports
-
-
-def _consecutive_dynamism(lists: Iterable[RankedList]) -> list[float]:
-    """Dynamism between each user's consecutive lists, in the order given;
-    users in id order."""
-    by_user: dict[str, list[RankedList]] = {}
-    for lst in lists:
-        by_user.setdefault(lst.user_id, []).append(lst)
-    samples = []
-    for uid in sorted(by_user):
-        user_lists = by_user[uid]
-        samples.extend(v for prev, curr in zip(user_lists, user_lists[1:])
-                       if (v := dynamism(prev, curr)) is not None)
-    return samples
 
 
 def compare_manual_recsys(manual_stream: Sequence[RankedList],
@@ -537,36 +543,24 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
         reports.append(t_test(manual_ser, recsys_ser, variant=variant,
                               metric=f"serendipity_{attr.value}"))
 
-    manual_dyn = [v for prev, curr in zip(manual_stream, manual_stream[1:])
-                  if (v := dynamism(prev, curr)) is not None]
-    aligned_dyn = _consecutive_dynamism(lst for _, lst in pairs)
-    all_dyn = _consecutive_dynamism(sorted(recsys_stream, key=lambda l: (l.at, l.user_id)))
+    def dynamism_samples(lists: Iterable[RankedList]) -> list[float]:
+        return [v for v in _consecutive_dynamism(lists) if v is not None]
+
+    manual_dyn = dynamism_samples(manual_stream)
+    # users in id order, each user's lists in stream order
+    aligned_dyn = dynamism_samples(sorted((lst for _, lst in pairs), key=lambda l: l.user_id))
+    all_dyn = dynamism_samples(sorted(recsys_stream, key=lambda l: (l.user_id, l.at)))
     reports.append(t_test(manual_dyn, aligned_dyn, variant=variant,
                           metric="dynamism_aligned"))
     reports.append(t_test(manual_dyn, all_dyn, variant=variant, metric="dynamism_all"))
 
-    manual_by_day: dict[float, list[RankedList]] = {}
-    for lst in manual_stream:
-        manual_by_day.setdefault(day_start(lst.at), []).append(lst)
-    recsys_by_day: dict[float, list[RankedList]] = {}
-    for lst in recsys_stream:
-        recsys_by_day.setdefault(day_start(lst.at), []).append(lst)
-    manual_cov, per_user_cov, all_users_cov = [], [], []
-    for day_ts in sorted(set(manual_by_day) & set(recsys_by_day)):
-        published = [a.id for a in corpus.published_on(day_ts)]
-        if not published:
-            continue
-        m = coverage(manual_by_day[day_ts], published, CoverageScope.ALL_USERS)
-        pu = coverage(recsys_by_day[day_ts], published, CoverageScope.PER_USER)
-        au = coverage(recsys_by_day[day_ts], published, CoverageScope.ALL_USERS)
-        if m is not None and pu is not None and au is not None:
-            manual_cov.append(m)
-            per_user_cov.append(pu)
-            all_users_cov.append(au)
-    reports.append(t_test(manual_cov, per_user_cov, variant=variant,
-                          metric="coverage_per_user"))
-    reports.append(t_test(manual_cov, all_users_cov, variant=variant,
-                          metric="coverage_all_users"))
+    manual_cov = _daily_coverage(corpus, ((l.at, l) for l in manual_stream),
+                                 (CoverageScope.ALL_USERS,))
+    recsys_cov = _daily_coverage(corpus, ((l.at, l) for l in recsys_stream), COVERAGE_SCOPES)
+    days = [day_ts for day_ts in manual_cov if day_ts in recsys_cov]
+    for i, scope in enumerate(COVERAGE_SCOPES):
+        reports.append(t_test([manual_cov[d][0] for d in days], [recsys_cov[d][i] for d in days],
+                              variant=variant, metric=f"coverage_{scope.value}"))
     return reports
 
 
@@ -593,16 +587,9 @@ def behavior_shift(corpus: Corpus, before: tuple[float, float],
                 value = engine.diversity(clicks[key], attr)
                 if value is not None:
                     div[attr].append(value)
-        by_day: dict[float, list[list[str]]] = {}
-        for (_, day_ts), ids in clicks.items():
-            by_day.setdefault(day_ts, []).append(ids)
-        cov: list[float] = []
-        for day_ts in sorted(by_day):
-            published = [a.id for a in corpus.published_on(day_ts)]
-            value = coverage(by_day[day_ts], published, CoverageScope.ALL_USERS)
-            if value is not None:
-                cov.append(value)
-        return div, cov
+        daily = _daily_coverage(corpus, ((day_ts, ids) for (_, day_ts), ids in clicks.items()),
+                                (CoverageScope.ALL_USERS,))
+        return div, [values[0] for values in daily.values()]
 
     div_before, cov_before = period_samples(*before)
     div_after, cov_after = period_samples(*after)

@@ -393,6 +393,14 @@ def _emission_record(lst: RankedList) -> dict:
     return record
 
 
+def _finite_number(value, what: str) -> float:
+    """`value`, a finite JSON number (not a bool or a string), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise TypeError(f"{what} must be a finite number, not {value!r}")
+    return float(value)
+
+
 def _parse_emission(obj) -> RankedList:
     ids, scores = _str_list(obj, "ids"), obj["scores"]
     if len(ids) != len(scores):
@@ -401,12 +409,15 @@ def _parse_emission(obj) -> RankedList:
     if labels is not None and (not isinstance(labels, list)
                                or any(not isinstance(x, bool) for x in labels)):
         raise TypeError("rec_labels must be a list of booleans")
+    fallback = obj.get("fallback", False)
+    if not isinstance(fallback, bool):
+        raise TypeError(f"fallback must be a boolean, not {fallback!r}")
     return RankedList(
         user_id=_str(obj, "user"),
         section=Section(obj["section"]),
-        at=float(obj["at"]),
-        items=tuple(zip(ids, map(float, scores))),
-        fallback=bool(obj.get("fallback", False)),
+        at=_finite_number(obj["at"], "at"),
+        items=tuple((aid, _finite_number(s, "a score")) for aid, s in zip(ids, scores)),
+        fallback=fallback,
         rec_labels=tuple(labels) if labels is not None else None,
     )
 

@@ -251,6 +251,69 @@ class TestTTest:
         assert d < 1.6276 / math.sqrt(n)  # KS critical value at alpha=0.01
 
 
+H = 3600.0
+
+
+def hand_built_corpus():
+    """Articles a, b, e published on day 0 and c, d on day 1. u1's profile
+    from T0 + 1h on is one click on a; no other user clicks."""
+    day0, day1 = T0 + H / 2, T0 + DAY + H / 2  # publication times
+    arts = [
+        make_article("a", day0, section="s1", tags=("x",), authors=("p",),
+                     embedding=[1, 0, 0, 0]),
+        make_article("b", day0, section="s2", tags=("x", "y"), authors=("q",),
+                     embedding=[0, 1, 0, 0]),
+        make_article("e", day0),  # no tags, no authors, zero embedding
+        make_article("c", day1, section="s1", tags=("y",), authors=("p",),
+                     embedding=[1, 0, 0, 0]),
+        make_article("d", day1, section="s2", authors=("q",),
+                     embedding=[0, 0, 1, 0]),
+    ]
+    return Corpus(arts, [click("u1", "a", T0 + H)], 4)
+
+
+def hand_built_list(user, section, at, *ids, fallback=False):
+    items = tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids))
+    return RankedList(user, section, at, items, fallback=fallback)
+
+
+def hand_built_treatment_stream():
+    """A widget stream over `hand_built_corpus` that never serves e."""
+    W = Section.MN_WIDGET
+    return [
+        hand_built_list("u1", W, T0 + 2 * H, "a", "b"),
+        hand_built_list("u2", W, T0 + 2 * H, "a"),             # one item: no diversity
+        hand_built_list("u1", W, T0 + 3 * H, "b"),             # follows u1's [a, b]
+        hand_built_list("u2", W, T0 + DAY + 2 * H),            # empty: no serendipity, dynamism
+        hand_built_list("u2", W, T0 + DAY + 3 * H, "c", "d"),  # follows u2's empty list
+        hand_built_list("u1", W, T0 + DAY + 3 * H, "c"),       # follows u1's [b]
+    ]
+
+
+def hand_built_study1_streams():
+    """(manual, recsys) over `hand_built_corpus`."""
+    W = Section.MN_WIDGET
+    manual = [hand_built_list(MANUAL_USER, Section.MANUAL, at, *ids) for at, ids in (
+        (T0 + 6 * H, ("b", "e")),  # out of order on purpose
+        (T0 + 4 * H, ("a", "b")),
+        (T0 + DAY + 4 * H, ("c", "d")),
+        (T0 + DAY + 6 * H, ("d",)),
+    )]
+    recsys = [
+        hand_built_list("u1", W, T0 + 2 * H, "a", "b"),
+        hand_built_list("u2", W, T0 + 3 * H, "b"),
+        # ignored: they would be u1's and u2's latest lists at 4h and 6h
+        hand_built_list("u1", Section.MN_PAGE, T0 + 3 * H, "e", "a", "b"),
+        hand_built_list("u1", Section.MISSED_LW, T0 + 3 * H, "e"),
+        hand_built_list("u2", W, T0 + 3.5 * H, "a", "e", fallback=True),
+        hand_built_list("u1", W, T0 + 5 * H, "b"),
+        hand_built_list("u3", W, T0 + 5 * H, "a"),  # nothing before the 4h update
+        hand_built_list("u1", W, T0 + DAY + 2 * H, "c"),
+        hand_built_list("u2", W, T0 + DAY + 2 * H, "c", "d"),
+    ]
+    return manual, recsys
+
+
 @pytest.fixture(scope="module")
 def small_runs(tiny_world):
     wcfg, corpus, _ = tiny_world
@@ -296,35 +359,9 @@ class TestCompareTreatments:
             r.validate()
 
     def test_hand_built_stream_samples(self):
-        H = 3600.0
-        day0, day1 = T0 + H / 2, T0 + DAY + H / 2  # publication times
-        arts = [
-            make_article("a", day0, section="s1", tags=("x",), authors=("p",),
-                         embedding=[1, 0, 0, 0]),
-            make_article("b", day0, section="s2", tags=("x", "y"), authors=("q",),
-                         embedding=[0, 1, 0, 0]),
-            make_article("e", day0),  # never served
-            make_article("c", day1, section="s1", tags=("y",), authors=("p",),
-                         embedding=[1, 0, 0, 0]),
-            make_article("d", day1, section="s2", authors=("q",),
-                         embedding=[0, 0, 1, 0]),
-        ]
-        # u1's profile from here on is one click on a; u2 never clicks
-        corpus = Corpus(arts, [click("u1", "a", T0 + H)], 4)
-
-        def lst(user, at, *ids):
-            items = tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids))
-            return RankedList(user, Section.MN_WIDGET, at, items)
-
-        stream = [
-            lst("u1", T0 + 2 * H, "a", "b"),
-            lst("u2", T0 + 2 * H, "a"),             # one item: no diversity
-            lst("u1", T0 + 3 * H, "b"),             # follows u1's [a, b]
-            lst("u2", T0 + DAY + 2 * H),            # empty: no serendipity, dynamism
-            lst("u2", T0 + DAY + 3 * H, "c", "d"),  # follows u2's empty list
-            lst("u1", T0 + DAY + 3 * H, "c"),       # follows u1's [b]
-        ]
-        by_metric = {r.metric: r.group_a for r in compare_treatments(stream, stream, corpus)}
+        stream = hand_built_treatment_stream()
+        by_metric = {r.metric: r.group_a
+                     for r in compare_treatments(stream, stream, hand_built_corpus())}
 
         # per list, the mean over section, tags, authors, embedding; the
         # embedding similarity of an orthogonal pair is its own list maximum
@@ -354,6 +391,89 @@ class TestCompareTreatments:
             compare_treatments([], ems_b, corpus)
 
 
+def test_sample_order_pinned(monkeypatch):
+    """Every sample the t-tests and the metrics CSV take from the hand-built
+    streams, in order. `t_test` takes numpy's pairwise-summed mean and
+    variance, so a sample's order sets the bits of its report."""
+    calls = []
+    t_test = evaluation.t_test
+
+    def recorded(a, b, *args, **kwargs):
+        calls.append((kwargs["metric"], list(a), list(b)))
+        return t_test(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "t_test", recorded)
+    corpus = hand_built_corpus()
+    stream = hand_built_treatment_stream()
+    compare_treatments(stream, stream, corpus)
+    # Lists in (at, user, section) order: u1 [a, b], u2 [a], u1 [b], u2 [],
+    # then at day 1 3h u1 [c] before u2 [c, d]. Dynamism per (user, section)
+    # stream in that order; diversity and serendipity the mean over the
+    # attributes of each list that has them; all-users coverage per day.
+    study2 = [("dynamism", [0.0, 1.0, 1.0]),
+              ("serendipity", [0.3125, 1.0, 0.625, 0.25, 1.0]),
+              ("coverage", [2 / 3, 1.0]),
+              ("diversity", [0.625, 0.75])]
+    assert calls == [(metric, sample, sample) for metric, sample in study2]
+
+    calls.clear()
+    compare_manual_recsys(*hand_built_study1_streams(), corpus)
+    u2_u3 = [1.0, 1.0]  # u2 and u3 never click: every item is unexpected
+    study1 = [
+        # manual lists in time order; the recsys side per aligned pair
+        ("diversity_section", [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+        ("diversity_tags", [0.5, 1.0, 1.0], [0.5, 1.0, 1.0]),
+        ("diversity_authors", [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+        ("diversity_embedding", [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]),
+        # pairs per manual update in time order, users in id order: 4h u1,
+        # u2; then 6h, day 1 4h and day 1 6h u1, u2, u3 each
+        ("serendipity_section", [0.5, 1.0, 1.0, *u2_u3, 0.5, *u2_u3, 1.0, *u2_u3],
+         [0.5, 1.0, 1.0, *u2_u3, 0.0, *u2_u3, 0.0, *u2_u3]),
+        ("serendipity_tags", [0.0, 1.0, 0.5, *u2_u3, 1.0, *u2_u3, 1.0, *u2_u3],
+         [0.0, 1.0, 0.0, *u2_u3, 1.0, *u2_u3, 1.0, *u2_u3]),
+        ("serendipity_authors", [0.5, 1.0, 1.0, *u2_u3, 0.5, *u2_u3, 1.0, *u2_u3],
+         [0.5, 1.0, 1.0, *u2_u3, 0.0, *u2_u3, 0.0, *u2_u3]),
+        ("serendipity_embedding", [0.25, 1.0, 0.75, *u2_u3, 0.25, *u2_u3, 0.5, *u2_u3],
+         [0.25, 1.0, 0.5, *u2_u3, 0.0, *u2_u3, 0.0, *u2_u3]),
+        # the manual stream in time order; users in id order, each user's
+        # pairs in stream order
+        ("dynamism_aligned", [0.5, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+        ("dynamism_all", [0.5, 1.0, 0.0], [0.0, 1.0, 1.0]),
+        # per day
+        ("coverage_per_user", [1.0, 1.0], [(2 / 3 + 1 / 3 + 1 / 3) / 3, 0.75]),
+        ("coverage_all_users", [1.0, 1.0], [2 / 3, 1.0]),
+    ]
+    assert calls == study1
+
+    rows = [(r.metric, r.attribute and r.attribute.value, r.scope, (r.at - T0) / H, r.value)
+            for r in collect_metric_samples(stream, corpus, "t")]
+    # per list in walk order: dynamism, then per attribute its diversity and
+    # serendipity; then per day per-user and all-users coverage
+    W = "mn_widget"
+    assert rows == [
+        ("diversity", "section", W, 2.0, 1.0), ("serendipity", "section", W, 2.0, 0.5),
+        ("diversity", "tags", W, 2.0, 0.5), ("serendipity", "tags", W, 2.0, 0.0),
+        ("diversity", "authors", W, 2.0, 1.0), ("serendipity", "authors", W, 2.0, 0.5),
+        ("diversity", "embedding", W, 2.0, 0.0), ("serendipity", "embedding", W, 2.0, 0.25),
+        ("serendipity", "section", W, 2.0, 1.0), ("serendipity", "tags", W, 2.0, 1.0),
+        ("serendipity", "authors", W, 2.0, 1.0), ("serendipity", "embedding", W, 2.0, 1.0),
+        ("dynamism", None, W, 3.0, 0.0),
+        ("serendipity", "section", W, 3.0, 1.0), ("serendipity", "tags", W, 3.0, 0.0),
+        ("serendipity", "authors", W, 3.0, 1.0), ("serendipity", "embedding", W, 3.0, 0.5),
+        ("dynamism", None, W, 27.0, 1.0),
+        ("serendipity", "section", W, 27.0, 0.0), ("serendipity", "tags", W, 27.0, 1.0),
+        ("serendipity", "authors", W, 27.0, 0.0), ("serendipity", "embedding", W, 27.0, 0.0),
+        ("dynamism", None, W, 27.0, 1.0),
+        ("diversity", "section", W, 27.0, 1.0), ("serendipity", "section", W, 27.0, 1.0),
+        ("diversity", "tags", W, 27.0, 1.0), ("serendipity", "tags", W, 27.0, 1.0),
+        ("diversity", "authors", W, 27.0, 1.0), ("serendipity", "authors", W, 27.0, 1.0),
+        ("diversity", "embedding", W, 27.0, 0.0), ("serendipity", "embedding", W, 27.0, 1.0),
+        ("coverage", None, "per_user", 0.0, (2 / 3 + 1 / 3) / 2),
+        ("coverage", None, "all_users", 0.0, 2 / 3),
+        ("coverage", None, "per_user", 24.0, (1 / 2 + 1.0) / 2),
+        ("coverage", None, "all_users", 24.0, 1.0),
+    ]
+
 class TestCompareManualRecsys:
     def test_runs_and_reports(self, small_runs, tiny_world):
         wcfg, corpus, _ = tiny_world
@@ -379,46 +499,9 @@ class TestCompareManualRecsys:
         assert full == [r.to_dict() for r in compare_manual_recsys(manual, widget, corpus)]
 
     def test_hand_built_stream_samples(self):
-        H = 3600.0
-        day0, day1 = T0 + H / 2, T0 + DAY + H / 2  # publication times
-        arts = [
-            make_article("a", day0, section="s1", tags=("x",), authors=("p",),
-                         embedding=[1, 0, 0, 0]),
-            make_article("b", day0, section="s2", tags=("x", "y"), authors=("q",),
-                         embedding=[0, 1, 0, 0]),
-            make_article("e", day0),  # no tags, no authors, zero embedding
-            make_article("c", day1, section="s1", tags=("y",), authors=("p",),
-                         embedding=[1, 0, 0, 0]),
-            make_article("d", day1, section="s2", authors=("q",),
-                         embedding=[0, 0, 1, 0]),
-        ]
-        # u1's profile from here on is one click on a; u2 and u3 never click
-        corpus = Corpus(arts, [click("u1", "a", T0 + H)], 4)
-
-        def lst(user, section, at, *ids, fallback=False):
-            items = tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids))
-            return RankedList(user, section, at, items, fallback=fallback)
-
-        W = Section.MN_WIDGET
-        manual = [lst(MANUAL_USER, Section.MANUAL, at, *ids) for at, ids in (
-            (T0 + 6 * H, ("b", "e")),  # out of order on purpose
-            (T0 + 4 * H, ("a", "b")),
-            (T0 + DAY + 4 * H, ("c", "d")),
-            (T0 + DAY + 6 * H, ("d",)),
-        )]
-        recsys = [
-            lst("u1", W, T0 + 2 * H, "a", "b"),
-            lst("u2", W, T0 + 3 * H, "b"),
-            # ignored: they would be u1's and u2's latest lists at 4h and 6h
-            lst("u1", Section.MN_PAGE, T0 + 3 * H, "e", "a", "b"),
-            lst("u1", Section.MISSED_LW, T0 + 3 * H, "e"),
-            lst("u2", W, T0 + 3.5 * H, "a", "e", fallback=True),
-            lst("u1", W, T0 + 5 * H, "b"),
-            lst("u3", W, T0 + 5 * H, "a"),  # nothing before the 4h update
-            lst("u1", W, T0 + DAY + 2 * H, "c"),
-            lst("u2", W, T0 + DAY + 2 * H, "c", "d"),
-        ]
-        reports = {r.metric: r for r in compare_manual_recsys(manual, recsys, corpus)}
+        manual, recsys = hand_built_study1_streams()
+        reports = {r.metric: r
+                   for r in compare_manual_recsys(manual, recsys, hand_built_corpus())}
         assert len(reports) == 12
 
         def check(metric, manual_side, recsys_side):

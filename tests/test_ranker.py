@@ -565,8 +565,15 @@ EMISSION = {"user": "u1", "section": "mn_widget", "at": T0, "ids": ["a", "b"],
      "rec_labels must be as long as items"),
     (json.dumps({**EMISSION, "rec_labels": "ab"}), "rec_labels must be a list of booleans"),
     (json.dumps({**EMISSION, "rec_labels": [1, 0]}), "rec_labels must be a list of booleans"),
+    (json.dumps({**EMISSION, "fallback": "false"}), "fallback must be a boolean"),
+    (json.dumps({**EMISSION, "at": "1704153600"}), "at must be a finite number"),
+    (json.dumps({**EMISSION, "at": True}), "at must be a finite number"),
+    (json.dumps({**EMISSION, "at": float("nan")}), "at must be a finite number"),
+    (json.dumps({**EMISSION, "scores": [0.9, float("nan")]}), "a score must be a finite number"),
+    (json.dumps({**EMISSION, "scores": ["0.9", "0.1"]}), "a score must be a finite number"),
 ], ids=["json", "key", "invariant", "object", "user", "ids", "lengths", "labels-length",
-        "labels-string", "labels-ints"])
+        "labels-string", "labels-ints", "fallback-string", "at-string", "at-bool", "at-nan",
+        "score-nan", "score-strings"])
 def test_read_emissions_errors_name_the_line(tmp_path, bad, message):
     path = tmp_path / "e.jsonl"
     path.write_text(json.dumps(EMISSION) + "\n\n" + bad + "\n", encoding="utf-8")
