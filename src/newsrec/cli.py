@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -26,8 +25,8 @@ from pathlib import Path
 from typing import Optional
 
 from .corpus import (DAY, Corpus, CorpusError, SyntheticWorldConfig, WordVectors,
-                     date_start, day_start, generate_world, load_corpus, save_corpus,
-                     utc_date)
+                     _finite, date_start, day_start, generate_world, load_corpus,
+                     save_corpus, utc_date)
 from .evaluation import (TTestVariant, collect_metric_samples, compare_manual_recsys,
                          compare_treatments, format_accuracy_table,
                          format_comparison_table, offline_eval, scorers_from_schedule)
@@ -96,15 +95,6 @@ _KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
 def _field_kinds(cls) -> dict[str, str]:
     """Each field of dataclass `cls` with its annotation, a type name such as "int"."""
     return {f.name: f.type for f in fields(cls)}
-
-
-def _finite(value: int | float) -> bool:
-    """Whether a JSON number converts to a finite float. Python's json also
-    reads NaN and Infinity, and an integer can be too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large to convert to a float
-        return False
 
 
 def _section(name: str, section, kinds: dict[str, str], problems: list[str]) -> dict:
@@ -298,7 +288,12 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _model_day(path: Path) -> dt.date:
-    return dt.date.fromisoformat(path.stem.removeprefix("model_"))
+    """The day of a `model_YYYY-MM-DD.json` file; any other name is bad input."""
+    try:
+        return dt.date.fromisoformat(path.stem.removeprefix("model_"))
+    except ValueError as exc:
+        raise CliError(f"{path}: a model file must be named model_YYYY-MM-DD.json "
+                       f"({exc})") from exc
 
 
 def _load_schedule(cfg: ExperimentConfig, pipe: PipelineConfig

@@ -395,6 +395,15 @@ def _parse_timestamp(value) -> float:
     raise CorpusError(f"bad timestamp {value!r}")
 
 
+def _finite(value: int | float) -> bool:
+    """Whether a number converts to a finite float: not NaN or an infinity
+    (which Python's json also reads), nor an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to convert to a float
+        return False
+
+
 def _str(obj: Mapping, key: str, required: bool = True) -> str:
     """obj[key], or "" when it is absent and not `required`; it must be a
     string."""

@@ -29,8 +29,8 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import (DAY, WEEK, Article, Corpus, Kind, _str, _str_list, day_start,
-                     read_jsonl, utc_date, write_jsonl)
+from .corpus import (DAY, WEEK, Article, Corpus, Kind, _finite, _str, _str_list,
+                     day_start, read_jsonl, utc_date, write_jsonl)
 from .features import (ArticleFeatureCache, FeatureConfig, LabeledExample,
                        UserProfile, build_profile, build_training_set,
                        extract_matrix)
@@ -104,6 +104,9 @@ class PipelineConfig:
     mnpage_cap: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("t_start", "candidate_window", "refresh_interval", "rec_label_threshold"):
+            if not _finite(getattr(self, name)):
+                raise RankerError(f"{name} must be finite, not {getattr(self, name)!r}")
         if not 0.0 <= self.blend_lambda <= 1.0:
             raise RankerError("lambda must be in [0, 1]")
         if self.candidate_window <= 0:
@@ -243,28 +246,64 @@ def train_schedule(corpus: Corpus, cfg: PipelineConfig,
 # Pipeline
 # --------------------------------------------------------------------------
 
-def _fallback_list(user_id: str, cands: Sequence[Article], at: float,
-                   t_start: float) -> RankedList:
-    items = _sort_items((a, dyn_score_at(a.published_at, t_start)) for a in cands)
-    return RankedList(user_id, Section.MN_PAGE, at, tuple(items), fallback=True)
-
-
 def _utc(t: float) -> str:
     return dt.datetime.fromtimestamp(t, tz=dt.timezone.utc).isoformat()
 
 
+@dataclass(frozen=True, slots=True)
+class _Tick:
+    """One serving instant's candidates as arrays, in `candidates` order:
+    their `ArticleFeatureCache` rows, which sort like their ids because the
+    cache's ids are sorted, negated publication times, recency scores, and
+    the widget (age <= 24h) and missed-last-week (24h < age <= 7d) masks."""
+    at: float
+    ids: list[str]
+    rows: np.ndarray
+    neg_published: np.ndarray
+    dyn: np.ndarray
+    fresh: np.ndarray
+    missed: np.ndarray
+
+
+def _tick(cache: ArticleFeatureCache, dyn: np.ndarray, at: float,
+          cands: Sequence[Article]) -> _Tick:
+    ids = [a.id for a in cands]
+    rows = cache.rows(ids)
+    published = cache.published[rows]
+    age = at - published
+    # the WEEK bound matters when the candidate window is longer than 7 days
+    return _Tick(at, ids, rows, -published, dyn[rows], age <= DAY,
+                 (age > DAY) & (age <= WEEK))
+
+
 def _emit_user(out: list[RankedList], corpus: Corpus, cfg: PipelineConfig,
                cache: ArticleFeatureCache, model: Optional[TreeEnsemble],
-               user_id: str, at: float, cands: Sequence[Article]) -> None:
+               user_id: str, tick: _Tick) -> None:
+    """Append the user's widget, missed-last-week and page lists at
+    `tick.at`: the lists `rank` (or the recency fallback), `rerank` under
+    DYNAMISM and `slice_sections` give, from one sort of the score arrays.
+    Labels are the model scores before the blend against the threshold."""
     if model is None:
-        full = _fallback_list(user_id, cands, at, cfg.t_start)
-        recommended: AbstractSet[str] = frozenset()
+        scores, labels = tick.dyn, np.zeros(len(tick.ids), dtype=bool)
     else:
-        full = rank(model, build_profile(corpus, user_id, at), cands, at, cache)
-        recommended = {aid for aid, s in full.items if s >= cfg.rec_label_threshold}
+        profile = build_profile(corpus, user_id, tick.at)
+        scores = (model.predict_matrix(extract_matrix(profile, tick.ids, tick.at, cache))
+                  if tick.ids else np.zeros(0))
+        labels = scores >= cfg.rec_label_threshold
         if cfg.treatment is Treatment.DYNAMISM:
-            full = rerank(full, cfg.blend_lambda, cfg.t_start, corpus)
-    out.extend(slice_sections(full, at, corpus, recommended, cfg.mnpage_cap).values())
+            lam = cfg.blend_lambda
+            scores = lam * scores + (1.0 - lam) * tick.dyn
+    # `_sort_items`' key: score descending, newest first, then id (as row)
+    order = np.lexsort((tick.rows, tick.neg_published, -scores))
+    for section, picked in (
+            (Section.MN_WIDGET, order[tick.fresh[order]][:SECTION_CAPS[Section.MN_WIDGET]]),
+            (Section.MISSED_LW, order[tick.missed[order]][:SECTION_CAPS[Section.MISSED_LW]]),
+            (Section.MN_PAGE, order[:cfg.mnpage_cap])):
+        out.append(RankedList(user_id, section, tick.at,
+                              tuple(zip([tick.ids[i] for i in picked.tolist()],
+                                        scores[picked].tolist())),
+                              fallback=model is None,
+                              rec_labels=tuple(labels[picked].tolist())))
 
 
 def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
@@ -314,13 +353,15 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
 
     out: list[RankedList] = []
     ordered_users = sorted(user_set)
+    # `dyn_score_at` per article, once: np.log need not round like math.log
+    dyn = np.array([dyn_score_at(p, cfg.t_start) for p in cache.published.tolist()])
     for at, kind, uid in queue:
         # the latest model trained at or before `at`, if any
         i = bisect_right(times, at)
         active = models[i - 1][1] if i else None
-        cands = candidates(corpus, at, cfg.candidate_window)
+        tick = _tick(cache, dyn, at, candidates(corpus, at, cfg.candidate_window))
         for user in ordered_users if kind == REFRESH else (uid,):
-            _emit_user(out, corpus, cfg, cache, active, user, at, cands)
+            _emit_user(out, corpus, cfg, cache, active, user, tick)
     return out
 
 

@@ -178,6 +178,17 @@ class TestErrors:
             err = capsys.readouterr().err
             assert model_file.name in err and message in err, err
 
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    def test_misnamed_model_file_exit_2(self, chain, tmp_path, capsys, command):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        models = copy / "models"
+        shutil.copy(sorted(models.glob("model_*.json"))[-1], models / "model_latest.json")
+        assert run(command, "--config", str(cfg), "--out", str(copy)) == 2
+        err = capsys.readouterr().err
+        assert "model_latest.json: a model file must be named model_YYYY-MM-DD.json" in err, err
+
     @pytest.mark.parametrize("features, message", [
         ({"embedding_dim": 8}, "'embedding_dim' is taken from the corpus"),
         ({"top_k": 3, "bogus": 1}, "bogus"),

@@ -54,6 +54,14 @@ def pipe_config(**over):
     return PipelineConfig(**defaults)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 400], ids=["nan", "inf", "huge-int"])
+@pytest.mark.parametrize("name", ["t_start", "candidate_window", "refresh_interval",
+                                  "rec_label_threshold"])
+def test_non_finite_pipeline_config_refused(name, value):
+    with pytest.raises(RankerError, match=f"{name} must be finite, not {value}"):
+        pipe_config(**{name: value})
+
+
 class TestCandidates:
     def test_empty_corpus(self):
         corpus = Corpus([], [], 4)
@@ -360,13 +368,20 @@ class TestPipeline:
                              models=[(T0 + DAY, model)])
 
 
+def fallback_list(user_id, cands, at, t_start):
+    """The full recency-ordered list served before the first model."""
+    items = newsrec.ranker._sort_items((a, dyn_score_at(a.published_at, t_start))
+                                       for a in cands)
+    return RankedList(user_id, Section.MN_PAGE, at, tuple(items), fallback=True)
+
+
 def emit_user_oracle(out, corpus, cfg, cache, model, user_id, at):
     """One user's lists built step by step, the reference for the serve
     path: rank (or the fallback), rerank, slice, cut the page with `top`,
     then rebuild each list to attach its labels."""
     cands = candidates(corpus, at, cfg.candidate_window)
     if model is None:
-        full = newsrec.ranker._fallback_list(user_id, cands, at, cfg.t_start)
+        full = fallback_list(user_id, cands, at, cfg.t_start)
         labels = {aid: False for aid, _ in full.items}
     else:
         profile = build_profile(corpus, user_id, at)
@@ -396,6 +411,33 @@ def clicked_mini_corpus():
     return Corpus(list(corpus.articles.values()), events, 4)
 
 
+def serve_via_oracle(monkeypatch, corpus, cfg, users, **kwargs):
+    """`run_pipeline` with each user's lists built by `emit_user_oracle`."""
+    with monkeypatch.context() as m:
+        m.setattr(newsrec.ranker, "_emit_user",
+                  lambda out, corpus, cfg, cache, model, user_id, tick:
+                      emit_user_oracle(out, corpus, cfg, cache, model, user_id, tick.at))
+        return run_pipeline(corpus, cfg, users, **kwargs)
+
+
+def aged_corpus():
+    """`mini_corpus` plus two articles that pass 7 days of age while
+    fewer than five others are between 1 and 7 days old (`w1` is exactly 7
+    days old at 12:00 on day 5), one exactly 24 hours old at 00:00 on day 6
+    (`d5`), and three published at one instant whose ids do not follow
+    their order in `articles`."""
+    corpus = mini_corpus()
+    arts = list(corpus.articles.values()) + [
+        make_article("w0", T0 - 2 * DAY, tags=("x",)),
+        make_article("w1", T0 - 1.5 * DAY, tags=("y",)),
+        make_article("d5", T0 + 5 * DAY, tags=("x",)),
+        make_article("t-b", T0 + 6.5 * DAY, tags=("y",)),
+        make_article("t-a", T0 + 6.5 * DAY, tags=("x",)),
+        make_article("t-c", T0 + 6.5 * DAY, tags=("y",)),
+    ]
+    return Corpus(arts, corpus.events, 4)
+
+
 class TestServeOracle:
     @pytest.mark.parametrize("mnpage_cap", [None, 2])
     @pytest.mark.parametrize("treatment", list(Treatment))
@@ -409,16 +451,52 @@ class TestServeOracle:
             features=FeatureConfig(embedding_dim=wcfg.embedding_dim), mnpage_cap=mnpage_cap)
         users = corpus.user_ids()[:5]
         got = run_pipeline(corpus, cfg, users)
-        monkeypatch.setattr(
-            newsrec.ranker, "_emit_user",
-            lambda out, corpus, cfg, cache, model, user_id, at, cands:
-                emit_user_oracle(out, corpus, cfg, cache, model, user_id, at))
-        assert got == run_pipeline(corpus, cfg, users)
+        assert got == serve_via_oracle(monkeypatch, corpus, cfg, users)
         assert {e.fallback for e in got} == {False, True}
         assert {label for e in got if not e.fallback for label in e.rec_labels} == {False, True}
         assert any((e.at - cfg.t_start) % cfg.refresh_interval for e in got)  # click triggers
         pages = [len(e.items) for e in got if e.section is Section.MN_PAGE]
         assert max(pages) == 2 if mnpage_cap else max(pages) > 2
+
+    @pytest.mark.parametrize("model, treatment, blend_lambda, window, mnpage_cap", [
+        ("trained", Treatment.DYNAMISM, 0.5, 10 * DAY, None),
+        ("trained", Treatment.BASELINE, 0.5, 10 * DAY, 3),
+        ("constant", Treatment.BASELINE, 0.5, 10 * DAY, None),
+        ("constant", Treatment.DYNAMISM, 0.5, 10 * DAY, None),
+        ("trained", Treatment.DYNAMISM, 0.0, 10 * DAY, None),
+        ("trained", Treatment.DYNAMISM, 1.0, 10 * DAY, None),
+        ("trained", Treatment.DYNAMISM, 0.5, 3600.0, None),
+    ], ids=["week-bound", "week-bound-baseline", "ties", "ties-dynamism", "lambda-0",
+            "lambda-1", "no-candidates"])
+    def test_hand_built_corpus_equals_oracle(self, monkeypatch, model, treatment,
+                                             blend_lambda, window, mnpage_cap):
+        corpus = aged_corpus()
+        # first model at 03:00 on day 1: the 00:00 tick serves fallback lists
+        cfg = pipe_config(nightly_train_hour=3, refresh_interval=6 * 3600.0,
+                          candidate_window=window, treatment=treatment,
+                          blend_lambda=blend_lambda, mnpage_cap=mnpage_cap)
+        t_end = T0 + 8 * DAY
+        models = (train_schedule(corpus, cfg, t_end) if model == "trained" else
+                  [(T0 + DAY + 3 * 3600.0, constant_model(cfg.features.width, 0.3))])
+        users = ["u1", "u2"]
+        expected = serve_via_oracle(monkeypatch, corpus, cfg, users, t_end=t_end,
+                                    models=models)
+        # the order candidates arrive in must not matter: ties fall to the id
+        monkeypatch.setattr(newsrec.ranker, "candidates",
+                            lambda corpus, at, window: candidates(corpus, at, window)[::-1])
+        got = run_pipeline(corpus, cfg, users, t_end=t_end, models=models)
+        assert got == expected
+        assert {e.fallback for e in got} == {False, True}
+        pages = [e for e in got if e.section is Section.MN_PAGE]
+        if window == 3600.0:
+            assert {bool(e.items) for e in pages if not e.fallback} == {False, True}
+            return
+        ages = {e.at - corpus.articles[aid].published_at for e in got for aid in e.ids()}
+        assert WEEK in ages and DAY in ages
+        assert mnpage_cap or max(ages) > WEEK
+        if model == "constant":
+            served = [e for e in pages if not e.fallback]
+            assert any(e.ids()[:3] == ["t-a", "t-b", "t-c"] for e in served)
 
     def test_each_emitted_list_constructed_once(self, monkeypatch):
         corpus = clicked_mini_corpus()
@@ -438,7 +516,8 @@ class TestServeOracle:
             return wrapper
 
         monkeypatch.setattr(RankedList, "__post_init__", constructed)
-        for name in ("rank", "_fallback_list", "rerank"):
+        # the list-at-a-time definitions, which the serve path does not call
+        for name in ("rank", "rerank", "slice_sections"):
             monkeypatch.setattr(newsrec.ranker, name,
                                 counted(getattr(newsrec.ranker, name), "steps"))
         monkeypatch.setattr(newsrec.ranker, "candidates",
@@ -446,10 +525,9 @@ class TestServeOracle:
         out = run_pipeline(corpus, cfg, ["u1", "u2"], t_end=T0 + 2 * DAY, models=models)
         monkeypatch.undo()
         assert len(out) == 3 * (2 * 24 + 1)
-        assert counts["constructions"] == len(out) + counts["steps"]
-        # rank or fallback per regeneration, plus rerank after each rank
-        assert counts["steps"] == (2 * 24 + 1) + sum(
-            1 for e in out if e.section is Section.MN_PAGE and not e.fallback)
+        assert {e.fallback for e in out} == {False, True}
+        assert counts["constructions"] == len(out)
+        assert counts["steps"] == 0
         assert counts["candidates"] == 24 + 1  # once per tick, once per click
 
 
