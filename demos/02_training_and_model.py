@@ -20,14 +20,15 @@ from newsrec.gbdt import load, save
 cfg = SyntheticWorldConfig(seed=21, n_users=40, n_days=3, articles_per_day=14,
                            embedding_dim=16, user_affinity_dim=8, n_personas=4)
 corpus, truth = generate_world(cfg)
-fcfg = FeatureConfig(embedding_dim=cfg.embedding_dim)
+fcfg = FeatureConfig()
 
 day = dt.datetime.fromtimestamp(cfg.start + 2 * DAY, tz=dt.timezone.utc).date()
 examples = build_training_set(corpus, day, rng_seed=1, cfg=fcfg)
 n_pos = sum(e.label for e in examples)
 print(f"training set for {day}: {len(examples)} examples "
       f"({n_pos} positive / {len(examples) - n_pos} negative, 1:1 by sampling)")
-print(f"feature width {fcfg.width}; first few names: {feature_names(fcfg)[:4]} ...")
+names = feature_names(fcfg, corpus.embedding_dim)
+print(f"feature width {len(names)}; first few names: {names[:4]} ...")
 
 model = train(examples, TrainConfig(n_trees=25, max_depth=3, learning_rate=0.2))
 print(f"\nbase score (log-odds of positive rate): {model.base_score:.4f}")

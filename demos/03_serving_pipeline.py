@@ -10,7 +10,6 @@ logarithmic recency score before slicing.
 
 from newsrec import SyntheticWorldConfig, TrainConfig, generate_world
 from newsrec.corpus import DAY
-from newsrec.features import FeatureConfig
 from newsrec.ranker import (PipelineConfig, Section, Treatment, dyn_score_at,
                             run_pipeline, train_schedule)
 
@@ -21,7 +20,7 @@ corpus, _ = generate_world(cfg)
 base = PipelineConfig(
     t_start=cfg.start + DAY, refresh_interval=4 * 3600.0, nightly_train_hour=1,
     rng_seed=cfg.seed, train=TrainConfig(n_trees=10, max_depth=2, learning_rate=0.3),
-    features=FeatureConfig(embedding_dim=cfg.embedding_dim), mnpage_cap=10)
+    mnpage_cap=10)
 
 schedule = train_schedule(corpus, base)
 print(f"nightly models trained: {len(schedule)}")

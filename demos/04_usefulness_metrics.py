@@ -12,7 +12,7 @@ timestamps before comparison.
 from newsrec import SyntheticWorldConfig, TrainConfig, generate_world
 from newsrec.corpus import DAY
 from newsrec.evaluation import compare_manual_recsys, format_comparison_table
-from newsrec.features import FeatureConfig, build_profile
+from newsrec.features import build_profile
 from newsrec.ranker import PipelineConfig, Section, manual_lists, run_pipeline
 from newsrec.usefulness import (AttributeKind, CoverageScope, align, coverage,
                                 dynamism, entropy, gini, intra_list_diversity,
@@ -24,7 +24,7 @@ corpus, _ = generate_world(cfg)
 pipe = PipelineConfig(
     t_start=cfg.start + DAY, refresh_interval=4 * 3600.0, nightly_train_hour=1,
     rng_seed=cfg.seed, train=TrainConfig(n_trees=10, max_depth=2, learning_rate=0.3),
-    features=FeatureConfig(embedding_dim=cfg.embedding_dim), mnpage_cap=10)
+    mnpage_cap=10)
 emissions = run_pipeline(corpus, pipe, corpus.user_ids())
 widget = [l for l in emissions if l.section is Section.MN_WIDGET and not l.fallback]
 

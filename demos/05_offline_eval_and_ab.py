@@ -15,7 +15,7 @@ from newsrec.corpus import DAY
 from newsrec.evaluation import (behavior_shift, compare_treatments,
                                 format_accuracy_table, format_comparison_table,
                                 offline_eval, scorers_from_schedule)
-from newsrec.features import ArticleFeatureCache, FeatureConfig
+from newsrec.features import ArticleFeatureCache
 from newsrec.ranker import PipelineConfig, Treatment, run_pipeline, train_schedule
 
 cfg = SyntheticWorldConfig(seed=51, n_users=40, n_days=6, articles_per_day=14,
@@ -24,7 +24,7 @@ corpus, _ = generate_world(cfg)
 base = PipelineConfig(
     t_start=cfg.start + DAY, refresh_interval=4 * 3600.0, nightly_train_hour=1,
     rng_seed=cfg.seed, train=TrainConfig(n_trees=15, max_depth=3, learning_rate=0.25),
-    features=FeatureConfig(embedding_dim=cfg.embedding_dim), mnpage_cap=10)
+    mnpage_cap=10)
 
 cache = ArticleFeatureCache(corpus, base.features)
 schedule = train_schedule(corpus, base, cache=cache)

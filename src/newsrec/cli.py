@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
+import re
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -30,7 +31,7 @@ from .corpus import (DAY, Corpus, CorpusError, SyntheticWorldConfig, WordVectors
 from .evaluation import (TTestVariant, collect_metric_samples, compare_manual_recsys,
                          compare_treatments, format_accuracy_table,
                          format_comparison_table, offline_eval, scorers_from_schedule)
-from .features import ArticleFeatureCache, FeatureConfig, write_schema
+from .features import ArticleFeatureCache, FeatureConfig, feature_names, write_schema
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
@@ -149,6 +150,19 @@ def load_config(path: str | Path, seed: Optional[int] = None,
         problems.append(f"unknown top-level keys {unknown}")
     if ("world" in raw) == ("corpus" in raw):
         problems.append("exactly one of 'world' or 'corpus' must be configured")
+    # A refused seed is reported once, then replaced by a placeholder (the
+    # config is refused) so that the world and pipeline built from it do not
+    # report it again.
+    config_seed = raw.get("seed", 0)
+    if isinstance(config_seed, bool) or not isinstance(config_seed, int):
+        problems.append(f"seed must be an integer, not {config_seed!r}")
+        config_seed = 0
+    elif config_seed < 0:
+        problems.append(f"seed must be >= 0, not {config_seed}")
+        config_seed = 0
+    if seed is not None and seed < 0:
+        problems.append(f"--seed must be >= 0, not {seed}")
+        seed = 0
     world = None
     if "world" in raw:
         entries = _section("world", raw["world"], _field_kinds(SyntheticWorldConfig), problems)
@@ -167,19 +181,13 @@ def load_config(path: str | Path, seed: Optional[int] = None,
         problems.append("'out' directory is required")
     elif not isinstance(raw["out"], str):
         problems.append(f"'out' must be a string, not {raw['out']!r}")
-    config_seed = raw.get("seed", 0)
-    if isinstance(config_seed, bool) or not isinstance(config_seed, int):
-        problems.append(f"seed must be an integer, not {config_seed!r}")
     if seed is None:
         seed = config_seed
     train = _build("train", TrainConfig, _section(
         "train", raw.get("train", {}), _field_kinds(TrainConfig), problems), problems)
-    feature_entries = _section("features", raw.get("features", {}),
-                               _field_kinds(FeatureConfig), problems)
-    if "embedding_dim" in feature_entries:
-        problems.append("features: 'embedding_dim' is taken from the corpus "
-                        "and may not be set")
-    features = _build("features", FeatureConfig, feature_entries, problems)
+    features = _build("features", FeatureConfig, _section(
+        "features", raw.get("features", {}), _field_kinds(FeatureConfig), problems),
+        problems)
     pipe = _section("pipeline", raw.get("pipeline", {}), _PIPELINE_KEYS, problems)
     pipeline = _build("pipeline", PipelineConfig, dict(
         t_start=0.0,  # a placeholder: _pipeline_config sets it from the corpus
@@ -274,12 +282,11 @@ def _read_lists(path: Path) -> list[RankedList]:
 
 def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus) -> PipelineConfig:
     """The config's pipeline, starting `t_start` or `start_day_offset` days
-    after the corpus's first day, with the corpus's embedding width."""
+    after the corpus's first day."""
     t_start = cfg.t_start
     if t_start is None:
         t_start = day_start(corpus.time_span()[0]) + cfg.start_day_offset * DAY
-    features = replace(cfg.pipeline.features, embedding_dim=corpus.embedding_dim)
-    return replace(cfg.pipeline, t_start=float(t_start), features=features)
+    return replace(cfg.pipeline, t_start=float(t_start))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -289,16 +296,20 @@ def _write_json(path: Path, payload) -> None:
 
 def _model_day(path: Path) -> dt.date:
     """The day of a `model_YYYY-MM-DD.json` file; any other name is bad input."""
+    rule = f"{path}: a model file must be named model_YYYY-MM-DD.json"
+    match = re.fullmatch(r"model_([0-9]{4}-[0-9]{2}-[0-9]{2})\.json", path.name)
+    if match is None:
+        raise CliError(rule)
     try:
-        return dt.date.fromisoformat(path.stem.removeprefix("model_"))
-    except ValueError as exc:
-        raise CliError(f"{path}: a model file must be named model_YYYY-MM-DD.json "
-                       f"({exc})") from exc
+        return dt.date.fromisoformat(match[1])
+    except ValueError as exc:  # a day that does not exist, such as 2024-02-30
+        raise CliError(f"{rule} ({exc})") from exc
 
 
-def _load_schedule(cfg: ExperimentConfig, pipe: PipelineConfig
+def _load_schedule(cfg: ExperimentConfig, pipe: PipelineConfig, corpus: Corpus
                    ) -> list[tuple[float, TreeEnsemble]]:
     _require(cfg.models_dir, "newsrec train")
+    width = len(feature_names(pipe.features, corpus.embedding_dim))
     files = sorted(cfg.models_dir.glob("model_*.json"))
     if not files:
         raise CliError(f"no model files under {cfg.models_dir} (run 'newsrec train' first)")
@@ -309,7 +320,7 @@ def _load_schedule(cfg: ExperimentConfig, pipe: PipelineConfig
             model = load_model(f)
         except GbdtError as exc:  # a malformed model file is bad input
             raise CliError(str(exc)) from exc
-        error = model.schema_error(pipe.features.width)
+        error = model.schema_error(width)
         if error:
             raise CliError(f"{f}: {error} (run 'newsrec train' again)")
         schedule.append((ts + pipe.nightly_train_hour * 3600.0, model))
@@ -338,7 +349,7 @@ def cmd_train(cfg: ExperimentConfig) -> None:
     for ts, model in schedule:
         day = utc_date(ts)
         save_model(model, cfg.models_dir / f"model_{day.isoformat()}.json")
-    write_schema(pipe.features, cfg.models_dir / "schema.json")
+    write_schema(pipe.features, corpus.embedding_dim, cfg.models_dir / "schema.json")
     print(f"trained {len(schedule)} nightly models under {cfg.models_dir}")
 
 
@@ -353,7 +364,7 @@ def cmd_run(cfg: ExperimentConfig, only: Optional[Treatment] = None,
         except RankerError as exc:
             raise CliError(f"--lambda: {exc}") from exc
     # The nightly schedule does not depend on the treatment: load it once.
-    schedule = _load_schedule(cfg, pipe)
+    schedule = _load_schedule(cfg, pipe, corpus)
     for treatment in [only] if only else cfg.treatments:
         emissions = run_pipeline(corpus, replace(pipe, treatment=treatment), users,
                                  models=schedule)
@@ -369,7 +380,7 @@ def cmd_run(cfg: ExperimentConfig, only: Optional[Treatment] = None,
 def cmd_evaluate(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
     pipe = _pipeline_config(cfg, corpus)
-    schedule = _load_schedule(cfg, pipe)
+    schedule = _load_schedule(cfg, pipe, corpus)
     cache = ArticleFeatureCache(corpus, pipe.features)
     scorers = scorers_from_schedule(schedule, cache)
     with warnings.catch_warnings():

@@ -378,13 +378,26 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+# YYYY-MM-DD, optionally followed by "T" or a space and HH:MM[:SS[.fff[fff]]],
+# then optionally by "Z" or a +-HH:MM offset. Python 3.11's fromisoformat reads
+# more forms than 3.10's (such as 20240102T100000Z), and 3.10's takes any
+# character between date and time; a string is checked against this pattern
+# first, so that it reads alike on both.
+_ISO_TIMESTAMP_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?"
+    r"(?:Z|[+-][0-9]{2}:[0-9]{2})?)?")
+
+
 def _parse_timestamp(value) -> float:
-    """Epoch seconds from a finite number or an ISO-8601 string (UTC if
-    the string carries no offset)."""
+    """Epoch seconds from a finite number or an ISO-8601 string of the form
+    `_ISO_TIMESTAMP_RE` (UTC if the string carries no offset)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if math.isfinite(value):
             return float(value)
     elif isinstance(value, str):
+        if not _ISO_TIMESTAMP_RE.fullmatch(value):
+            raise CorpusError(f"bad timestamp {value!r}")
         try:
             stamp = datetime.fromisoformat(value.replace("Z", "+00:00"))
         except ValueError:
@@ -402,6 +415,13 @@ def _finite(value: int | float) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int too large to convert to a float
         return False
+
+
+def _finite_number(value, what: str) -> float:
+    """`value`, a finite JSON number (not a bool or a string), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
+        raise TypeError(f"{what} must be a finite number, not {value!r}")
+    return float(value)
 
 
 def _str(obj: Mapping, key: str, required: bool = True) -> str:
@@ -519,6 +539,8 @@ class SyntheticWorldConfig:
         bad = sorted(k for k, v in counts.items() if v < 1)
         if bad:
             raise ValueError(f"counts must be >= 1: {', '.join(bad)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.zipf_exponent <= 0:
             raise ValueError("zipf_exponent must be > 0")
         if not 0.0 <= self.click_noise <= 1.0:

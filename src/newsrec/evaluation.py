@@ -87,7 +87,7 @@ Scorer = Callable[[UserProfile, Sequence[Article], float], np.ndarray]
 
 
 def ensemble_scorer(model: TreeEnsemble, cache: ArticleFeatureCache) -> Scorer:
-    error = model.schema_error(cache.cfg.width)
+    error = model.schema_error(cache.width)
     if error:
         raise EvalError(error)
 

@@ -5,8 +5,9 @@ section, counts, temporal, stylometric, embedding coordinates), user
 features (7-day reading aggregates), and user-article compatibility
 features (overlaps, cosine, length ratio, article age).
 
-The exact schema is documented by `feature_names` / `write_schema`; width is
-a function of the config (section hash buckets + embedding dim).
+The exact schema is documented by `feature_names` / `write_schema`; its
+width follows from the config's section hash buckets and the corpus's
+embedding width.
 """
 
 from __future__ import annotations
@@ -37,18 +38,13 @@ class FeatureError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    embedding_dim: int = 32
     section_buckets: int = 16
     top_k: int = 3
 
     def __post_init__(self):
-        bad = [k for k in ("embedding_dim", "section_buckets", "top_k") if getattr(self, k) < 1]
+        bad = [k for k in ("section_buckets", "top_k") if getattr(self, k) < 1]
         if bad:
             raise FeatureError(f"must be >= 1: {', '.join(bad)}")
-
-    @property
-    def width(self) -> int:
-        return self.section_buckets + 10 + self.embedding_dim + 5 + 6
 
 
 def stable_bucket(value: str, buckets: int) -> int:
@@ -56,14 +52,15 @@ def stable_bucket(value: str, buckets: int) -> int:
     return zlib.crc32(value.encode("utf-8")) % buckets
 
 
-def feature_names(cfg: FeatureConfig) -> list[str]:
+def feature_names(cfg: FeatureConfig, embedding_dim: int) -> list[str]:
+    """The ordered feature schema; its length is the feature width."""
     names = [f"art_section_hash_{i}" for i in range(cfg.section_buckets)]
     names += [
         "art_tag_count", "art_author_count", "art_pub_hour", "art_pub_dow",
         "art_word_count", "art_sentence_count", "art_paragraph_count",
         "art_char_length", "art_hapax_count", "art_dis_count",
     ]
-    names += [f"art_emb_{i}" for i in range(cfg.embedding_dim)]
+    names += [f"art_emb_{i}" for i in range(embedding_dim)]
     names += [
         "user_mean_word_count", "user_n_clicks",
         "user_topk_tag_mass", "user_topk_author_mass", "user_topk_section_mass",
@@ -72,19 +69,19 @@ def feature_names(cfg: FeatureConfig) -> list[str]:
         "ua_tag_jaccard", "ua_author_jaccard", "ua_section_match",
         "ua_embedding_cosine", "ua_length_ratio", "ua_age_hours",
     ]
-    assert len(names) == cfg.width
     return names
 
 
-def write_schema(cfg: FeatureConfig, path: str | Path) -> None:
+def write_schema(cfg: FeatureConfig, embedding_dim: int, path: str | Path) -> None:
     """Dump the ordered feature schema for audit."""
+    names = feature_names(cfg, embedding_dim)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "width": cfg.width,
+        "width": len(names),
         "section_buckets": cfg.section_buckets,
-        "embedding_dim": cfg.embedding_dim,
+        "embedding_dim": embedding_dim,
         "top_k": cfg.top_k,
-        "features": feature_names(cfg),
+        "features": names,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
@@ -227,12 +224,13 @@ class ArticleFeatureCache:
 
     def __init__(self, corpus: Corpus, cfg: FeatureConfig):
         self.cfg = cfg
+        self.width = len(feature_names(cfg, corpus.embedding_dim))
         self.ids = sorted(corpus.articles)
         self.index = {aid: i for i, aid in enumerate(self.ids)}
         arts = [corpus.articles[aid] for aid in self.ids]
         n = len(arts)
 
-        self.static = np.zeros((n, cfg.section_buckets + 10 + cfg.embedding_dim))
+        self.static = np.zeros((n, cfg.section_buckets + 10 + corpus.embedding_dim))
         for i, a in enumerate(arts):
             self.static[i, stable_bucket(a.section, cfg.section_buckets)] = 1.0
             b = cfg.section_buckets
@@ -247,8 +245,8 @@ class ArticleFeatureCache:
         self.sections = [a.section for a in arts]
         self.word_counts = np.array([a.word_count for a in arts], dtype=np.float64)
         self.published = np.array([a.published_at for a in arts])
-        self.emb = np.stack([a.embedding for a in arts]) if n else np.zeros((0, cfg.embedding_dim))
-        self.emb_norm = np.linalg.norm(self.emb, axis=1) if n else np.zeros(0)
+        self.emb = np.array([a.embedding for a in arts]).reshape(n, corpus.embedding_dim)
+        self.emb_norm = np.linalg.norm(self.emb, axis=1)
 
     def rows(self, article_ids: Sequence[str]) -> np.ndarray:
         return np.array([self.index[aid] for aid in article_ids], dtype=np.intp)
@@ -269,11 +267,9 @@ def extract_matrix(profile: UserProfile, article_ids: Sequence[str], at: float,
             f"articles {cache.emb.shape[1:]}")
     cfg = cache.cfg
     rows = cache.rows(article_ids)
-    n = len(rows)
-    out = np.zeros((n, cfg.width))
-    out[:, :cache.static.shape[1]] = cache.static[rows]
-
-    user0 = cfg.section_buckets + 10 + cfg.embedding_dim
+    out = np.zeros((len(rows), cache.width))
+    user0 = cache.static.shape[1]
+    out[:, :user0] = cache.static[rows]
     out[:, user0 + 0] = profile.mean_word_count
     out[:, user0 + 1] = profile.n_clicks
     out[:, user0 + 2] = _topk_mass(profile.tag_freq, cfg.top_k)

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .corpus import _finite_number
 from .features import SCHEMA_VERSION, LabeledExample
 
 
@@ -448,14 +449,24 @@ def save(model: TreeEnsemble, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _integer(value, what: str) -> int:
+    """`value`, a JSON integer (not a bool, a float or a string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def load(path: str | Path) -> TreeEnsemble:
     """Load a saved ensemble, which validates every tree (see `_tree_depth`);
     any problem raises GbdtError naming the file, and for a malformed tree
-    its index and node. A model saved under another feature schema version
-    still loads; `schema_error` names the mismatch and serving refuses it."""
+    its index and node, or for a scalar its field. `format`, `schema_version`
+    and `n_features` must be JSON integers, `learning_rate` and `base_score`
+    finite JSON numbers; nothing is coerced. A model saved under another
+    feature schema version still loads; `schema_error` names the mismatch
+    and serving refuses it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload["format"] != MODEL_FORMAT:
+        if _integer(payload["format"], "format") != MODEL_FORMAT:
             raise GbdtError(f"unsupported model format {payload['format']!r}")
         trees = []
         for k, obj in enumerate(payload["trees"]):
@@ -463,9 +474,11 @@ def load(path: str | Path) -> TreeEnsemble:
                 trees.append(Tree.from_dict(obj))
             except GbdtError as exc:
                 raise GbdtError(f"tree {k} {exc}") from None
-        return TreeEnsemble(trees=trees, learning_rate=float(payload["learning_rate"]),
-                            base_score=float(payload["base_score"]),
-                            schema_version=int(payload["schema_version"]),
-                            n_features=int(payload["n_features"]))
+        return TreeEnsemble(
+            trees=trees,
+            learning_rate=_finite_number(payload["learning_rate"], "learning_rate"),
+            base_score=_finite_number(payload["base_score"], "base_score"),
+            schema_version=_integer(payload["schema_version"], "schema_version"),
+            n_features=_integer(payload["n_features"], "n_features"))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise GbdtError(f"cannot load model from {path}: {exc}") from exc

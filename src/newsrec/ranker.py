@@ -29,8 +29,8 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import (DAY, WEEK, Article, Corpus, Kind, _finite, _str, _str_list,
-                     day_start, read_jsonl, utc_date, write_jsonl)
+from .corpus import (DAY, WEEK, Article, Corpus, Kind, _finite, _finite_number, _str,
+                     _str_list, day_start, read_jsonl, utc_date, write_jsonl)
 from .features import (ArticleFeatureCache, FeatureConfig, LabeledExample,
                        UserProfile, build_profile, build_training_set,
                        extract_matrix)
@@ -115,6 +115,8 @@ class PipelineConfig:
             raise RankerError("refresh_interval must be > 0")
         if not 0 <= self.nightly_train_hour <= 23:
             raise RankerError("nightly_train_hour must be an hour of day")
+        if self.rng_seed < 0:
+            raise RankerError(f"rng_seed must be >= 0, not {self.rng_seed}")
         if self.mnpage_cap is not None and not (isinstance(self.mnpage_cap, int)
                                                 and self.mnpage_cap >= 1):
             raise RankerError("mnpage_cap must be an integer >= 1")
@@ -333,7 +335,7 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
             raise RankerError(
                 f"model schedule out of order: model {i} active from {_utc(t)} does not "
                 f"follow model {i - 1} active from {_utc(times[i - 1])}")
-        error = model.schema_error(cfg.features.width)
+        error = model.schema_error(cache.width)
         if error:
             raise RankerError(f"model active from {_utc(t)}: {error}")
 
@@ -432,14 +434,6 @@ def _emission_record(lst: RankedList) -> dict:
     if lst.rec_labels is not None:
         record["rec_labels"] = list(lst.rec_labels)
     return record
-
-
-def _finite_number(value, what: str) -> float:
-    """`value`, a finite JSON number (not a bool or a string), as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise TypeError(f"{what} must be a finite number, not {value!r}")
-    return float(value)
 
 
 def _parse_emission(obj) -> RankedList:

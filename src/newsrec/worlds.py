@@ -4,7 +4,6 @@ for directional replication (`configs/smoke.json` is the smoke setup)."""
 from __future__ import annotations
 
 from .corpus import DAY, SyntheticWorldConfig
-from .features import FeatureConfig
 from .gbdt import TrainConfig
 from .ranker import PipelineConfig, Treatment
 
@@ -40,7 +39,6 @@ def reference_pipeline(world: SyntheticWorldConfig,
         blend_lambda=0.5,
         rng_seed=world.seed,
         train=TrainConfig(n_trees=30, max_depth=3, learning_rate=0.15),
-        features=FeatureConfig(embedding_dim=world.embedding_dim),
         mnpage_cap=20,
     )
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from newsrec.cli import CliError, load_config, main
+from newsrec.corpus import WordVectors
 from newsrec.worlds import reference_pipeline, reference_world
 
 REPO = Path(__file__).resolve().parent.parent
@@ -85,6 +86,16 @@ class TestChain:
                     } == {"student"}
             assert {r["variant"] for r in json.loads((copy / "reports" / name).read_text())
                     } == {"welch"}
+
+    def test_model_files_match_schema_file(self, chain):
+        out, _ = chain
+        schema = json.loads((out / "models" / "schema.json").read_text())
+        assert schema["embedding_dim"] == WordVectors.from_file(out / "corpus" / "vectors.txt").dim
+        assert schema["width"] == len(schema["features"])
+        models = sorted((out / "models").glob("model_*.json"))
+        assert models
+        for path in models:
+            assert json.loads(path.read_text())["n_features"] == schema["width"], path.name
 
     def test_evaluate_idempotent_byte_identical(self, chain):
         out, cfg = chain
@@ -184,13 +195,18 @@ class TestErrors:
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
         models = copy / "models"
-        shutil.copy(sorted(models.glob("model_*.json"))[-1], models / "model_latest.json")
-        assert run(command, "--config", str(cfg), "--out", str(copy)) == 2
-        err = capsys.readouterr().err
-        assert "model_latest.json: a model file must be named model_YYYY-MM-DD.json" in err, err
+        latest = sorted(models.glob("model_*.json"))[-1]
+        # Python 3.11's date.fromisoformat reads the last two names as
+        # 2024-01-02; 3.10's does not
+        for name in ("model_latest.json", "model_20240102.json", "model_2024-W01-2.json"):
+            shutil.copy(latest, models / name)
+            assert run(command, "--config", str(cfg), "--out", str(copy)) == 2, name
+            err = capsys.readouterr().err
+            assert f"{name}: a model file must be named model_YYYY-MM-DD.json" in err, err
+            (models / name).unlink()
 
     @pytest.mark.parametrize("features, message", [
-        ({"embedding_dim": 8}, "'embedding_dim' is taken from the corpus"),
+        ({"embedding_dim": 8}, "unknown keys ['embedding_dim']"),
         ({"top_k": 3, "bogus": 1}, "bogus"),
     ])
     def test_bad_feature_keys_exit_2(self, tmp_path, capsys, features, message):
@@ -227,7 +243,10 @@ class TestErrors:
         ("articles", lambda rec: {**rec, "section": 5}, "section must be a string"),
         ("events", lambda rec: {**rec, "user_id": 7}, "user_id must be a string"),
         ("articles", lambda rec: {**rec, "tags": [""]}, "empty string in tags"),
-    ], ids=["article-array", "event-number", "section", "user-id", "empty-tag"])
+        # Python 3.11's datetime.fromisoformat reads this; 3.10's does not
+        ("events", lambda rec: {**rec, "at": "20240102T100000Z"}, "bad timestamp"),
+    ], ids=["article-array", "event-number", "section", "user-id", "empty-tag",
+            "compact-timestamp"])
     def test_bad_corpus_record_exit_2(self, chain, tmp_path, capsys, name, edit, message):
         out, cfg = chain
         copy = tmp_path / "copy"
@@ -261,6 +280,9 @@ class TestErrors:
         ("generate", {"seed": "x"}, "seed must be an integer, not 'x'"),
         ("generate", {"seed": 2.7}, "seed must be an integer, not 2.7"),
         ("generate", {"seed": True}, "seed must be an integer, not True"),
+        ("generate", {"seed": -1}, "seed must be >= 0, not -1"),
+        ("generate", {"world": {**SMOKE_CFG["world"], "seed": -1}},
+         "world: seed must be >= 0, not -1"),
         ("generate", {"out": 5}, "'out' must be a string, not 5"),
         ("generate", {"world": {**SMOKE_CFG["world"], "n_users": 2.5}},
          "world: n_users must be an integer, not 2.5"),
@@ -287,7 +309,7 @@ class TestErrors:
             "updates-int", "updates-strings", "updates-float", "updates-bool",
             "updates-zero", "treatments-run", "treatments-compare",
             "treatments-duplicate-run", "treatments-duplicate-compare", "seed-string",
-            "seed-float", "seed-bool", "out-int", "world-int-float", "world-number-string",
+            "seed-float", "seed-bool", "seed-negative", "world-seed-negative", "out-int", "world-int-float", "world-number-string",
             "train-int-float", "corpus-int", "pipeline-int", "generate-lambda",
             "unknown-top-level-key", "world-inf", "pipeline-nan", "lambda-huge-int",
             "t-start-huge-int", "world-huge-int"])
@@ -320,6 +342,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "invalid config: pipeline: " in err and message in err, err
 
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_negative_seed_flag_exit_2(self, chain, tmp_path, capsys, command):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        for name in ("corpus", "models"):
+            shutil.copytree(out / name, copy / name)
+
+        def files():
+            return {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+
+        before = files()
+        assert run(command, "--config", str(cfg), "--out", str(copy), "--seed", "-1") == 2
+        assert "invalid config: --seed must be >= 0, not -1" in capsys.readouterr().err
+        assert files() == before  # no emission log, corpus or model written
+
     def test_bad_lambda_flag_exit_2(self, chain, tmp_path, capsys):
         out, cfg = chain
         copy = tmp_path / "copy"
@@ -332,7 +369,7 @@ def test_reference_config_is_the_reference_study():
     cfg = load_config(REPO / "configs" / "reference.json")
     pipe = reference_pipeline(reference_world())
     assert cfg.world == reference_world()
-    assert replace(cfg.pipeline, t_start=pipe.t_start, features=pipe.features) == pipe
+    assert replace(cfg.pipeline, t_start=pipe.t_start) == pipe
     assert cfg.t_start is None and cfg.start_day_offset == 1
 
 

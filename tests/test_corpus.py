@@ -249,6 +249,11 @@ class TestGenerateWorld:
         c2, _ = generate_world(SyntheticWorldConfig(seed=6, **base))
         assert c1.events != c2.events
 
+    def test_negative_seed_refused(self):
+        # numpy's default_rng would refuse it only when the world is generated
+        with pytest.raises(ValueError, match="seed must be >= 0, not -1"):
+            SyntheticWorldConfig(seed=-1)
+
     def test_article_counts_and_day_bounds(self):
         cfg = SyntheticWorldConfig(seed=1, n_users=2, n_days=3, articles_per_day=70,
                                    embedding_dim=8, user_affinity_dim=4,

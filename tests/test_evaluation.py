@@ -135,9 +135,9 @@ class TestOfflineEval:
                              schema_version=99, n_features=1)
         narrow = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
                               schema_version=1, n_features=1)
-        cache = ArticleFeatureCache(corpus, FeatureConfig(embedding_dim=corpus.embedding_dim))
+        cache = ArticleFeatureCache(corpus, FeatureConfig())
         for model, message in ((stale, "version 99.*running schema is version 1"),
-                               (narrow, f"expects 1 features.*has {cache.cfg.width}")):
+                               (narrow, f"expects 1 features.*has {cache.width}")):
             with pytest.raises(EvalError, match=message):
                 ensemble_scorer(model, cache)
 
@@ -320,7 +320,7 @@ def small_runs(tiny_world):
     base = PipelineConfig(
         t_start=wcfg.start + DAY, refresh_interval=6 * 3600.0, nightly_train_hour=1,
         rng_seed=3, train=TrainConfig(n_trees=6, max_depth=2, learning_rate=0.3),
-        features=FeatureConfig(embedding_dim=wcfg.embedding_dim), mnpage_cap=10)
+        mnpage_cap=10)
     schedule = train_schedule(corpus, base)
     users = corpus.user_ids()
     ems_b = run_pipeline(corpus, base, users, models=schedule)

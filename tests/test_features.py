@@ -23,14 +23,14 @@ def corpus_with_clicks(articles, events, dim=4):
     return Corpus(articles, events, dim)
 
 
-CFG = FeatureConfig(embedding_dim=4)
+CFG = FeatureConfig()
 
 
 def extract_row(profile, article, at, dim=4, corpus=None):
     """The served feature map (`extract_matrix`) on a one-article row."""
     if corpus is None:
         corpus = corpus_with_clicks([article], [], dim)
-    cache = ArticleFeatureCache(corpus, FeatureConfig(embedding_dim=dim))
+    cache = ArticleFeatureCache(corpus, CFG)
     return extract_matrix(profile, [article.id], at, cache)[0]
 
 
@@ -51,7 +51,8 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 def extract(profile: UserProfile, article: Article, at: float,
             cfg: FeatureConfig) -> np.ndarray:
-    out = np.zeros(cfg.width)
+    dim = len(article.embedding)
+    out = np.zeros(cfg.section_buckets + 10 + dim + 5 + 6)
     out[stable_bucket(article.section, cfg.section_buckets)] = 1.0
     base = cfg.section_buckets
     out[base + 0] = len(article.tags)
@@ -65,9 +66,9 @@ def extract(profile: UserProfile, article: Article, at: float,
     out[base + 8] = article.hapax_count
     out[base + 9] = article.dis_count
     emb0 = base + 10
-    out[emb0:emb0 + cfg.embedding_dim] = article.embedding
+    out[emb0:emb0 + dim] = article.embedding
 
-    user0 = emb0 + cfg.embedding_dim
+    user0 = emb0 + dim
     out[user0 + 0] = profile.mean_word_count
     out[user0 + 1] = profile.n_clicks
     out[user0 + 2] = _topk_mass(profile.tag_freq, cfg.top_k)
@@ -124,7 +125,7 @@ def assert_same_profile(got: UserProfile, want: UserProfile):
     assert np.array_equal(got.mean_embedding, want.mean_embedding)
 
 
-@pytest.mark.parametrize("key", ["embedding_dim", "section_buckets", "top_k"])
+@pytest.mark.parametrize("key", ["section_buckets", "top_k"])
 def test_feature_config_sizes_below_one_rejected(key):
     with pytest.raises(FeatureError, match=f"must be >= 1: {key}"):
         FeatureConfig(**{key: 0})
@@ -250,7 +251,7 @@ class TestExtract:
     def test_empty_profile_conventions(self):
         art = make_article("a1", tags=("a",), authors=("x",), embedding=[1, 0, 0, 0])
         prof = empty_profile("u1", 4)
-        names = feature_names(CFG)
+        names = feature_names(CFG, 4)
         fv = extract_row(prof, art, T0)
         get = lambda name: fv[names.index(name)]
         assert get("ua_tag_jaccard") == 0.0
@@ -264,7 +265,7 @@ class TestExtract:
                            embedding=[1, 2, 0, 0], word_count=60)
         corpus = corpus_with_clicks([art], [click("u1", "a1", T0 - 5)])
         prof = build_profile(corpus, "u1", T0)
-        names = feature_names(CFG)
+        names = feature_names(CFG, 4)
         fv = extract_row(prof, art, T0, corpus=corpus)
         get = lambda name: fv[names.index(name)]
         assert get("ua_tag_jaccard") == 1.0
@@ -279,7 +280,7 @@ class TestExtract:
         events = [click("u1", f"p{i}", T0 - 10 - i) for i in range(3)]
         corpus = corpus_with_clicks(profile_arts + [cand], events)
         prof = build_profile(corpus, "u1", T0)
-        names = feature_names(CFG)
+        names = feature_names(CFG, 4)
         fv = extract_row(prof, cand, T0, corpus=corpus)
         # brute-force set-overlap oracle
         inter = {"a", "b", "c"} & {"b", "c", "d"}
@@ -307,36 +308,36 @@ class TestExtract:
             extract_row(prof, art, T0, dim=8)
 
     def test_width_matches_schema(self):
-        assert CFG.width == len(feature_names(CFG))
         art = make_article("a1")
-        assert len(extract_row(empty_profile("u1", 4), art, T0)) == CFG.width
+        width = len(feature_names(CFG, 4))
+        assert ArticleFeatureCache(corpus_with_clicks([art], []), CFG).width == width
+        assert len(extract_row(empty_profile("u1", 4), art, T0)) == width
 
     def test_schema_json(self, tmp_path):
-        write_schema(CFG, tmp_path / "schema.json")
+        write_schema(CFG, 4, tmp_path / "schema.json")
         payload = json.loads((tmp_path / "schema.json").read_text())
-        assert payload["width"] == CFG.width
-        assert payload["features"] == feature_names(CFG)
+        assert payload["features"] == feature_names(CFG, 4)
+        assert payload["width"] == len(payload["features"])
+        assert payload["embedding_dim"] == 4
         assert payload["schema_version"] == SCHEMA_VERSION
 
 
 class TestExtractMatrix:
     def test_matches_scalar_extract(self, tiny_world):
         cfg, corpus, _ = tiny_world
-        fcfg = FeatureConfig(embedding_dim=cfg.embedding_dim)
-        cache = ArticleFeatureCache(corpus, fcfg)
+        cache = ArticleFeatureCache(corpus, CFG)
         at = cfg.start + 3 * 86400.0
         ids = sorted(corpus.articles)[:40]
         for uid in corpus.user_ids()[:5]:
             prof = build_profile(corpus, uid, at)
             M = extract_matrix(prof, ids, at, cache)
             for i, aid in enumerate(ids[:10]):
-                row = extract(prof, corpus.articles[aid], at, fcfg)
+                row = extract(prof, corpus.articles[aid], at, CFG)
                 assert np.allclose(M[i], row, atol=1e-12), aid
 
     def test_all_finite_over_world(self, tiny_world):
         cfg, corpus, _ = tiny_world
-        fcfg = FeatureConfig(embedding_dim=cfg.embedding_dim)
-        cache = ArticleFeatureCache(corpus, fcfg)
+        cache = ArticleFeatureCache(corpus, CFG)
         prof = empty_profile("u1", cfg.embedding_dim)
         M = extract_matrix(prof, sorted(corpus.articles), cfg.start, cache)
         assert np.isfinite(M).all()
@@ -362,16 +363,15 @@ class TestBuildTrainingSet:
 
     def test_equal_ratio_and_determinism(self, tiny_world):
         cfg, corpus, _ = tiny_world
-        fcfg = FeatureConfig(embedding_dim=cfg.embedding_dim)
         day = self._day(cfg, 2)
-        ex1 = build_training_set(corpus, day, 11, fcfg)
-        ex2 = build_training_set(corpus, day, 11, fcfg)
+        ex1 = build_training_set(corpus, day, 11, CFG)
+        ex2 = build_training_set(corpus, day, 11, CFG)
         pos = [e for e in ex1 if e.label == 1]
         neg = [e for e in ex1 if e.label == 0]
         assert len(pos) == len(neg) > 0
         assert [(e.user_id, e.article_id, e.at, e.label) for e in ex1] == \
                [(e.user_id, e.article_id, e.at, e.label) for e in ex2]
-        ex3 = build_training_set(corpus, day, 12, fcfg)
+        ex3 = build_training_set(corpus, day, 12, CFG)
         assert [(e.user_id, e.article_id) for e in ex3 if e.label == 0] != \
                [(e.user_id, e.article_id) for e in ex1 if e.label == 0]
 

@@ -368,6 +368,22 @@ class TestModelValidation:
         with pytest.raises(GbdtError, match="finite"):
             load(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("schema_version", 1.9), ("schema_version", True), ("schema_version", "1"),
+        ("n_features", "3"), ("n_features", 3.7), ("learning_rate", "0.1"),
+        ("learning_rate", True), ("base_score", "-0.2"), ("format", True), ("format", 1.0),
+    ], ids=["version-float", "version-bool", "version-string", "width-string",
+            "width-float", "rate-string", "rate-bool", "base-string", "format-bool",
+            "format-float"])
+    def test_scalar_of_wrong_kind_rejected(self, tmp_path, key, value):
+        path = self.write_model(tmp_path / "m.json", valid_tree())
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(GbdtError) as exc:
+            load(path)
+        assert str(path) in str(exc.value) and f"{key} must be" in str(exc.value)
+
     def test_hand_built_self_loop_rejected_at_construction(self):
         tree = Tree(**tree_with(left=(0, 0)))
         with pytest.raises(GbdtError, match="tree 0 node 0"):

@@ -9,7 +9,7 @@ import pytest
 import newsrec.ranker
 from newsrec.corpus import DAY, WEEK, Corpus, day_start
 from newsrec.features import (FeatureConfig, build_profile, build_training_set,
-                              empty_profile)
+                              empty_profile, feature_names)
 from newsrec.gbdt import TrainConfig, TreeEnsemble, train
 from newsrec.ranker import (PipelineConfig, RankedList, RankerError, Section,
                             Treatment, candidates, dyn_score_at,
@@ -19,6 +19,10 @@ from newsrec.ranker import (PipelineConfig, RankedList, RankerError, Section,
 from newsrec.features import ArticleFeatureCache
 
 from conftest import T0, click, impression, make_article
+
+
+# the feature width over the 4-d embeddings of the hand-built corpora
+WIDTH = len(feature_names(FeatureConfig(), 4))
 
 
 def constant_model(n_features, base=0.0):
@@ -48,8 +52,7 @@ def mini_corpus():
 def pipe_config(**over):
     defaults = dict(
         t_start=T0 + DAY, refresh_interval=3600.0, nightly_train_hour=0,
-        rng_seed=0, train=TrainConfig(n_trees=2, max_depth=1, min_child_weight=0.0),
-        features=FeatureConfig(embedding_dim=4))
+        rng_seed=0, train=TrainConfig(n_trees=2, max_depth=1, min_child_weight=0.0))
     defaults.update(over)
     return PipelineConfig(**defaults)
 
@@ -60,6 +63,11 @@ def pipe_config(**over):
 def test_non_finite_pipeline_config_refused(name, value):
     with pytest.raises(RankerError, match=f"{name} must be finite, not {value}"):
         pipe_config(**{name: value})
+
+
+def test_negative_rng_seed_refused():
+    with pytest.raises(RankerError, match="rng_seed must be >= 0, not -1"):
+        pipe_config(rng_seed=-1)
 
 
 class TestCandidates:
@@ -84,9 +92,8 @@ class TestRank:
     def test_single_candidate(self):
         art = make_article("a1", T0)
         corpus = Corpus([art], [], 4)
-        cache = ArticleFeatureCache(corpus, FeatureConfig(embedding_dim=4))
-        lst = rank(constant_model(FeatureConfig(embedding_dim=4).width),
-                   empty_profile("u1", 4), [art], T0, cache)
+        cache = ArticleFeatureCache(corpus, FeatureConfig())
+        lst = rank(constant_model(WIDTH), empty_profile("u1", 4), [art], T0, cache)
         assert len(lst.items) == 1
         assert lst.section is Section.MN_PAGE
 
@@ -94,27 +101,24 @@ class TestRank:
         arts = [make_article("older", T0 - 3600), make_article("newer", T0 - 60),
                 make_article("apple", T0 - 60)]
         corpus = Corpus(arts, [], 4)
-        cfg = FeatureConfig(embedding_dim=4)
-        cache = ArticleFeatureCache(corpus, cfg)
-        lst = rank(constant_model(cfg.width), empty_profile("u1", 4),
+        cache = ArticleFeatureCache(corpus, FeatureConfig())
+        lst = rank(constant_model(WIDTH), empty_profile("u1", 4),
                    arts, T0, cache)
         assert lst.ids() == ["apple", "newer", "older"]
 
     def test_input_order_irrelevant(self):
         arts = [make_article(f"a{i}", T0 - i * 60) for i in range(6)]
         corpus = Corpus(arts, [], 4)
-        cfg = FeatureConfig(embedding_dim=4)
-        cache = ArticleFeatureCache(corpus, cfg)
+        cache = ArticleFeatureCache(corpus, FeatureConfig())
         prof = empty_profile("u1", 4)
-        model = constant_model(cfg.width)
+        model = constant_model(WIDTH)
         base = rank(model, prof, arts, T0, cache).ids()
         assert rank(model, prof, arts[::-1], T0, cache).ids() == base
 
     def test_empty_candidates(self):
         corpus = Corpus([], [], 4)
-        cfg = FeatureConfig(embedding_dim=4)
-        cache = ArticleFeatureCache(corpus, cfg)
-        lst = rank(constant_model(cfg.width), empty_profile("u1", 4), [], T0, cache)
+        cache = ArticleFeatureCache(corpus, FeatureConfig())
+        lst = rank(constant_model(WIDTH), empty_profile("u1", 4), [], T0, cache)
         assert lst.items == ()
 
 
@@ -300,7 +304,7 @@ class TestPipeline:
             t_start=wcfg.start + DAY, refresh_interval=6 * 3600.0,
             nightly_train_hour=1,
             train=TrainConfig(n_trees=4, max_depth=2, learning_rate=0.3),
-            features=FeatureConfig(embedding_dim=wcfg.embedding_dim), mnpage_cap=10)
+            mnpage_cap=10)
         ems = run_pipeline(corpus, cfg, corpus.user_ids()[:5])
         assert ems
         for lst in ems:
@@ -314,7 +318,7 @@ class TestPipeline:
             t_start=wcfg.start + DAY, refresh_interval=12 * 3600.0,
             nightly_train_hour=1,
             train=TrainConfig(n_trees=4, max_depth=2, learning_rate=0.3),
-            features=FeatureConfig(embedding_dim=wcfg.embedding_dim), mnpage_cap=10)
+            mnpage_cap=10)
         users = corpus.user_ids()[:5]
         assert run_pipeline(corpus, cfg, users) == run_pipeline(corpus, cfg, users)
 
@@ -331,7 +335,7 @@ class TestPipeline:
 
 
     def test_out_of_order_schedule_refused(self):
-        models = [(T0 + DAY + h * 3600.0, constant_model(pipe_config().features.width, b))
+        models = [(T0 + DAY + h * 3600.0, constant_model(WIDTH, b))
                   for h, b in ((0, 0.1), (6, 0.2), (12, 0.3))]
         for schedule, message in (
                 (models[::-1], r"model 1 active from 2024-01-02T06:00:00\+00:00 does not "
@@ -342,8 +346,7 @@ class TestPipeline:
                              models=schedule)
 
     def test_each_model_serves_from_its_time(self):
-        width = pipe_config().features.width
-        models = [(T0 + DAY + h * 3600.0, constant_model(width, b))
+        models = [(T0 + DAY + h * 3600.0, constant_model(WIDTH, b))
                   for h, b in ((2, 0.1), (6, 0.2), (12, 0.3))]
         ems = run_pipeline(mini_corpus(), pipe_config(), ["u1"], t_end=T0 + 2 * DAY,
                            models=models)
@@ -353,16 +356,15 @@ class TestPipeline:
             served = [m for t, m in models if t <= e.at]
             assert e.fallback == (not served)
             if served:
-                score = served[-1].predict_matrix(np.zeros((1, width)))[0]
+                score = served[-1].predict_matrix(np.zeros((1, WIDTH)))[0]
                 assert {s for _, s in e.items} == {score}
 
     def test_schema_mismatch_refused(self):
         stale = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
                              schema_version=99, n_features=1)
         narrow = constant_model(1)
-        width = pipe_config().features.width
         for model, message in ((stale, "version 99.*running schema is version 1"),
-                               (narrow, f"expects 1 features.*has {width}")):
+                               (narrow, f"expects 1 features.*has {WIDTH}")):
             with pytest.raises(RankerError, match=message):
                 run_pipeline(mini_corpus(), pipe_config(), ["u1"], t_end=T0 + 2 * DAY,
                              models=[(T0 + DAY, model)])
@@ -448,7 +450,7 @@ class TestServeOracle:
         cfg = pipe_config(
             t_start=wcfg.start + DAY, refresh_interval=6 * 3600.0, nightly_train_hour=3,
             treatment=treatment, train=TrainConfig(n_trees=4, max_depth=2, learning_rate=0.3),
-            features=FeatureConfig(embedding_dim=wcfg.embedding_dim), mnpage_cap=mnpage_cap)
+            mnpage_cap=mnpage_cap)
         users = corpus.user_ids()[:5]
         got = run_pipeline(corpus, cfg, users)
         assert got == serve_via_oracle(monkeypatch, corpus, cfg, users)
@@ -477,7 +479,7 @@ class TestServeOracle:
                           blend_lambda=blend_lambda, mnpage_cap=mnpage_cap)
         t_end = T0 + 8 * DAY
         models = (train_schedule(corpus, cfg, t_end) if model == "trained" else
-                  [(T0 + DAY + 3 * 3600.0, constant_model(cfg.features.width, 0.3))])
+                  [(T0 + DAY + 3 * 3600.0, constant_model(WIDTH, 0.3))])
         users = ["u1", "u2"]
         expected = serve_via_oracle(monkeypatch, corpus, cfg, users, t_end=t_end,
                                     models=models)
@@ -561,8 +563,7 @@ class TestTrainSchedule:
         wcfg, corpus, _ = tiny_world
         cfg = pipe_config(
             t_start=wcfg.start + DAY, nightly_train_hour=1,
-            train=TrainConfig(n_trees=4, max_depth=3, learning_rate=0.3),
-            features=FeatureConfig(embedding_dim=wcfg.embedding_dim))
+            train=TrainConfig(n_trees=4, max_depth=3, learning_rate=0.3))
         days = []
 
         def counted(corpus, day, *args, **kwargs):
