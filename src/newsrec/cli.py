@@ -31,14 +31,15 @@ from .corpus import (DAY, Corpus, CorpusError, SyntheticWorldConfig, WordVectors
 from .evaluation import (TTestVariant, collect_metric_samples, compare_manual_recsys,
                          compare_treatments, format_accuracy_table,
                          format_comparison_table, offline_eval, scorers_from_schedule)
-from .features import ArticleFeatureCache, FeatureConfig, feature_names, write_schema
+from .features import (ArticleFeatureCache, FeatureConfig, ProfileCache, feature_names,
+                       write_schema)
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
 from .ranker import (PipelineConfig, RankedList, RankerError, Treatment,
                      manual_lists, manual_updates_range, read_emissions, run_pipeline,
                      train_schedule, write_emissions)
-from .usefulness import MetricEngine, write_metric_samples
+from .usefulness import write_metric_samples
 
 
 class CliError(Exception):
@@ -392,13 +393,13 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
         format_accuracy_table(report) + "\n", encoding="utf-8")
 
     samples = []
-    engine = MetricEngine(corpus)
+    profiles = ProfileCache(corpus)
     for treatment in cfg.treatments:
         path = cfg.emissions_path(treatment)
         if path.exists():
             emissions = _read_lists(path)
             samples.extend(collect_metric_samples(emissions, corpus, treatment.value,
-                                                  engine=engine))
+                                                  profiles=profiles))
     write_metric_samples(cfg.reports_dir / "metrics.csv", samples)
     print(format_accuracy_table(report))
     print(f"reports under {cfg.reports_dir}")

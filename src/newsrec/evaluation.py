@@ -23,11 +23,12 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import DAY, Article, Corpus, Kind, date_start, day_start, utc_date
-from .features import ArticleFeatureCache, UserProfile, build_profile, extract_matrix
+from .features import (ArticleFeatureCache, ProfileCache, UserProfile, build_profile,
+                       extract_matrix)
 from .gbdt import TreeEnsemble
 from .ranker import RankedList, Section, _sort_items
-from .usefulness import (AttributeKind, CoverageScope, MetricEngine, MetricSample, align,
-                         coverage, dynamism)
+from .usefulness import (AttributeKind, CoverageScope, MetricSample, align, coverage,
+                         dynamism, intra_list_diversity, serendipity)
 
 
 class EvalError(ValueError):
@@ -373,7 +374,11 @@ def _daily_coverage(corpus: Corpus, served: Iterable[tuple[float, RankedList | S
     return out
 
 
-def _metric_pass(emissions: Sequence[RankedList], corpus: Corpus, engine: MetricEngine):
+def _articles(corpus: Corpus, ids: Iterable[str]) -> list[Article]:
+    return [corpus.articles[aid] for aid in ids]
+
+
+def _metric_pass(emissions: Sequence[RankedList], corpus: Corpus, profiles: ProfileCache):
     """The one metric pass over a stream: per list in (at, user, section)
     order, its top-TOP_N cut, the cut's dynamism within its (user, section)
     stream, and the cut's diversity and serendipity per attribute (lists in
@@ -381,34 +386,34 @@ def _metric_pass(emissions: Sequence[RankedList], corpus: Corpus, engine: Metric
     `_daily_coverage` in COVERAGE_SCOPES."""
     ordered = sorted(emissions, key=lambda l: (l.at, l.user_id, l.section.value))
     tops = [lst.top(TOP_N) for lst in ordered]
-    diversity, serendipity = [], []
+    divs, sers = [], []
     for top in tops:
-        ids = top.ids()
-        profile = engine.profiles.get(top.user_id, top.at) if ids else None
-        diversity.append([engine.diversity(ids, attr) for attr in ALL_ATTRIBUTES])
-        serendipity.append([engine.serendipity(ids, profile, attr) for attr in ALL_ATTRIBUTES])
+        articles = _articles(corpus, top.ids())
+        profile = profiles.get(top.user_id, top.at) if articles else None
+        divs.append([intra_list_diversity(articles, attr) for attr in ALL_ATTRIBUTES])
+        sers.append([serendipity(articles, profile, attr) for attr in ALL_ATTRIBUTES])
     daily = _daily_coverage(corpus, ((t.at, t) for t in tops), COVERAGE_SCOPES)
-    return tops, _consecutive_dynamism(tops), diversity, serendipity, daily
+    return tops, _consecutive_dynamism(tops), divs, sers, daily
 
 
 def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
-                           treatment: str, engine: Optional[MetricEngine] = None
+                           treatment: str, profiles: Optional[ProfileCache] = None
                            ) -> list[MetricSample]:
     """The audit CSV's MetricSample rows over an emission stream, from
     `_metric_pass`: per list, its dynamism, then per attribute its diversity
-    and serendipity; then per day its coverage in each scope. `engine`, made
-    for `corpus`, may be shared with other streams over the same corpus."""
-    if engine is None:
-        engine = MetricEngine(corpus)
-    elif engine.corpus is not corpus:
-        raise EvalError("the metric engine was made for another corpus")
-    tops, dyns, diversity, serendipity, daily = _metric_pass(emissions, corpus, engine)
+    and serendipity; then per day its coverage in each scope. `profiles`,
+    made for `corpus`, may be shared with other streams over the same corpus."""
+    if profiles is None:
+        profiles = ProfileCache(corpus)
+    elif profiles.corpus is not corpus:
+        raise EvalError("the profile cache was made for another corpus")
+    tops, dyns, divs, sers, daily = _metric_pass(emissions, corpus, profiles)
     rows: list[MetricSample] = []
-    for top, dyn, divs, sers in zip(tops, dyns, diversity, serendipity):
+    for top, dyn, list_divs, list_sers in zip(tops, dyns, divs, sers):
         section = top.section.value
         if dyn is not None:
             rows.append(MetricSample("dynamism", dyn, None, treatment, section, top.at))
-        for attr, div, ser in zip(ALL_ATTRIBUTES, divs, sers):
+        for attr, div, ser in zip(ALL_ATTRIBUTES, list_divs, list_sers):
             if div is not None:
                 rows.append(MetricSample("diversity", div, attr, treatment, section, top.at))
             if ser is not None:
@@ -472,15 +477,15 @@ def compare_treatments(emissions_a: Sequence[RankedList],
     test (n < 2 on either side) are omitted from the result."""
     if not emissions_a or not emissions_b:
         raise EvalError("empty emission stream")
-    engine = MetricEngine(corpus)
+    profiles = ProfileCache(corpus)
     samples = []
     for emissions in (emissions_a, emissions_b):
-        _, dyns, diversity, serendipity, daily = _metric_pass(emissions, corpus, engine)
+        _, dyns, divs, sers, daily = _metric_pass(emissions, corpus, profiles)
         samples.append({
             "dynamism": [v for v in dyns if v is not None],
-            "serendipity": [sum(v) / len(ALL_ATTRIBUTES) for v in serendipity if None not in v],
+            "serendipity": [sum(v) / len(ALL_ATTRIBUTES) for v in sers if None not in v],
             "coverage": [all_users for _, all_users in daily.values()],
-            "diversity": [sum(v) / len(ALL_ATTRIBUTES) for v in diversity if None not in v],
+            "diversity": [sum(v) / len(ALL_ATTRIBUTES) for v in divs if None not in v],
         })
     samples_a, samples_b = samples
     reports = []
@@ -520,36 +525,40 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     pairs = align(manual_stream, recsys_stream)
     if not pairs:
         raise EvalError("alignment produced no pairs")
-    engine = MetricEngine(corpus)
+    profiles = ProfileCache(corpus)
+
+    # per attribute: manual diversity per manual list; per aligned pair, the
+    # recsys list's diversity and both lists' serendipity
+    manual_div, recsys_div, manual_ser, recsys_ser = (
+        {attr: [] for attr in ALL_ATTRIBUTES} for _ in range(4))
+    for manual in manual_stream:
+        articles = _articles(corpus, manual.ids())
+        for attr in ALL_ATTRIBUTES:
+            manual_div[attr].append(intra_list_diversity(articles, attr))
+    for manual, lst in pairs:
+        manual_articles, articles = _articles(corpus, manual.ids()), _articles(corpus, lst.ids())
+        profile = profiles.get(lst.user_id, manual.at)
+        for attr in ALL_ATTRIBUTES:
+            recsys_div[attr].append(intra_list_diversity(articles, attr))
+            manual_ser[attr].append(serendipity(manual_articles, profile, attr))
+            recsys_ser[attr].append(serendipity(articles, profile, attr))
+
+    def defined(values: Iterable[Optional[float]]) -> list[float]:
+        return [v for v in values if v is not None]
 
     reports: list[ComparisonReport] = []
-    for attr in ALL_ATTRIBUTES:
-        manual_div = [v for lst in manual_stream
-                      if (v := engine.diversity(lst.ids(), attr)) is not None]
-        recsys_div = [v for _, lst in pairs
-                      if (v := engine.diversity(lst.ids(), attr)) is not None]
-        reports.append(t_test(manual_div, recsys_div, variant=variant,
-                              metric=f"diversity_{attr.value}"))
-    for attr in ALL_ATTRIBUTES:
-        manual_ser, recsys_ser = [], []
-        for manual, lst in pairs:
-            profile = engine.profiles.get(lst.user_id, manual.at)
-            v = engine.serendipity(manual.ids(), profile, attr)
-            if v is not None:
-                manual_ser.append(v)
-            v = engine.serendipity(lst.ids(), profile, attr)
-            if v is not None:
-                recsys_ser.append(v)
-        reports.append(t_test(manual_ser, recsys_ser, variant=variant,
-                              metric=f"serendipity_{attr.value}"))
+    for metric, samples_a, samples_b in (("diversity", manual_div, recsys_div),
+                                         ("serendipity", manual_ser, recsys_ser)):
+        for attr in ALL_ATTRIBUTES:
+            reports.append(t_test(defined(samples_a[attr]), defined(samples_b[attr]),
+                                  variant=variant, metric=f"{metric}_{attr.value}"))
 
-    def dynamism_samples(lists: Iterable[RankedList]) -> list[float]:
-        return [v for v in _consecutive_dynamism(lists) if v is not None]
-
-    manual_dyn = dynamism_samples(manual_stream)
+    manual_dyn = defined(_consecutive_dynamism(manual_stream))
     # users in id order, each user's lists in stream order
-    aligned_dyn = dynamism_samples(sorted((lst for _, lst in pairs), key=lambda l: l.user_id))
-    all_dyn = dynamism_samples(sorted(recsys_stream, key=lambda l: (l.user_id, l.at)))
+    aligned_dyn = defined(_consecutive_dynamism(
+        sorted((lst for _, lst in pairs), key=lambda l: l.user_id)))
+    all_dyn = defined(_consecutive_dynamism(
+        sorted(recsys_stream, key=lambda l: (l.user_id, l.at))))
     reports.append(t_test(manual_dyn, aligned_dyn, variant=variant,
                           metric="dynamism_aligned"))
     reports.append(t_test(manual_dyn, all_dyn, variant=variant, metric="dynamism_all"))
@@ -571,8 +580,6 @@ def behavior_shift(corpus: Corpus, before: tuple[float, float],
     """Reading-behavior comparison between two periods: per-user daily-click
     diversity per attribute, plus all-users daily coverage of clicks."""
 
-    engine = MetricEngine(corpus)
-
     def period_samples(t0: float, t1: float):
         clicks: dict[tuple[str, float], list[str]] = {}
         for ev in corpus.events_between(t0, t1):
@@ -583,8 +590,9 @@ def behavior_shift(corpus: Corpus, before: tuple[float, float],
             raise EvalError("period has no clicks")
         div: dict[AttributeKind, list[float]] = {a: [] for a in ALL_ATTRIBUTES}
         for key in sorted(clicks):
+            articles = _articles(corpus, clicks[key])
             for attr in ALL_ATTRIBUTES:
-                value = engine.diversity(clicks[key], attr)
+                value = intra_list_diversity(articles, attr)
                 if value is not None:
                     div[attr].append(value)
         daily = _daily_coverage(corpus, ((day_ts, ids) for (_, day_ts), ids in clicks.items()),

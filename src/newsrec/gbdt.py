@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import _finite_number
+from .corpus import _finite, _finite_number
 from .features import SCHEMA_VERSION, LabeledExample
 
 
@@ -46,6 +46,9 @@ class TrainConfig:
     l2_reg: float = 1.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "min_child_weight", "l2_reg"):
+            if not _finite(getattr(self, name)):
+                raise GbdtError(f"{name} must be finite, not {getattr(self, name)!r}")
         if self.n_trees < 1:
             raise GbdtError("n_trees must be >= 1")
         if self.max_depth < 0:

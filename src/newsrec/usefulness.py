@@ -15,10 +15,10 @@ pairs of consecutive lists) drawn from an emission log:
 * coverage: share of the day's publications served, per user
   (macro-averaged) or unioned across users.
 
-`sim`, `intra_list_diversity`, `item_unexpectedness` and `serendipity` are
-the definitions over Article objects. `MetricEngine` evaluates diversity and
-serendipity by article id over one corpus, with each article's norm and value
-sets computed once, and gives the same float for the same list.
+`sim`, `intra_list_diversity` and `serendipity` are the one definition of
+each rule, over Article objects; `evaluation` passes each list's articles.
+An article caches its embedding norm and section set, a profile its
+mean-embedding norm, so a list reads each value once.
 
 Gini and Shannon entropy of attribute count distributions are provided as
 the cross-check dispersion measures.
@@ -35,8 +35,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Article, Corpus
-from .features import ProfileCache, UserProfile
+from .corpus import Article
+from .features import UserProfile
 from .ranker import RankedList
 
 
@@ -62,7 +62,7 @@ class MetricSample:
 
 def attribute_values(article: Article, attr: AttributeKind) -> frozenset[str]:
     if attr is AttributeKind.SECTION:
-        return frozenset((article.section,))
+        return article.section_set
     if attr is AttributeKind.TAGS:
         return article.tags
     if attr is AttributeKind.AUTHORS:
@@ -75,13 +75,9 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / union if union else 1.0
 
 
-def _cosine01(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine mapped to [0, 1]; zero vectors are maximally dissimilar."""
-    return _cosine01_of_norms(u, v, np.linalg.norm(u), np.linalg.norm(v))
-
-
-def _cosine01_of_norms(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
-    """`_cosine01` given the norms of `u` and `v`."""
+def _cosine01(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
+    """Cosine of `u` and `v`, given their norms, mapped to [0, 1]; zero
+    vectors are maximally dissimilar."""
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return (float(u @ v / (nu * nv)) + 1.0) / 2.0
@@ -94,12 +90,13 @@ def sim(a: Article, b: Article, attr: AttributeKind) -> float:
     inside intra_list_diversity, not here.
     """
     if attr is AttributeKind.EMBEDDING:
-        return _cosine01(a.embedding, b.embedding)
+        return _cosine01(a.embedding, b.embedding, a.embedding_norm, b.embedding_norm)
     return _jaccard(attribute_values(a, attr), attribute_values(b, attr))
 
 
 def intra_list_diversity(articles: Sequence[Article], attr: AttributeKind) -> Optional[float]:
-    """Mean pairwise dissimilarity of a list; None for lists shorter than 2.
+    """Mean pairwise dissimilarity of a list (`sim` over its pairs); None
+    for lists shorter than 2.
 
     Embedding similarities are divided by the list's maximum pairwise
     similarity first ("normalized by the maximal score"); if that maximum
@@ -108,12 +105,17 @@ def intra_list_diversity(articles: Sequence[Article], attr: AttributeKind) -> Op
     n = len(articles)
     if n < 2:
         return None
-    sims = [sim(articles[i], articles[j], attr)
-            for i in range(n) for j in range(i + 1, n)]
     if attr is AttributeKind.EMBEDDING:
+        vecs = [a.embedding for a in articles]
+        norms = [a.embedding_norm for a in articles]
+        sims = [_cosine01(vecs[i], vecs[j], norms[i], norms[j])
+                for i in range(n) for j in range(i + 1, n)]
         top = max(sims)
         if top > 0.0:
             sims = [s / top for s in sims]
+    else:
+        sets = [attribute_values(a, attr) for a in articles]
+        sims = [_jaccard(sets[i], sets[j]) for i in range(n) for j in range(i + 1, n)]
     return sum(1.0 - s for s in sims) / len(sims)
 
 
@@ -133,13 +135,9 @@ def dynamism(l1, l2) -> Optional[float]:
     return sum(1 for aid in new if aid not in old) / len(new)
 
 
-def _freq_mass(values: frozenset[str], freq: Mapping[str, int]) -> float:
-    return _freq_mass_of_total(values, freq, sum(freq.values()))
-
-
-def _freq_mass_of_total(values: frozenset[str], freq: Mapping[str, int],
-                        total: int) -> float:
-    """`_freq_mass` given the sum of `freq`'s counts."""
+def _freq_mass(values: frozenset[str], freq: Mapping[str, int], total: int) -> float:
+    """Share of `freq`'s counts, which sum to `total`, held by `values`; at
+    most 1."""
     if total == 0:
         return 0.0
     mass = sum(freq.get(v, 0) for v in values) / total
@@ -154,89 +152,25 @@ def _profile_freq(profile: UserProfile, attr: AttributeKind) -> Mapping[str, int
     return profile.author_freq
 
 
-def item_unexpectedness(article: Article, profile: UserProfile,
-                        attr: AttributeKind) -> float:
-    """1 minus how expected the item is under the user's 7-day history."""
+def serendipity(articles: Sequence[Article], profile: UserProfile,
+                attr: AttributeKind) -> Optional[float]:
+    """Mean unexpectedness of the list's items under the user's 7-day
+    history: 1 minus the item's cosine to the mean embedding, or minus its
+    values' frequency mass. Every item is unexpected for an empty history.
+    None for an empty list."""
+    if not articles:
+        return None
     if profile.n_clicks == 0:
         return 1.0
     if attr is AttributeKind.EMBEDDING:
-        return 1.0 - _cosine01(profile.mean_embedding, article.embedding)
-    return 1.0 - _freq_mass(attribute_values(article, attr), _profile_freq(profile, attr))
-
-
-def serendipity(articles: Sequence[Article], profile: UserProfile,
-                attr: AttributeKind) -> Optional[float]:
-    """Mean unexpectedness of the list's items; None for an empty list."""
-    if not articles:
-        return None
-    return sum(item_unexpectedness(a, profile, attr) for a in articles) / len(articles)
-
-
-class MetricEngine:
-    """Diversity and serendipity by article id over one corpus.
-
-    It holds O(articles + click windows) state: a row per article id, each
-    article's embedding norm (one `np.linalg.norm` per vector, as `_cosine01`
-    takes it; an `axis=1` norm sums in another order) and discrete value
-    sets, and `profiles`, a `features.ProfileCache` holding one profile per
-    distinct click window asked for. Pair and item terms are not memoized.
-    Each value is the same float that `intra_list_diversity` and
-    `serendipity` give for the same articles: the same scalar expressions, in
-    the same pair and item order, summed in Python. Article ids repeat across
-    corpora, so make one engine per corpus and per comparison, never one
-    shared between them.
-    """
-
-    def __init__(self, corpus: Corpus):
-        self.corpus = corpus
-        articles = list(corpus.articles.values())
-        self.row = {a.id: i for i, a in enumerate(articles)}
-        self._embeddings = [a.embedding for a in articles]
-        self.norms = np.array([np.linalg.norm(a.embedding) for a in articles],
-                              dtype=np.float64)
-        self._values = {attr: [attribute_values(a, attr) for a in articles]
-                        for attr in DISCRETE_ATTRIBUTES}
-        self.profiles = ProfileCache(corpus)
-
-    def diversity(self, ids: Sequence[str], attr: AttributeKind) -> Optional[float]:
-        """`intra_list_diversity` of the articles `ids`."""
-        n = len(ids)
-        if n < 2:
-            return None
-        rows = [self.row[aid] for aid in ids]
-        if attr is AttributeKind.EMBEDDING:
-            vecs = [self._embeddings[r] for r in rows]
-            norms = self.norms[rows].tolist()
-            sims = [_cosine01_of_norms(vecs[i], vecs[j], norms[i], norms[j])
-                    for i in range(n) for j in range(i + 1, n)]
-            top = max(sims)
-            if top > 0.0:
-                sims = [s / top for s in sims]
-        else:
-            values = self._values[attr]
-            sets = [values[r] for r in rows]
-            sims = [_jaccard(sets[i], sets[j]) for i in range(n) for j in range(i + 1, n)]
-        return sum(1.0 - s for s in sims) / len(sims)
-
-    def serendipity(self, ids: Sequence[str], profile: UserProfile,
-                    attr: AttributeKind) -> Optional[float]:
-        """`serendipity` of the articles `ids` against `profile`."""
-        if not ids:
-            return None
-        rows = [self.row[aid] for aid in ids]
-        if profile.n_clicks == 0:
-            terms = [1.0 for _ in rows]
-        elif attr is AttributeKind.EMBEDDING:
-            mean, mean_norm = profile.mean_embedding, profile.embedding_norm
-            norms = self.norms[rows].tolist()
-            terms = [1.0 - _cosine01_of_norms(mean, self._embeddings[r], mean_norm, nv)
-                     for r, nv in zip(rows, norms)]
-        else:
-            freq = _profile_freq(profile, attr)
-            total = sum(freq.values())
-            values = self._values[attr]
-            terms = [1.0 - _freq_mass_of_total(values[r], freq, total) for r in rows]
-        return sum(terms) / len(rows)
+        mean, mean_norm = profile.mean_embedding, profile.embedding_norm
+        terms = [1.0 - _cosine01(mean, a.embedding, mean_norm, a.embedding_norm)
+                 for a in articles]
+    else:
+        freq = _profile_freq(profile, attr)
+        total = sum(freq.values())
+        terms = [1.0 - _freq_mass(attribute_values(a, attr), freq, total) for a in articles]
+    return sum(terms) / len(articles)
 
 
 class CoverageScope(Enum):

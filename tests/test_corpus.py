@@ -2,7 +2,7 @@ import datetime as dt
 import json
 import math
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -287,6 +287,37 @@ class TestGenerateWorld:
         with pytest.raises(ValueError, match="click_noise"):
             SyntheticWorldConfig(click_noise=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["zipf_exponent", "click_noise", "click_threshold",
+                                       "start"])
+    def test_non_finite_config_value_refused(self, field, bad):
+        # a NaN click_threshold generated a world without clicks, and a NaN
+        # zipf_exponent failed inside numpy without naming the field
+        with pytest.raises(ValueError, match=f"{field} must be finite, not {bad!r}"):
+            SyntheticWorldConfig(**{field: bad})
+
+
+class TestArticleCache:
+    def test_embedding_norm_is_per_vector(self):
+        arts = [make_article("z"), make_article("a", embedding=[3, 4, 0, 0]),
+                make_article("b", embedding=[0.1, -0.7, 2.3, 1e-9])]
+        for a in arts:
+            assert type(a.embedding_norm) is float
+            assert a.embedding_norm == float(np.linalg.norm(a.embedding))
+
+    def test_section_set(self):
+        a = make_article("a", section="s1")
+        assert a.section_set == frozenset({"s1"})
+        assert a.section_set is a.section_set  # made once
+
+    @pytest.mark.parametrize("field", ["id", "section", "tags", "embedding"])
+    def test_fields_cannot_be_reassigned(self, field):
+        a = make_article("a", embedding=[3, 4, 0, 0])
+        assert a.embedding_norm == 5.0
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, field, getattr(make_article("b", section="s9"), field))
+        assert a.embedding_norm == 5.0 and a.section_set == frozenset({"news"})
+
 
 class TestInvariants:
     def test_duplicate_article_rejected_in_constructor(self):
@@ -311,6 +342,12 @@ class TestInvariants:
         path = tmp_path / "v.txt"
         path.write_text(f"2 2\nalpha 0.0 1.0\nbeta 0.5 {bad}\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=f"v.txt:3: vector for 'beta' is not finite"):
+            WordVectors.from_file(path)
+
+    def test_repeated_word_vector_names_the_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("3 2\nalpha 0.0 1.0\nbeta 0.5 0.5\nalpha 1.0 0.0\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="v.txt:4: word 'alpha' repeats"):
             WordVectors.from_file(path)
 
     @pytest.mark.parametrize("header", ["x 16", "2", "2 2 2", "2 0", "-1 2", ""])

@@ -15,12 +15,11 @@ from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
                                 compare_treatments, ensemble_scorer, ndcg, offline_eval,
                                 precision_recall_at, regularized_incomplete_beta,
                                 t_test)
-from newsrec.features import ArticleFeatureCache, FeatureConfig, build_profile
+from newsrec.features import ArticleFeatureCache, FeatureConfig, ProfileCache
 from newsrec.gbdt import TrainConfig, TreeEnsemble
 from newsrec.ranker import (MANUAL_USER, PipelineConfig, RankedList, Section,
                             Treatment, manual_lists, run_pipeline, train_schedule)
-from newsrec.usefulness import (AttributeKind, MetricEngine, intra_list_diversity,
-                                serendipity)
+from newsrec.usefulness import AttributeKind, intra_list_diversity, serendipity
 
 from conftest import T0, click, impression, make_article
 
@@ -639,10 +638,10 @@ class TestMidnightPublication:
         assert (cov.group_a.n, cov.group_a.mean) == (2, 1.0)
 
 
-class TestMetricEngineScope:
+class TestProfileCacheScope:
     """Two corpora with the same article ids but different embeddings, tags
-    and clicks: each comparison call makes its own engine, and none is left
-    behind when the call returns."""
+    and clicks: each comparison call reads its own corpus's articles and
+    makes its own profile cache, and none is left behind when it returns."""
 
     H = 3600.0
     IDS = ("a0", "b0", "m1", "a1")
@@ -684,43 +683,73 @@ class TestMetricEngineScope:
         out += collect_metric_samples(recsys, corpus, "t")
         return out
 
-    def test_separate_engines_give_each_corpus_its_values(self):
-        first, second = self.build_corpus(0), self.build_corpus(1)
-        engines = {0: MetricEngine(first), 1: MetricEngine(second)}
+    def test_each_corpus_gets_its_own_values(self):
         ids = ["m1", "a0", "a1"]
         at = T0 + DAY + 12 * self.H
         values = {}
-        for variant, corpus in ((0, first), (1, second)):
-            engine = engines[variant]
+        for variant in (0, 1):
+            corpus = self.build_corpus(variant)
             articles = [corpus.articles[aid] for aid in ids]
-            profile = build_profile(corpus, "u1", at)
+            profile = ProfileCache(corpus).get("u1", at)
             for attr in AttributeKind:
-                div = engine.diversity(ids, attr)
-                ser = engine.serendipity(ids, engine.profiles.get("u1", at), attr)
-                assert div == intra_list_diversity(articles, attr)
-                assert ser == serendipity(articles, profile, attr)
-                values[variant, attr] = (div, ser)
+                values[variant, attr] = (intra_list_diversity(articles, attr),
+                                         serendipity(articles, profile, attr))
         for attr in AttributeKind:
             assert values[0, attr] != values[1, attr], attr
 
-    def test_engine_of_another_corpus_refused(self):
+    def test_cache_of_another_corpus_refused(self):
         first, second = self.build_corpus(0), self.build_corpus(1)
         recsys, _, _ = self.streams()
         with pytest.raises(EvalError, match="another corpus"):
-            collect_metric_samples(recsys, first, "t", engine=MetricEngine(second))
+            collect_metric_samples(recsys, first, "t", profiles=ProfileCache(second))
+        shared = ProfileCache(first)
+        assert (collect_metric_samples(recsys, first, "t", profiles=shared)
+                == collect_metric_samples(recsys, first, "t"))
 
-    def test_no_engine_outlives_the_comparison_call(self, monkeypatch):
+    def test_no_cache_outlives_the_comparison_call(self, monkeypatch):
         made = []
 
-        class RecordedEngine(MetricEngine):
+        class RecordedCache(ProfileCache):
             def __init__(self, corpus):
                 super().__init__(corpus)
                 made.append(weakref.ref(self))
 
         alone = {v: self.reports(self.build_corpus(v)) for v in (1, 0)}
-        monkeypatch.setattr(evaluation, "MetricEngine", RecordedEngine)
+        monkeypatch.setattr(evaluation, "ProfileCache", RecordedCache)
         for variant in (0, 1, 0):
             assert self.reports(self.build_corpus(variant)) == alone[variant]
             gc.collect()
             assert made and all(ref() is None for ref in made)
         assert alone[0] != alone[1]
+
+
+    def test_studies_call_the_definitions(self, monkeypatch):
+        """Every metric pass computes diversity and serendipity by calling
+        `intra_list_diversity` and `serendipity` as `evaluation` names them,
+        so a wrapper put there (as the benchmark's tracer does) sees each
+        call."""
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("intra_list_diversity", "serendipity"):
+            monkeypatch.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
+        corpus = self.build_corpus(0)
+        recsys, dynamic, manual = self.streams()
+        period = (T0, T0 + 2 * DAY)
+        studies = {
+            "compare_treatments": lambda: compare_treatments(recsys, dynamic, corpus),
+            "compare_manual_recsys": lambda: compare_manual_recsys(manual, recsys, corpus),
+            "collect_metric_samples": lambda: collect_metric_samples(recsys, corpus, "t"),
+            "behavior_shift": lambda: behavior_shift(corpus, period, period),
+        }
+        for study, run in studies.items():
+            calls.clear()
+            run()
+            assert calls.get("intra_list_diversity", 0) > 0, study
+            if study != "behavior_shift":  # it compares click diversity only
+                assert calls.get("serendipity", 0) > 0, study

@@ -120,6 +120,13 @@ class TestTrain:
         with pytest.raises(GbdtError):
             TrainConfig(max_depth=-1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["learning_rate", "min_child_weight", "l2_reg"])
+    def test_non_finite_config_value_refused(self, field, bad):
+        # a NaN min_child_weight or an infinite l2_reg trained trees that never split
+        with pytest.raises(GbdtError, match=f"{field} must be finite, not {bad!r}"):
+            TrainConfig(**{field: bad})
+
     def test_train_from_labeled_examples(self):
         X, y = separable_dataset(n=60, seed=11)
         model = train(examples_from(X, y), TrainConfig(n_trees=5, max_depth=2))

@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from newsrec.corpus import DAY
-from newsrec.features import UserProfile, build_profile, empty_profile
+from newsrec.features import ProfileCache, UserProfile, build_profile, empty_profile
 from newsrec.ranker import RankedList, Section
-from newsrec.usefulness import (AttributeKind, CoverageScope, MetricEngine, MetricSample,
-                                align, coverage, dynamism, entropy, gini,
-                                intra_list_diversity, item_unexpectedness,
-                                serendipity, sim, write_metric_samples)
+from newsrec.usefulness import (AttributeKind, CoverageScope, MetricSample, align, coverage,
+                                dynamism, entropy, gini, intra_list_diversity, serendipity,
+                                sim, write_metric_samples)
 
 from conftest import T0, click, make_article, make_corpus
 
@@ -155,23 +154,23 @@ class TestSerendipity:
     def test_unseen_tags_fully_unexpected(self):
         prof = profile_with(tag_freq={"x": 2})
         art = make_article("a", tags=("p", "q"))
-        assert item_unexpectedness(art, prof, AttributeKind.TAGS) == 1.0
+        assert serendipity([art], prof, AttributeKind.TAGS) == 1.0
 
     def test_embedding_match_fully_expected(self):
         prof = profile_with(mean_embedding=[1, 2, 0, 0])
         art = make_article("a", embedding=[2, 4, 0, 0])  # same direction
-        assert item_unexpectedness(art, prof, AttributeKind.EMBEDDING) == pytest.approx(0.0)
+        assert serendipity([art], prof, AttributeKind.EMBEDDING) == pytest.approx(0.0)
 
     def test_frequency_mass_hand_oracle(self):
         prof = profile_with(tag_freq={"a": 3, "b": 1})
         art = make_article("x", tags=("a",))
         # mass of "a" = 3/4 -> unexpectedness 1/4
-        assert item_unexpectedness(art, prof, AttributeKind.TAGS) == pytest.approx(0.25)
+        assert serendipity([art], prof, AttributeKind.TAGS) == pytest.approx(0.25)
 
     def test_mass_clamped_to_one(self):
         prof = profile_with(tag_freq={"a": 3, "b": 1})
         art = make_article("x", tags=("a", "b", "zz"))
-        value = item_unexpectedness(art, prof, AttributeKind.TAGS)
+        value = serendipity([art], prof, AttributeKind.TAGS)
         assert value == 0.0  # mass 1.0 clamped, never negative
 
     def test_empty_profile_everything_new(self):
@@ -213,35 +212,91 @@ def small_corpora(draw):
     return make_corpus(arts, clicks)
 
 
-def engine_matches_oracle(corpus, ids, user, at, engine=None):
-    engine = engine or MetricEngine(corpus)
+def pair_rule_values(article, attr):
+    return {AttributeKind.SECTION: frozenset((article.section,)),
+            AttributeKind.TAGS: article.tags, AttributeKind.AUTHORS: article.authors}[attr]
+
+
+def pair_rule_cosine01(u, v):
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return (float(u @ v / (nu * nv)) + 1.0) / 2.0
+
+
+def pair_rule_diversity(articles, attr):
+    """Diversity by the per-pair rule: each pair takes its norms and value
+    sets afresh, nothing is cached."""
+    n = len(articles)
+    if n < 2:
+        return None
+    sims = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = articles[i], articles[j]
+            if attr is AttributeKind.EMBEDDING:
+                sims.append(pair_rule_cosine01(a.embedding, b.embedding))
+            else:
+                va, vb = pair_rule_values(a, attr), pair_rule_values(b, attr)
+                sims.append(len(va & vb) / len(va | vb) if va | vb else 1.0)
+    if attr is AttributeKind.EMBEDDING and max(sims) > 0.0:
+        top = max(sims)
+        sims = [s / top for s in sims]
+    return sum(1.0 - s for s in sims) / len(sims)
+
+
+def pair_rule_serendipity(articles, profile, attr):
+    """Serendipity by the per-item rule: each item takes the profile's
+    frequency total and the mean embedding's norm afresh."""
+    if not articles:
+        return None
+    terms = []
+    for a in articles:
+        if profile.n_clicks == 0:
+            terms.append(1.0)
+        elif attr is AttributeKind.EMBEDDING:
+            terms.append(1.0 - pair_rule_cosine01(profile.mean_embedding, a.embedding))
+        else:
+            freq = {AttributeKind.SECTION: profile.section_freq,
+                    AttributeKind.TAGS: profile.tag_freq,
+                    AttributeKind.AUTHORS: profile.author_freq}[attr]
+            total = sum(freq.values())
+            mass = sum(freq.get(v, 0) for v in pair_rule_values(a, attr)) / total if total else 0.0
+            terms.append(1.0 - min(mass, 1.0))
+    return sum(terms) / len(articles)
+
+
+def definitions_match_pair_rule(corpus, ids, user, at, profiles=None):
+    profiles = profiles or ProfileCache(corpus)
     articles = [corpus.articles[aid] for aid in ids]
     profile = build_profile(corpus, user, at)
     for attr in AttributeKind:
-        assert engine.diversity(ids, attr) == intra_list_diversity(articles, attr)
-        assert (engine.serendipity(ids, engine.profiles.get(user, at), attr)
-                == serendipity(articles, profile, attr))
+        assert intra_list_diversity(articles, attr) == pair_rule_diversity(articles, attr)
+        assert (serendipity(articles, profiles.get(user, at), attr)
+                == pair_rule_serendipity(articles, profile, attr))
 
 
-class TestMetricEngine:
-    """MetricEngine gives the same float as the Article-level definitions."""
+class TestPairRuleOracle:
+    """The definitions, reading each article's cached norm and section set
+    and each list's frequency total once, give the same float as the
+    per-pair rule that recomputes them."""
 
     @given(st.data())
-    def test_equals_definitions_on_random_lists(self, data):
-        # one engine answers several lists, users and instants, as in a study
+    def test_random_lists(self, data):
+        # one profile cache answers several lists, users and instants, as in a study
         corpus = data.draw(small_corpora())
-        engine = MetricEngine(corpus)
+        profiles = ProfileCache(corpus)
         for _ in range(data.draw(st.integers(1, 4))):
             ids = data.draw(st.lists(st.sampled_from(sorted(corpus.articles)), max_size=7))
             user = data.draw(st.sampled_from(["u0", "u1", "u2"]))
             at = T0 + data.draw(st.integers(0, 420)) * H
-            engine_matches_oracle(corpus, ids, user, at, engine)
+            definitions_match_pair_rule(corpus, ids, user, at, profiles)
 
     @pytest.mark.parametrize("ids", [
         [], ["a"], ["z", "a"], ["a", "a"], ["a", "z", "b", "a", "c"], ["z", "z", "z"],
     ], ids=["empty", "one-item", "zero-embedding", "repeated-id", "mixed", "all-zero"])
     @pytest.mark.parametrize("user", ["u0", "u1"], ids=["empty-history", "history"])
-    def test_equals_definitions_on_edge_lists(self, ids, user):
+    def test_edge_lists(self, ids, user):
         arts = [make_article("z", tags=("x",)),
                 make_article("a", section="s1", tags=("x", "y"), authors=("p",),
                              embedding=[1, 2, 0, 0]),
@@ -249,22 +304,15 @@ class TestMetricEngine:
                 make_article("c", section="s2", embedding=[1, 1, 1, 1])]
         clicks = [click("u1", "a", T0 + H), click("u1", "z", T0 + 2 * H),
                   click("u1", "c", T0 + 3 * H)]
-        engine_matches_oracle(make_corpus(arts, clicks), ids, user, T0 + DAY)
+        definitions_match_pair_rule(make_corpus(arts, clicks), ids, user, T0 + DAY)
 
     def test_zero_mean_embedding_profile(self):
         # the only click in the window is on the zero-embedding article
         arts = [make_article("z"), make_article("a", embedding=[1, 0, 0, 0])]
         corpus = make_corpus(arts, [click("u1", "z", T0)])
-        engine = MetricEngine(corpus)
-        profile = engine.profiles.get("u1", T0 + H)
+        profile = ProfileCache(corpus).get("u1", T0 + H)
         assert profile.embedding_norm == 0.0 and profile.n_clicks == 1
-        engine_matches_oracle(corpus, ["a", "z"], "u1", T0 + H)
-
-    def test_norms_are_per_vector(self):
-        arts = [make_article("z"), make_article("a", embedding=[3, 4, 0, 0])]
-        engine = MetricEngine(make_corpus(arts))
-        assert engine.norms.dtype == np.float64
-        assert engine.norms.tolist() == [np.linalg.norm(a.embedding) for a in arts]
+        definitions_match_pair_rule(corpus, ["a", "z"], "u1", T0 + H)
 
 
 class TestCoverage:
