@@ -14,20 +14,19 @@ import numpy as np
 
 from newsrec import SyntheticWorldConfig, TrainConfig, generate_world, train
 from newsrec.corpus import DAY
-from newsrec.features import FeatureConfig, build_training_set, feature_names
+from newsrec.features import build_training_set, feature_names
 from newsrec.gbdt import load, save
 
 cfg = SyntheticWorldConfig(seed=21, n_users=40, n_days=3, articles_per_day=14,
                            embedding_dim=16, user_affinity_dim=8, n_personas=4)
 corpus, truth = generate_world(cfg)
-fcfg = FeatureConfig()
 
 day = dt.datetime.fromtimestamp(cfg.start + 2 * DAY, tz=dt.timezone.utc).date()
-examples = build_training_set(corpus, day, rng_seed=1, cfg=fcfg)
+examples = build_training_set(corpus, day, rng_seed=1)
 n_pos = sum(e.label for e in examples)
 print(f"training set for {day}: {len(examples)} examples "
       f"({n_pos} positive / {len(examples) - n_pos} negative, 1:1 by sampling)")
-names = feature_names(fcfg, corpus.embedding_dim)
+names = feature_names(corpus.embedding_dim)
 print(f"feature width {len(names)}; first few names: {names[:4]} ...")
 
 model = train(examples, TrainConfig(n_trees=25, max_depth=3, learning_rate=0.2))

@@ -9,6 +9,7 @@ simulation, mirroring a before/after analysis of click diversity.
 """
 
 import warnings
+from dataclasses import replace
 
 from newsrec import SyntheticWorldConfig, TrainConfig, generate_world
 from newsrec.corpus import DAY
@@ -26,7 +27,7 @@ base = PipelineConfig(
     rng_seed=cfg.seed, train=TrainConfig(n_trees=15, max_depth=3, learning_rate=0.25),
     mnpage_cap=10)
 
-cache = ArticleFeatureCache(corpus, base.features)
+cache = ArticleFeatureCache(corpus)
 schedule = train_schedule(corpus, base, cache=cache)
 scorers = scorers_from_schedule(schedule, cache)
 with warnings.catch_warnings():
@@ -37,7 +38,7 @@ print(format_accuracy_table(report))
 
 users = corpus.user_ids()
 ems_base = run_pipeline(corpus, base, users, models=schedule)
-dyn = PipelineConfig(**{**base.__dict__, "treatment": Treatment.DYNAMISM})
+dyn = replace(base, treatment=Treatment.DYNAMISM)
 ems_dyn = run_pipeline(corpus, dyn, users, models=schedule)
 
 print("\nA/B comparison, baseline vs recency-blended treatment:")

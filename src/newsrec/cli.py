@@ -31,8 +31,7 @@ from .corpus import (DAY, Corpus, CorpusError, SyntheticWorldConfig, WordVectors
 from .evaluation import (TTestVariant, collect_metric_samples, compare_manual_recsys,
                          compare_treatments, format_accuracy_table,
                          format_comparison_table, offline_eval, scorers_from_schedule)
-from .features import (ArticleFeatureCache, FeatureConfig, ProfileCache, feature_names,
-                       write_schema)
+from .features import ArticleFeatureCache, ProfileCache, feature_names, write_schema
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
@@ -83,8 +82,8 @@ class ExperimentConfig:
         return self.out / "manual.jsonl"
 
 
-_TOP_LEVEL_KEYS = {"seed", "out", "world", "corpus", "pipeline", "train", "features",
-                   "treatments", "manual_updates_per_day", "eval_ks", "variant"}
+_TOP_LEVEL_KEYS = {"seed", "out", "world", "corpus", "pipeline", "train", "treatments",
+                   "manual_updates_per_day", "eval_ks", "variant"}
 _CORPUS_KEYS = {"articles": "str", "events": "str", "vectors": "str"}
 _PIPELINE_KEYS = {"t_start": "float", "start_day_offset": "int",
                   "candidate_window_days": "float", "refresh_interval_hours": "float",
@@ -186,9 +185,6 @@ def load_config(path: str | Path, seed: Optional[int] = None,
         seed = config_seed
     train = _build("train", TrainConfig, _section(
         "train", raw.get("train", {}), _field_kinds(TrainConfig), problems), problems)
-    features = _build("features", FeatureConfig, _section(
-        "features", raw.get("features", {}), _field_kinds(FeatureConfig), problems),
-        problems)
     pipe = _section("pipeline", raw.get("pipeline", {}), _PIPELINE_KEYS, problems)
     pipeline = _build("pipeline", PipelineConfig, dict(
         t_start=0.0,  # a placeholder: _pipeline_config sets it from the corpus
@@ -199,7 +195,6 @@ def load_config(path: str | Path, seed: Optional[int] = None,
         rec_label_threshold=float(pipe.get("rec_label_threshold", 0.5)),
         rng_seed=seed,
         train=train or TrainConfig(),
-        features=features or FeatureConfig(),
         mnpage_cap=pipe.get("mnpage_cap"),
     ), problems)
     treatments = []
@@ -310,7 +305,7 @@ def _model_day(path: Path) -> dt.date:
 def _load_schedule(cfg: ExperimentConfig, pipe: PipelineConfig, corpus: Corpus
                    ) -> list[tuple[float, TreeEnsemble]]:
     _require(cfg.models_dir, "newsrec train")
-    width = len(feature_names(pipe.features, corpus.embedding_dim))
+    width = len(feature_names(corpus.embedding_dim))
     files = sorted(cfg.models_dir.glob("model_*.json"))
     if not files:
         raise CliError(f"no model files under {cfg.models_dir} (run 'newsrec train' first)")
@@ -350,23 +345,17 @@ def cmd_train(cfg: ExperimentConfig) -> None:
     for ts, model in schedule:
         day = utc_date(ts)
         save_model(model, cfg.models_dir / f"model_{day.isoformat()}.json")
-    write_schema(pipe.features, corpus.embedding_dim, cfg.models_dir / "schema.json")
+    write_schema(corpus.embedding_dim, cfg.models_dir / "schema.json")
     print(f"trained {len(schedule)} nightly models under {cfg.models_dir}")
 
 
-def cmd_run(cfg: ExperimentConfig, only: Optional[Treatment] = None,
-            blend_lambda: Optional[float] = None) -> None:
+def cmd_run(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
     users = corpus.user_ids()
     pipe = _pipeline_config(cfg, corpus)
-    if blend_lambda is not None:
-        try:
-            pipe = replace(pipe, blend_lambda=blend_lambda)
-        except RankerError as exc:
-            raise CliError(f"--lambda: {exc}") from exc
     # The nightly schedule does not depend on the treatment: load it once.
     schedule = _load_schedule(cfg, pipe, corpus)
-    for treatment in [only] if only else cfg.treatments:
+    for treatment in cfg.treatments:
         emissions = run_pipeline(corpus, replace(pipe, treatment=treatment), users,
                                  models=schedule)
         write_emissions(cfg.emissions_path(treatment), emissions)
@@ -382,7 +371,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
     pipe = _pipeline_config(cfg, corpus)
     schedule = _load_schedule(cfg, pipe, corpus)
-    cache = ArticleFeatureCache(corpus, pipe.features)
+    cache = ArticleFeatureCache(corpus)
     scorers = scorers_from_schedule(schedule, cache)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -405,16 +394,15 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
     print(f"reports under {cfg.reports_dir}")
 
 
-def cmd_compare(cfg: ExperimentConfig, variant: Optional[TTestVariant] = None) -> None:
+def cmd_compare(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
-    variant = variant or cfg.variant
     cfg.reports_dir.mkdir(parents=True, exist_ok=True)
 
     if len(cfg.treatments) >= 2:
         a, b = cfg.treatments[0], cfg.treatments[1]
         emissions_a = _read_lists(_require(cfg.emissions_path(a), "newsrec run"))
         emissions_b = _read_lists(_require(cfg.emissions_path(b), "newsrec run"))
-        reports = compare_treatments(emissions_a, emissions_b, corpus, variant=variant)
+        reports = compare_treatments(emissions_a, emissions_b, corpus, variant=cfg.variant)
         for r in reports:
             r.validate()
         _write_json(cfg.reports_dir / "compare_ab.json",
@@ -426,7 +414,7 @@ def cmd_compare(cfg: ExperimentConfig, variant: Optional[TTestVariant] = None) -
     baseline_path = cfg.emissions_path(cfg.treatments[0])
     manual = _read_lists(_require(cfg.manual_path, "newsrec run"))
     recsys = _read_lists(_require(baseline_path, "newsrec run"))
-    reports = compare_manual_recsys(manual, recsys, corpus, variant=variant)
+    reports = compare_manual_recsys(manual, recsys, corpus, variant=cfg.variant)
     for r in reports:
         r.validate()
     _write_json(cfg.reports_dir / "compare_manual.json", [r.to_dict() for r in reports])
@@ -445,14 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
-        if name == "run":
-            p.add_argument("--treatment", choices=[t.value for t in Treatment],
-                           help="run a single treatment")
-            p.add_argument("--lambda", dest="blend_lambda", type=float,
-                           help="override the re-ranking blend weight")
-        if name == "compare":
-            p.add_argument("--variant", choices=[v.value for v in TTestVariant],
-                           help="t-test variant")
     return parser
 
 
@@ -466,13 +446,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "train":
             cmd_train(cfg)
         elif args.command == "run":
-            only = Treatment(args.treatment) if args.treatment else None
-            cmd_run(cfg, only=only, blend_lambda=args.blend_lambda)
+            cmd_run(cfg)
         elif args.command == "evaluate":
             cmd_evaluate(cfg)
         elif args.command == "compare":
-            variant = TTestVariant(args.variant) if args.variant else None
-            cmd_compare(cfg, variant=variant)
+            cmd_compare(cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
@@ -158,8 +159,8 @@ class Article:
 
     It also carries two values computed once, when it is made:
     `embedding_norm`, the norm of `embedding` (one `np.linalg.norm` per
-    vector), and `section_set`, `section` as a one-value set. It is frozen,
-    so neither can go stale.
+    vector), and `section_set`, `section` as a one-value set. It is frozen
+    and its `embedding` array read-only, so neither can go stale.
     """
 
     id: str
@@ -181,6 +182,7 @@ class Article:
         # set here, not as cached properties: a cached property writes into
         # `__dict__` later, which on CPython 3.11 gives every article a dict
         # of its own (about 0.7 KB more per article)
+        self.embedding.flags.writeable = False
         object.__setattr__(self, "embedding_norm", float(np.linalg.norm(self.embedding)))
         object.__setattr__(self, "section_set", frozenset((self.section,)))
 
@@ -434,6 +436,14 @@ def _finite(value: int | float) -> bool:
         return False
 
 
+def _integer(value, what: str, error: type[Exception] = TypeError) -> int:
+    """`value`, an integer: a bool, a float (2.0, 2.5 or NaN) or a string
+    raises `error` naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def _finite_number(value, what: str) -> float:
     """`value`, a finite JSON number (not a bool or a string), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
@@ -546,14 +556,12 @@ class SyntheticWorldConfig:
     start: float = DEFAULT_WORLD_START
 
     def __post_init__(self):
-        counts = dict(n_users=self.n_users, n_days=self.n_days,
-                      articles_per_day=self.articles_per_day, n_tags=self.n_tags,
-                      n_authors=self.n_authors, n_sections=self.n_sections,
-                      user_affinity_dim=self.user_affinity_dim,
-                      embedding_dim=self.embedding_dim, vocab_size=self.vocab_size,
-                      n_personas=self.n_personas, sessions_per_day=self.sessions_per_day,
-                      impressions_per_session=self.impressions_per_session)
-        bad = sorted(k for k, v in counts.items() if v < 1)
+        counts = ("n_users", "n_days", "articles_per_day", "n_tags", "n_authors",
+                  "n_sections", "user_affinity_dim", "embedding_dim", "vocab_size",
+                  "n_personas", "sessions_per_day", "impressions_per_session")
+        for name in ("seed", *counts):
+            _integer(getattr(self, name), name, ValueError)
+        bad = sorted(k for k in counts if getattr(self, k) < 1)
         if bad:
             raise ValueError(f"counts must be >= 1: {', '.join(bad)}")
         if self.seed < 0:

@@ -6,8 +6,7 @@ features (7-day reading aggregates), and user-article compatibility
 features (overlaps, cosine, length ratio, article age).
 
 The exact schema is documented by `feature_names` / `write_schema`; its
-width follows from the config's section hash buckets and the corpus's
-embedding width.
+width follows from `SECTION_BUCKETS` and the corpus's embedding width.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ import numpy as np
 from .corpus import DAY, WEEK, Corpus, InteractionEvent, Kind, date_start
 
 SCHEMA_VERSION = 1
+SECTION_BUCKETS = 16  # hash buckets of the one-hot article section
+TOP_K = 3  # most frequent values summed by the user_topk_*_mass features
 
 _event_at = attrgetter("at")
 
@@ -36,25 +37,14 @@ class FeatureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    section_buckets: int = 16
-    top_k: int = 3
-
-    def __post_init__(self):
-        bad = [k for k in ("section_buckets", "top_k") if getattr(self, k) < 1]
-        if bad:
-            raise FeatureError(f"must be >= 1: {', '.join(bad)}")
-
-
 def stable_bucket(value: str, buckets: int) -> int:
     """Deterministic string -> bucket index (crc32; stable across runs)."""
     return zlib.crc32(value.encode("utf-8")) % buckets
 
 
-def feature_names(cfg: FeatureConfig, embedding_dim: int) -> list[str]:
+def feature_names(embedding_dim: int) -> list[str]:
     """The ordered feature schema; its length is the feature width."""
-    names = [f"art_section_hash_{i}" for i in range(cfg.section_buckets)]
+    names = [f"art_section_hash_{i}" for i in range(SECTION_BUCKETS)]
     names += [
         "art_tag_count", "art_author_count", "art_pub_hour", "art_pub_dow",
         "art_word_count", "art_sentence_count", "art_paragraph_count",
@@ -72,15 +62,15 @@ def feature_names(cfg: FeatureConfig, embedding_dim: int) -> list[str]:
     return names
 
 
-def write_schema(cfg: FeatureConfig, embedding_dim: int, path: str | Path) -> None:
+def write_schema(embedding_dim: int, path: str | Path) -> None:
     """Dump the ordered feature schema for audit."""
-    names = feature_names(cfg, embedding_dim)
+    names = feature_names(embedding_dim)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "width": len(names),
-        "section_buckets": cfg.section_buckets,
+        "section_buckets": SECTION_BUCKETS,
         "embedding_dim": embedding_dim,
-        "top_k": cfg.top_k,
+        "top_k": TOP_K,
         "features": names,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -90,7 +80,8 @@ def write_schema(cfg: FeatureConfig, embedding_dim: int, path: str | Path) -> No
 @dataclass(frozen=True)
 class UserProfile:
     """Aggregate of one user's clicks in a 7-day window. Instants whose
-    windows hold the same clicks may share one profile, so it is frozen."""
+    windows hold the same clicks may share one profile, so it is frozen and
+    its `mean_embedding` array read-only (its norm is cached)."""
 
     user_id: str
     tag_freq: dict[str, int]
@@ -99,6 +90,9 @@ class UserProfile:
     mean_word_count: float
     mean_embedding: np.ndarray
     n_clicks: int
+
+    def __post_init__(self):
+        self.mean_embedding.flags.writeable = False
 
     @cached_property
     def embedding_norm(self) -> float:
@@ -218,22 +212,21 @@ class _ValueTable:
 class ArticleFeatureCache:
     """Precomputed per-article blocks so scoring can run matrix-at-a-time.
 
-    Built once per corpus + config; `extract_matrix` then assembles a
+    Built once per corpus; `extract_matrix` then assembles a
     (n_articles, width) matrix for one profile with numpy only.
     """
 
-    def __init__(self, corpus: Corpus, cfg: FeatureConfig):
-        self.cfg = cfg
-        self.width = len(feature_names(cfg, corpus.embedding_dim))
+    def __init__(self, corpus: Corpus):
+        self.width = len(feature_names(corpus.embedding_dim))
         self.ids = sorted(corpus.articles)
         self.index = {aid: i for i, aid in enumerate(self.ids)}
         arts = [corpus.articles[aid] for aid in self.ids]
         n = len(arts)
 
-        self.static = np.zeros((n, cfg.section_buckets + 10 + corpus.embedding_dim))
+        b = SECTION_BUCKETS
+        self.static = np.zeros((n, b + 10 + corpus.embedding_dim))
         for i, a in enumerate(arts):
-            self.static[i, stable_bucket(a.section, cfg.section_buckets)] = 1.0
-            b = cfg.section_buckets
+            self.static[i, stable_bucket(a.section, b)] = 1.0
             self.static[i, b:b + 10] = (
                 len(a.tags), len(a.authors), _pub_hour(a.published_at),
                 _pub_dow(a.published_at), a.word_count, a.sentence_count,
@@ -265,16 +258,15 @@ def extract_matrix(profile: UserProfile, article_ids: Sequence[str], at: float,
         raise FeatureError(
             f"embedding dim mismatch: profile {profile.mean_embedding.shape} vs "
             f"articles {cache.emb.shape[1:]}")
-    cfg = cache.cfg
     rows = cache.rows(article_ids)
     out = np.zeros((len(rows), cache.width))
     user0 = cache.static.shape[1]
     out[:, :user0] = cache.static[rows]
     out[:, user0 + 0] = profile.mean_word_count
     out[:, user0 + 1] = profile.n_clicks
-    out[:, user0 + 2] = _topk_mass(profile.tag_freq, cfg.top_k)
-    out[:, user0 + 3] = _topk_mass(profile.author_freq, cfg.top_k)
-    out[:, user0 + 4] = _topk_mass(profile.section_freq, cfg.top_k)
+    out[:, user0 + 2] = _topk_mass(profile.tag_freq, TOP_K)
+    out[:, user0 + 3] = _topk_mass(profile.author_freq, TOP_K)
+    out[:, user0 + 4] = _topk_mass(profile.section_freq, TOP_K)
 
     ua0 = user0 + 5
     cache.tags.jaccard(rows, profile.tag_freq, out[:, ua0 + 0])
@@ -297,7 +289,6 @@ def extract_matrix(profile: UserProfile, article_ids: Sequence[str], at: float,
 
 
 def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int,
-                       cfg: FeatureConfig,
                        cache: Optional[ArticleFeatureCache] = None) -> list[LabeledExample]:
     """Implicit-feedback examples for one day: every click is a positive;
     negatives are an equal-size uniform sample (without replacement, seeded)
@@ -327,7 +318,7 @@ def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int,
         negatives = candidates
 
     if cache is None:
-        cache = ArticleFeatureCache(corpus, cfg)
+        cache = ArticleFeatureCache(corpus)
     examples: list[LabeledExample] = []
     profiles = ProfileCache(corpus)
     for ev, label in [(e, 1) for e in clicks] + [(e, 0) for e in negatives]:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import _finite, _finite_number
+from .corpus import _finite, _finite_number, _integer
 from .features import SCHEMA_VERSION, LabeledExample
 
 
@@ -46,6 +46,8 @@ class TrainConfig:
     l2_reg: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_trees", "max_depth"):
+            _integer(getattr(self, name), name, GbdtError)
         for name in ("learning_rate", "min_child_weight", "l2_reg"):
             if not _finite(getattr(self, name)):
                 raise GbdtError(f"{name} must be finite, not {getattr(self, name)!r}")
@@ -450,13 +452,6 @@ def save(model: TreeEnsemble, path: str | Path) -> None:
         "trees": [t.to_dict() for t in model.trees],
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _integer(value, what: str) -> int:
-    """`value`, a JSON integer (not a bool, a float or a string)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an integer, not {value!r}")
-    return value
 
 
 def load(path: str | Path) -> TreeEnsemble:

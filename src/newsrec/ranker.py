@@ -29,11 +29,10 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import (DAY, WEEK, Article, Corpus, Kind, _finite, _finite_number, _str,
-                     _str_list, day_start, read_jsonl, utc_date, write_jsonl)
-from .features import (ArticleFeatureCache, FeatureConfig, LabeledExample,
-                       UserProfile, build_profile, build_training_set,
-                       extract_matrix)
+from .corpus import (DAY, WEEK, Article, Corpus, Kind, _finite, _finite_number, _integer,
+                     _str, _str_list, day_start, read_jsonl, utc_date, write_jsonl)
+from .features import (ArticleFeatureCache, LabeledExample, UserProfile,
+                       build_profile, build_training_set, extract_matrix)
 from .gbdt import TrainConfig, TreeEnsemble, train
 
 MANUAL_USER = "__manual__"
@@ -100,10 +99,11 @@ class PipelineConfig:
     rec_label_threshold: float = 0.5
     rng_seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
-    features: FeatureConfig = field(default_factory=FeatureConfig)
     mnpage_cap: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("nightly_train_hour", "rng_seed"):
+            _integer(getattr(self, name), name, RankerError)
         for name in ("t_start", "candidate_window", "refresh_interval", "rec_label_threshold"):
             if not _finite(getattr(self, name)):
                 raise RankerError(f"{name} must be finite, not {getattr(self, name)!r}")
@@ -117,8 +117,8 @@ class PipelineConfig:
             raise RankerError("nightly_train_hour must be an hour of day")
         if self.rng_seed < 0:
             raise RankerError(f"rng_seed must be >= 0, not {self.rng_seed}")
-        if self.mnpage_cap is not None and not (isinstance(self.mnpage_cap, int)
-                                                and self.mnpage_cap >= 1):
+        if (self.mnpage_cap is not None
+                and _integer(self.mnpage_cap, "mnpage_cap", RankerError) < 1):
             raise RankerError("mnpage_cap must be an integer >= 1")
 
 
@@ -221,7 +221,7 @@ def train_schedule(corpus: Corpus, cfg: PipelineConfig,
     if t_end is None:
         t_end = corpus.time_span()[1]
     if cache is None:
-        cache = ArticleFeatureCache(corpus, cfg.features)
+        cache = ArticleFeatureCache(corpus)
     schedule: list[tuple[float, TreeEnsemble]] = []
     by_day: dict[dt.date, list[LabeledExample]] = {}
     for t in _nightly_times(cfg, t_end):
@@ -233,8 +233,7 @@ def train_schedule(corpus: Corpus, cfg: PipelineConfig,
                 day = day0 - dt.timedelta(days=back)
                 if day not in by_day:
                     seed = cfg.rng_seed * 100003 + day.toordinal()
-                    by_day[day] = build_training_set(corpus, day, seed, cfg.features,
-                                                     cache=cache)
+                    by_day[day] = build_training_set(corpus, day, seed, cache=cache)
                 examples.extend(by_day[day])
         by_day.pop(day0 - dt.timedelta(days=7))  # no later night's window holds it
         labels = {ex.label for ex in examples}
@@ -326,7 +325,7 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
         t_end = corpus.time_span()[1]
     if t_end <= cfg.t_start:
         raise RankerError("empty horizon")
-    cache = ArticleFeatureCache(corpus, cfg.features)
+    cache = ArticleFeatureCache(corpus)
     if models is None:
         models = train_schedule(corpus, cfg, t_end, cache=cache)
     times = [t for t, _ in models]

@@ -67,7 +67,7 @@ def reference_runs():
         wcfg, corpus, _ = reference_bundle()
         base_cfg = reference_pipeline(wcfg, Treatment.BASELINE)
         dyn_cfg = reference_pipeline(wcfg, Treatment.DYNAMISM)
-        cache = ArticleFeatureCache(corpus, base_cfg.features)
+        cache = ArticleFeatureCache(corpus)
         schedule = train_schedule(corpus, base_cfg, cache=cache)
         users = corpus.user_ids()
         ems_b = run_pipeline(corpus, base_cfg, users, models=schedule)

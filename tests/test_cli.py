@@ -64,23 +64,23 @@ class TestChain:
             assert 0.0 <= r["p_value"] <= 1.0
 
     def test_run_single_treatment(self, chain, tmp_path):
-        out, cfg = chain
-        copy = tmp_path / "copy"
+        out, _ = chain
+        copy = tmp_path / "run"
         for name in ("corpus", "models"):
             shutil.copytree(out / name, copy / name)
-        assert run("run", "--config", str(cfg), "--out", str(copy),
-                   "--treatment", "dynamism") == 0
+        cfg = smoke_config(tmp_path, treatments=["dynamism"])
+        assert run("run", "--config", str(cfg)) == 0
         written = sorted(p.name for p in copy.iterdir() if p.is_file())
         assert written == ["emissions_dynamism.jsonl", "manual.jsonl"]
         for name in written:
             assert (copy / name).read_bytes() == (out / name).read_bytes()
 
-    def test_compare_variant_flag(self, chain, tmp_path):
-        out, cfg = chain
-        copy = tmp_path / "copy"
+    def test_compare_variant_from_config(self, chain, tmp_path):
+        out, _ = chain
+        copy = tmp_path / "run"
         shutil.copytree(out, copy)
-        assert run("compare", "--config", str(cfg), "--out", str(copy),
-                   "--variant", "welch") == 0
+        cfg = smoke_config(tmp_path, variant="welch")
+        assert run("compare", "--config", str(cfg)) == 0
         for name in ("compare_ab.json", "compare_manual.json"):
             assert {r["variant"] for r in json.loads((out / "reports" / name).read_text())
                     } == {"student"}
@@ -205,16 +205,6 @@ class TestErrors:
             assert f"{name}: a model file must be named model_YYYY-MM-DD.json" in err, err
             (models / name).unlink()
 
-    @pytest.mark.parametrize("features, message", [
-        ({"embedding_dim": 8}, "unknown keys ['embedding_dim']"),
-        ({"top_k": 3, "bogus": 1}, "bogus"),
-    ])
-    def test_bad_feature_keys_exit_2(self, tmp_path, capsys, features, message):
-        cfg = smoke_config(tmp_path, features=features)
-        assert run("generate", "--config", str(cfg)) == 2
-        err = capsys.readouterr().err
-        assert "features:" in err and message in err, err
-
     def test_malformed_emissions_exit_2(self, chain, tmp_path, capsys):
         out, cfg = chain
         copy = tmp_path / "copy"
@@ -261,9 +251,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("command, overrides, message", [
         ("train", {"train": {"n_trees": 8, "rng_seed": 5}}, "train: "),
-        ("train", {"features": {"section_buckets": 0}},
-         "features: must be >= 1: section_buckets"),
-        ("train", {"features": {"top_k": 0}}, "features: must be >= 1: top_k"),
+        # the feature layout is fixed (features.SECTION_BUCKETS, TOP_K)
+        ("train", {"features": {"section_buckets": 0}}, "unknown top-level keys ['features']"),
+        ("train", {"features": {"top_k": 3}}, "unknown top-level keys ['features']"),
         ("evaluate", {"eval_ks": [0]}, "eval_ks must be a list of integers >= 1"),
         ("run", {"manual_updates_per_day": [-3, -1]}, "manual_updates_per_day: must be"),
         ("run", {"manual_updates_per_day": 5}, "manual_updates_per_day: must be"),
@@ -357,12 +347,21 @@ class TestErrors:
         assert "invalid config: --seed must be >= 0, not -1" in capsys.readouterr().err
         assert files() == before  # no emission log, corpus or model written
 
-    def test_bad_lambda_flag_exit_2(self, chain, tmp_path, capsys):
-        out, cfg = chain
-        copy = tmp_path / "copy"
-        shutil.copytree(out, copy)
-        assert run("run", "--config", str(cfg), "--out", str(copy), "--lambda", "2") == 2
-        assert "--lambda: lambda must be in [0, 1]" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, name, value", [
+        ("run", "treatment", "dynamism"),
+        ("run", "lambda", "0.3"),
+        ("compare", "variant", "welch"),
+    ], ids=["treatment", "lambda", "variant"])
+    def test_removed_flag_exit_2(self, tmp_path, capsys, command, name, value):
+        # the config's treatments, pipeline.lambda and variant are the only
+        # home of these settings
+        cfg = smoke_config(tmp_path)
+        flag = f"--{name}"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--config", str(cfg), flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 def test_reference_config_is_the_reference_study():

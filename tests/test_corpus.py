@@ -11,6 +11,8 @@ from newsrec.corpus import (DAY, Article, Corpus, CorpusError, Kind,
                             SyntheticWorldConfig, WordVectors, compute_embedding,
                             date_start, day_start, generate_world, load_corpus,
                             save_corpus, text_stats, tokenize, utc_date)
+from newsrec.gbdt import TrainConfig
+from newsrec.ranker import PipelineConfig
 
 from conftest import T0, click, impression, make_article, make_provider
 
@@ -297,6 +299,24 @@ class TestGenerateWorld:
             SyntheticWorldConfig(**{field: bad})
 
 
+# each library config, with the arguments it requires
+CONFIGS = {"world": (SyntheticWorldConfig, {}), "train": (TrainConfig, {}),
+           "pipeline": (PipelineConfig, {"t_start": 0.0})}
+INT_FIELDS = [(name, f.name) for name, (cls, _) in CONFIGS.items()
+              for f in fields(cls) if f.type in ("int", "Optional[int]")]
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, True], ids=["float", "nan", "bool"])
+@pytest.mark.parametrize("config, field", INT_FIELDS,
+                         ids=[f"{c}.{f}" for c, f in INT_FIELDS])
+def test_non_integer_config_field_refused(config, field, bad):
+    # a float count used to fail inside numpy without naming the field, and
+    # NaN passed every `<` check
+    cls, required = CONFIGS[config]
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        cls(**required, **{field: bad})
+
+
 class TestArticleCache:
     def test_embedding_norm_is_per_vector(self):
         arts = [make_article("z"), make_article("a", embedding=[3, 4, 0, 0]),
@@ -359,13 +379,22 @@ class TestInvariants:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_embedding_rejected(self, bad):
-        art = Article.from_content("a1", T0, "news", ["t"], ["au"], "t",
-                                   "alpha beta", make_provider())
-        art.embedding[2] = bad
+        good = Article.from_content("a1", T0, "news", ["t"], ["au"], "t",
+                                    "alpha beta", make_provider())
+        embedding = good.embedding.copy()
+        embedding[2] = bad
+        art = replace(good, embedding=embedding)
         with pytest.raises(CorpusError, match="a1: embedding is not finite"):
             art.validate(4)
         with pytest.raises(CorpusError, match="a1: embedding is not finite"):
             Corpus([art], [], 4)
+
+    def test_embedding_is_read_only(self):
+        # its norm is cached when the article is made
+        art = make_article("a1", embedding=[3, 4, 0, 0])
+        with pytest.raises(ValueError, match="read-only"):
+            art.embedding[0] = 0.0
+        assert art.embedding_norm == 5.0
 
     def test_events_between_half_open(self):
         provider = make_provider()

@@ -15,7 +15,7 @@ from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
                                 compare_treatments, ensemble_scorer, ndcg, offline_eval,
                                 precision_recall_at, regularized_incomplete_beta,
                                 t_test)
-from newsrec.features import ArticleFeatureCache, FeatureConfig, ProfileCache
+from newsrec.features import ArticleFeatureCache, ProfileCache
 from newsrec.gbdt import TrainConfig, TreeEnsemble
 from newsrec.ranker import (MANUAL_USER, PipelineConfig, RankedList, Section,
                             Treatment, manual_lists, run_pipeline, train_schedule)
@@ -134,7 +134,7 @@ class TestOfflineEval:
                              schema_version=99, n_features=1)
         narrow = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
                               schema_version=1, n_features=1)
-        cache = ArticleFeatureCache(corpus, FeatureConfig())
+        cache = ArticleFeatureCache(corpus)
         for model, message in ((stale, "version 99.*running schema is version 1"),
                                (narrow, f"expects 1 features.*has {cache.width}")):
             with pytest.raises(EvalError, match=message):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsrec.corpus import DAY, WEEK, Article, Corpus, Kind
-from newsrec.features import (SCHEMA_VERSION, ArticleFeatureCache, FeatureConfig,
-                              FeatureError, ProfileCache, UserProfile, _pub_dow,
-                              _pub_hour, _topk_mass, build_profile,
-                              build_training_set, empty_profile, extract_matrix,
-                              feature_names, stable_bucket, write_schema)
+from newsrec.features import (SCHEMA_VERSION, SECTION_BUCKETS, TOP_K,
+                              ArticleFeatureCache, FeatureError, ProfileCache,
+                              UserProfile, _pub_dow, _pub_hour, _topk_mass,
+                              build_profile, build_training_set, empty_profile,
+                              extract_matrix, feature_names, stable_bucket,
+                              write_schema)
 
 from conftest import T0, click, impression, make_article, make_corpus, make_provider
 
@@ -23,14 +24,11 @@ def corpus_with_clicks(articles, events, dim=4):
     return Corpus(articles, events, dim)
 
 
-CFG = FeatureConfig()
-
-
 def extract_row(profile, article, at, dim=4, corpus=None):
     """The served feature map (`extract_matrix`) on a one-article row."""
     if corpus is None:
         corpus = corpus_with_clicks([article], [], dim)
-    cache = ArticleFeatureCache(corpus, CFG)
+    cache = ArticleFeatureCache(corpus)
     return extract_matrix(profile, [article.id], at, cache)[0]
 
 
@@ -49,12 +47,11 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
-def extract(profile: UserProfile, article: Article, at: float,
-            cfg: FeatureConfig) -> np.ndarray:
+def extract(profile: UserProfile, article: Article, at: float) -> np.ndarray:
     dim = len(article.embedding)
-    out = np.zeros(cfg.section_buckets + 10 + dim + 5 + 6)
-    out[stable_bucket(article.section, cfg.section_buckets)] = 1.0
-    base = cfg.section_buckets
+    out = np.zeros(SECTION_BUCKETS + 10 + dim + 5 + 6)
+    out[stable_bucket(article.section, SECTION_BUCKETS)] = 1.0
+    base = SECTION_BUCKETS
     out[base + 0] = len(article.tags)
     out[base + 1] = len(article.authors)
     out[base + 2] = _pub_hour(article.published_at)
@@ -71,9 +68,9 @@ def extract(profile: UserProfile, article: Article, at: float,
     user0 = emb0 + dim
     out[user0 + 0] = profile.mean_word_count
     out[user0 + 1] = profile.n_clicks
-    out[user0 + 2] = _topk_mass(profile.tag_freq, cfg.top_k)
-    out[user0 + 3] = _topk_mass(profile.author_freq, cfg.top_k)
-    out[user0 + 4] = _topk_mass(profile.section_freq, cfg.top_k)
+    out[user0 + 2] = _topk_mass(profile.tag_freq, TOP_K)
+    out[user0 + 3] = _topk_mass(profile.author_freq, TOP_K)
+    out[user0 + 4] = _topk_mass(profile.section_freq, TOP_K)
 
     ua0 = user0 + 5
     out[ua0 + 0] = _jaccard(article.tags, set(profile.tag_freq))
@@ -125,12 +122,6 @@ def assert_same_profile(got: UserProfile, want: UserProfile):
     assert np.array_equal(got.mean_embedding, want.mean_embedding)
 
 
-@pytest.mark.parametrize("key", ["section_buckets", "top_k"])
-def test_feature_config_sizes_below_one_rejected(key):
-    with pytest.raises(FeatureError, match=f"must be >= 1: {key}"):
-        FeatureConfig(**{key: 0})
-
-
 class TestBuildProfile:
     def test_unknown_user_empty_profile(self):
         corpus = corpus_with_clicks([make_article("a1")], [])
@@ -148,6 +139,16 @@ class TestBuildProfile:
         assert prof.tag_freq == {"a": 1, "b": 1}
         assert np.array_equal(prof.mean_embedding, art.embedding)
         assert prof.mean_word_count == 80
+
+    def test_mean_embedding_is_read_only(self):
+        # its norm is cached, and cached profiles are shared
+        art = make_article("a1", embedding=[3, 4, 0, 0])
+        corpus = corpus_with_clicks([art], [click("u1", "a1", T0 - 100)])
+        for prof in (build_profile(corpus, "u1", T0), empty_profile("u1", 4)):
+            norm = prof.embedding_norm
+            with pytest.raises(ValueError, match="read-only"):
+                prof.mean_embedding[0] = 1.0
+            assert prof.embedding_norm == norm
 
     def test_three_clicks_mean_word_count(self):
         arts = [make_article(f"a{i}", word_count=wc)
@@ -251,7 +252,7 @@ class TestExtract:
     def test_empty_profile_conventions(self):
         art = make_article("a1", tags=("a",), authors=("x",), embedding=[1, 0, 0, 0])
         prof = empty_profile("u1", 4)
-        names = feature_names(CFG, 4)
+        names = feature_names(4)
         fv = extract_row(prof, art, T0)
         get = lambda name: fv[names.index(name)]
         assert get("ua_tag_jaccard") == 0.0
@@ -265,7 +266,7 @@ class TestExtract:
                            embedding=[1, 2, 0, 0], word_count=60)
         corpus = corpus_with_clicks([art], [click("u1", "a1", T0 - 5)])
         prof = build_profile(corpus, "u1", T0)
-        names = feature_names(CFG, 4)
+        names = feature_names(4)
         fv = extract_row(prof, art, T0, corpus=corpus)
         get = lambda name: fv[names.index(name)]
         assert get("ua_tag_jaccard") == 1.0
@@ -280,7 +281,7 @@ class TestExtract:
         events = [click("u1", f"p{i}", T0 - 10 - i) for i in range(3)]
         corpus = corpus_with_clicks(profile_arts + [cand], events)
         prof = build_profile(corpus, "u1", T0)
-        names = feature_names(CFG, 4)
+        names = feature_names(4)
         fv = extract_row(prof, cand, T0, corpus=corpus)
         # brute-force set-overlap oracle
         inter = {"a", "b", "c"} & {"b", "c", "d"}
@@ -309,35 +310,36 @@ class TestExtract:
 
     def test_width_matches_schema(self):
         art = make_article("a1")
-        width = len(feature_names(CFG, 4))
-        assert ArticleFeatureCache(corpus_with_clicks([art], []), CFG).width == width
+        width = len(feature_names(4))
+        assert ArticleFeatureCache(corpus_with_clicks([art], [])).width == width
         assert len(extract_row(empty_profile("u1", 4), art, T0)) == width
 
     def test_schema_json(self, tmp_path):
-        write_schema(CFG, 4, tmp_path / "schema.json")
+        write_schema(4, tmp_path / "schema.json")
         payload = json.loads((tmp_path / "schema.json").read_text())
-        assert payload["features"] == feature_names(CFG, 4)
+        assert payload["features"] == feature_names(4)
         assert payload["width"] == len(payload["features"])
         assert payload["embedding_dim"] == 4
+        assert (payload["section_buckets"], payload["top_k"]) == (16, 3)
         assert payload["schema_version"] == SCHEMA_VERSION
 
 
 class TestExtractMatrix:
     def test_matches_scalar_extract(self, tiny_world):
         cfg, corpus, _ = tiny_world
-        cache = ArticleFeatureCache(corpus, CFG)
+        cache = ArticleFeatureCache(corpus)
         at = cfg.start + 3 * 86400.0
         ids = sorted(corpus.articles)[:40]
         for uid in corpus.user_ids()[:5]:
             prof = build_profile(corpus, uid, at)
             M = extract_matrix(prof, ids, at, cache)
             for i, aid in enumerate(ids[:10]):
-                row = extract(prof, corpus.articles[aid], at, CFG)
+                row = extract(prof, corpus.articles[aid], at)
                 assert np.allclose(M[i], row, atol=1e-12), aid
 
     def test_all_finite_over_world(self, tiny_world):
         cfg, corpus, _ = tiny_world
-        cache = ArticleFeatureCache(corpus, CFG)
+        cache = ArticleFeatureCache(corpus)
         prof = empty_profile("u1", cfg.embedding_dim)
         M = extract_matrix(prof, sorted(corpus.articles), cfg.start, cache)
         assert np.isfinite(M).all()
@@ -364,14 +366,14 @@ class TestBuildTrainingSet:
     def test_equal_ratio_and_determinism(self, tiny_world):
         cfg, corpus, _ = tiny_world
         day = self._day(cfg, 2)
-        ex1 = build_training_set(corpus, day, 11, CFG)
-        ex2 = build_training_set(corpus, day, 11, CFG)
+        ex1 = build_training_set(corpus, day, 11)
+        ex2 = build_training_set(corpus, day, 11)
         pos = [e for e in ex1 if e.label == 1]
         neg = [e for e in ex1 if e.label == 0]
         assert len(pos) == len(neg) > 0
         assert [(e.user_id, e.article_id, e.at, e.label) for e in ex1] == \
                [(e.user_id, e.article_id, e.at, e.label) for e in ex2]
-        ex3 = build_training_set(corpus, day, 12, CFG)
+        ex3 = build_training_set(corpus, day, 12)
         assert [(e.user_id, e.article_id) for e in ex3 if e.label == 0] != \
                [(e.user_id, e.article_id) for e in ex1 if e.label == 0]
 
@@ -384,7 +386,7 @@ class TestBuildTrainingSet:
         events.append(impression("u1", "a5", T0 + 2000))
         corpus = corpus_with_clicks(arts, events)
         day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
-        ex = build_training_set(corpus, day, 0, CFG)
+        ex = build_training_set(corpus, day, 0)
         assert sum(1 for e in ex if e.label == 1) == 4
         assert sum(1 for e in ex if e.label == 0) == 2  # all that exist
 
@@ -394,7 +396,7 @@ class TestBuildTrainingSet:
                   impression("u1", "a1", T0 + 30)]
         corpus = corpus_with_clicks(arts, events)
         day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
-        ex = build_training_set(corpus, day, 0, CFG)
+        ex = build_training_set(corpus, day, 0)
         neg_ids = [e.article_id for e in ex if e.label == 0]
         assert neg_ids == ["a1"]
 
@@ -403,4 +405,4 @@ class TestBuildTrainingSet:
         corpus = corpus_with_clicks(arts, [impression("u1", "a0", T0 + 10)])
         day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
         with pytest.warns(UserWarning, match="no positive"):
-            assert build_training_set(corpus, day, 0, CFG) == []
+            assert build_training_set(corpus, day, 0) == []

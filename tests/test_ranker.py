@@ -8,8 +8,8 @@ import pytest
 
 import newsrec.ranker
 from newsrec.corpus import DAY, WEEK, Corpus, day_start
-from newsrec.features import (FeatureConfig, build_profile, build_training_set,
-                              empty_profile, feature_names)
+from newsrec.features import (build_profile, build_training_set, empty_profile,
+                              feature_names)
 from newsrec.gbdt import TrainConfig, TreeEnsemble, train
 from newsrec.ranker import (PipelineConfig, RankedList, RankerError, Section,
                             Treatment, candidates, dyn_score_at,
@@ -22,7 +22,7 @@ from conftest import T0, click, impression, make_article
 
 
 # the feature width over the 4-d embeddings of the hand-built corpora
-WIDTH = len(feature_names(FeatureConfig(), 4))
+WIDTH = len(feature_names(4))
 
 
 def constant_model(n_features, base=0.0):
@@ -92,7 +92,7 @@ class TestRank:
     def test_single_candidate(self):
         art = make_article("a1", T0)
         corpus = Corpus([art], [], 4)
-        cache = ArticleFeatureCache(corpus, FeatureConfig())
+        cache = ArticleFeatureCache(corpus)
         lst = rank(constant_model(WIDTH), empty_profile("u1", 4), [art], T0, cache)
         assert len(lst.items) == 1
         assert lst.section is Section.MN_PAGE
@@ -101,7 +101,7 @@ class TestRank:
         arts = [make_article("older", T0 - 3600), make_article("newer", T0 - 60),
                 make_article("apple", T0 - 60)]
         corpus = Corpus(arts, [], 4)
-        cache = ArticleFeatureCache(corpus, FeatureConfig())
+        cache = ArticleFeatureCache(corpus)
         lst = rank(constant_model(WIDTH), empty_profile("u1", 4),
                    arts, T0, cache)
         assert lst.ids() == ["apple", "newer", "older"]
@@ -109,7 +109,7 @@ class TestRank:
     def test_input_order_irrelevant(self):
         arts = [make_article(f"a{i}", T0 - i * 60) for i in range(6)]
         corpus = Corpus(arts, [], 4)
-        cache = ArticleFeatureCache(corpus, FeatureConfig())
+        cache = ArticleFeatureCache(corpus)
         prof = empty_profile("u1", 4)
         model = constant_model(WIDTH)
         base = rank(model, prof, arts, T0, cache).ids()
@@ -117,7 +117,7 @@ class TestRank:
 
     def test_empty_candidates(self):
         corpus = Corpus([], [], 4)
-        cache = ArticleFeatureCache(corpus, FeatureConfig())
+        cache = ArticleFeatureCache(corpus)
         lst = rank(constant_model(WIDTH), empty_profile("u1", 4), [], T0, cache)
         assert lst.items == ()
 
@@ -536,7 +536,7 @@ class TestServeOracle:
 def schedule_oracle(corpus, cfg):
     """Nightly models, building every day's examples again on each night
     whose seven-day window holds it (the path without per-day reuse)."""
-    cache = ArticleFeatureCache(corpus, cfg.features)
+    cache = ArticleFeatureCache(corpus)
     schedule = []
     for t in newsrec.ranker._nightly_times(cfg, corpus.time_span()[1]):
         day0 = dt.datetime.fromtimestamp(day_start(t), tz=dt.timezone.utc).date()
@@ -546,8 +546,7 @@ def schedule_oracle(corpus, cfg):
             for back in range(7, 0, -1):
                 day = day0 - dt.timedelta(days=back)
                 seed = cfg.rng_seed * 100003 + day.toordinal()
-                examples.extend(build_training_set(corpus, day, seed, cfg.features,
-                                                   cache=cache))
+                examples.extend(build_training_set(corpus, day, seed, cache=cache))
         if {ex.label for ex in examples} == {0, 1}:
             schedule.append((t, train(examples, cfg.train)))
     return schedule
