@@ -9,7 +9,7 @@ consulted. With click_noise=0 every click is explained by that function.
 from collections import Counter
 
 from newsrec import SyntheticWorldConfig, generate_world
-from newsrec.corpus import DAY, Kind
+from newsrec.corpus import Kind
 
 cfg = SyntheticWorldConfig(
     seed=11, n_users=30, n_days=4, articles_per_day=12,

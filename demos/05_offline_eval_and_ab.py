@@ -16,7 +16,6 @@ from newsrec.corpus import DAY
 from newsrec.evaluation import (behavior_shift, compare_treatments,
                                 format_accuracy_table, format_comparison_table,
                                 offline_eval, scorers_from_schedule)
-from newsrec.features import ArticleFeatureCache
 from newsrec.ranker import PipelineConfig, Treatment, run_pipeline, train_schedule
 
 cfg = SyntheticWorldConfig(seed=51, n_users=40, n_days=6, articles_per_day=14,
@@ -27,9 +26,8 @@ base = PipelineConfig(
     rng_seed=cfg.seed, train=TrainConfig(n_trees=15, max_depth=3, learning_rate=0.25),
     mnpage_cap=10)
 
-cache = ArticleFeatureCache(corpus)
-schedule = train_schedule(corpus, base, cache=cache)
-scorers = scorers_from_schedule(schedule, cache)
+schedule = train_schedule(corpus, base)
+scorers = scorers_from_schedule(schedule, corpus)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     report = offline_eval(corpus, scorers, sorted(scorers))

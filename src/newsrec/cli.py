@@ -31,7 +31,7 @@ from .corpus import (DAY, Corpus, CorpusError, SyntheticWorldConfig, WordVectors
 from .evaluation import (TTestVariant, collect_metric_samples, compare_manual_recsys,
                          compare_treatments, format_accuracy_table,
                          format_comparison_table, offline_eval, scorers_from_schedule)
-from .features import ArticleFeatureCache, ProfileCache, feature_names, write_schema
+from .features import ProfileCache, article_table, write_schema
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
@@ -55,7 +55,6 @@ class ExperimentConfig:
     world: Optional[SyntheticWorldConfig]
     corpus_files: Optional[dict[str, Path]]
     pipeline: PipelineConfig
-    t_start: Optional[float]
     start_day_offset: int
     treatments: tuple[Treatment, ...]
     manual_updates: tuple[int, int]
@@ -85,7 +84,7 @@ class ExperimentConfig:
 _TOP_LEVEL_KEYS = {"seed", "out", "world", "corpus", "pipeline", "train", "treatments",
                    "manual_updates_per_day", "eval_ks", "variant"}
 _CORPUS_KEYS = {"articles": "str", "events": "str", "vectors": "str"}
-_PIPELINE_KEYS = {"t_start": "float", "start_day_offset": "int",
+_PIPELINE_KEYS = {"start_day_offset": "int",
                   "candidate_window_days": "float", "refresh_interval_hours": "float",
                   "nightly_train_hour": "int", "lambda": "float",
                   "rec_label_threshold": "float", "mnpage_cap": "int"}
@@ -226,14 +225,12 @@ def load_config(path: str | Path, seed: Optional[int] = None,
     if problems:
         raise CliError("\n".join(f"invalid config: {p}" for p in problems))
 
-    t_start = pipe.get("t_start")
     return ExperimentConfig(
         seed=seed,
         out=Path(raw["out"] if out is None else out),
         world=world,
         corpus_files=corpus_files,
         pipeline=pipeline,
-        t_start=None if t_start is None else float(t_start),
         start_day_offset=pipe.get("start_day_offset", 1),
         treatments=tuple(treatments),
         manual_updates=manual_updates,
@@ -277,12 +274,10 @@ def _read_lists(path: Path) -> list[RankedList]:
 
 
 def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus) -> PipelineConfig:
-    """The config's pipeline, starting `t_start` or `start_day_offset` days
-    after the corpus's first day."""
-    t_start = cfg.t_start
-    if t_start is None:
-        t_start = day_start(corpus.time_span()[0]) + cfg.start_day_offset * DAY
-    return replace(cfg.pipeline, t_start=float(t_start))
+    """The config's pipeline, starting `start_day_offset` days after the
+    corpus's first day."""
+    t_start = day_start(corpus.time_span()[0]) + cfg.start_day_offset * DAY
+    return replace(cfg.pipeline, t_start=t_start)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -305,7 +300,7 @@ def _model_day(path: Path) -> dt.date:
 def _load_schedule(cfg: ExperimentConfig, pipe: PipelineConfig, corpus: Corpus
                    ) -> list[tuple[float, TreeEnsemble]]:
     _require(cfg.models_dir, "newsrec train")
-    width = len(feature_names(corpus.embedding_dim))
+    width = article_table(corpus).width
     files = sorted(cfg.models_dir.glob("model_*.json"))
     if not files:
         raise CliError(f"no model files under {cfg.models_dir} (run 'newsrec train' first)")
@@ -371,8 +366,8 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
     pipe = _pipeline_config(cfg, corpus)
     schedule = _load_schedule(cfg, pipe, corpus)
-    cache = ArticleFeatureCache(corpus)
-    scorers = scorers_from_schedule(schedule, cache)
+    paths = [_require(cfg.emissions_path(t), "newsrec run") for t in cfg.treatments]
+    scorers = scorers_from_schedule(schedule, corpus)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = offline_eval(corpus, scorers, sorted(scorers), ks=cfg.eval_ks)
@@ -383,12 +378,9 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
 
     samples = []
     profiles = ProfileCache(corpus)
-    for treatment in cfg.treatments:
-        path = cfg.emissions_path(treatment)
-        if path.exists():
-            emissions = _read_lists(path)
-            samples.extend(collect_metric_samples(emissions, corpus, treatment.value,
-                                                  profiles=profiles))
+    for treatment, path in zip(cfg.treatments, paths):
+        samples.extend(collect_metric_samples(_read_lists(path), corpus, treatment.value,
+                                              profiles=profiles))
     write_metric_samples(cfg.reports_dir / "metrics.csv", samples)
     print(format_accuracy_table(report))
     print(f"reports under {cfg.reports_dir}")

@@ -315,6 +315,7 @@ class Corpus:
         for ev in self.events:
             if ev.kind is Kind.CLICK:
                 self._clicks_by_user.setdefault(ev.user_id, []).append(ev)
+        self._article_table = None  # built on first use by `features.article_table`
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import DAY, Article, Corpus, Kind, date_start, day_start, utc_date
-from .features import (ArticleFeatureCache, ProfileCache, UserProfile, build_profile,
+from .features import (ProfileCache, UserProfile, article_table, build_profile,
                        extract_matrix)
 from .gbdt import TreeEnsemble
 from .ranker import RankedList, Section, _sort_items
@@ -87,26 +87,26 @@ class AccuracyReport:
 Scorer = Callable[[UserProfile, Sequence[Article], float], np.ndarray]
 
 
-def ensemble_scorer(model: TreeEnsemble, cache: ArticleFeatureCache) -> Scorer:
-    error = model.schema_error(cache.width)
+def ensemble_scorer(model: TreeEnsemble, corpus: Corpus) -> Scorer:
+    error = model.schema_error(article_table(corpus).width)
     if error:
         raise EvalError(error)
 
     def score(profile: UserProfile, articles: Sequence[Article], at: float) -> np.ndarray:
-        X = extract_matrix(profile, [a.id for a in articles], at, cache)
+        X = extract_matrix(profile, [a.id for a in articles], at, corpus)
         return model.predict_matrix(X)
 
     return score
 
 
 def scorers_from_schedule(schedule: Sequence[tuple[float, TreeEnsemble]],
-                          cache: ArticleFeatureCache) -> dict[dt.date, Scorer]:
+                          corpus: Corpus) -> dict[dt.date, Scorer]:
     """Map each serving day to the scorer of the model trained that night
     (i.e. on data through the previous day)."""
     out: dict[dt.date, Scorer] = {}
     for t, model in schedule:
         day = utc_date(t)
-        out[day] = ensemble_scorer(model, cache)
+        out[day] = ensemble_scorer(model, corpus)
     return out
 
 

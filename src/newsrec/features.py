@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -212,7 +212,7 @@ class _ValueTable:
 class ArticleFeatureCache:
     """Precomputed per-article blocks so scoring can run matrix-at-a-time.
 
-    Built once per corpus; `extract_matrix` then assembles a
+    One per corpus, from `article_table`; `extract_matrix` then assembles a
     (n_articles, width) matrix for one profile with numpy only.
     """
 
@@ -245,23 +245,33 @@ class ArticleFeatureCache:
         return np.array([self.index[aid] for aid in article_ids], dtype=np.intp)
 
 
+def article_table(corpus: Corpus) -> ArticleFeatureCache:
+    """The corpus's per-article feature table, built on its first use and
+    kept with the corpus: a corpus is immutable, so its table never goes stale,
+    and no caller can pair a corpus with another corpus's table."""
+    if corpus._article_table is None:
+        corpus._article_table = ArticleFeatureCache(corpus)
+    return corpus._article_table
+
+
 def extract_matrix(profile: UserProfile, article_ids: Sequence[str], at: float,
-                   cache: ArticleFeatureCache) -> np.ndarray:
-    """The feature map: one row per article for a single profile; see
-    `feature_names` for the exact layout.
+                   corpus: Corpus) -> np.ndarray:
+    """The feature map: one row per article of `corpus` for a single
+    profile; see `feature_names` for the exact layout.
 
     Conventions for degenerate inputs: an empty profile gives zero
     overlaps, cosine 0 and length ratio 1; a zero mean word count also pins
     the ratio to 1, so every feature stays finite.
     """
-    if profile.mean_embedding.shape != cache.emb.shape[1:]:
+    table = article_table(corpus)
+    if profile.mean_embedding.shape != table.emb.shape[1:]:
         raise FeatureError(
             f"embedding dim mismatch: profile {profile.mean_embedding.shape} vs "
-            f"articles {cache.emb.shape[1:]}")
-    rows = cache.rows(article_ids)
-    out = np.zeros((len(rows), cache.width))
-    user0 = cache.static.shape[1]
-    out[:, :user0] = cache.static[rows]
+            f"articles {table.emb.shape[1:]}")
+    rows = table.rows(article_ids)
+    out = np.zeros((len(rows), table.width))
+    user0 = table.static.shape[1]
+    out[:, :user0] = table.static[rows]
     out[:, user0 + 0] = profile.mean_word_count
     out[:, user0 + 1] = profile.n_clicks
     out[:, user0 + 2] = _topk_mass(profile.tag_freq, TOP_K)
@@ -269,27 +279,26 @@ def extract_matrix(profile: UserProfile, article_ids: Sequence[str], at: float,
     out[:, user0 + 4] = _topk_mass(profile.section_freq, TOP_K)
 
     ua0 = user0 + 5
-    cache.tags.jaccard(rows, profile.tag_freq, out[:, ua0 + 0])
-    cache.authors.jaccard(rows, profile.author_freq, out[:, ua0 + 1])
+    table.tags.jaccard(rows, profile.tag_freq, out[:, ua0 + 0])
+    table.authors.jaccard(rows, profile.author_freq, out[:, ua0 + 1])
 
     read_sections = {s for s, c in profile.section_freq.items() if c > 0}
-    out[:, ua0 + 2] = [1.0 if cache.sections[r] in read_sections else 0.0 for r in rows]
+    out[:, ua0 + 2] = [1.0 if table.sections[r] in read_sections else 0.0 for r in rows]
 
     if profile.embedding_norm > 0:
-        denom = cache.emb_norm[rows] * profile.embedding_norm
-        dots = cache.emb[rows] @ profile.mean_embedding
+        denom = table.emb_norm[rows] * profile.embedding_norm
+        dots = table.emb[rows] @ profile.mean_embedding
         np.divide(dots, denom, out=out[:, ua0 + 3], where=denom > 0)
 
     if profile.mean_word_count > 0:
-        out[:, ua0 + 4] = cache.word_counts[rows] / profile.mean_word_count
+        out[:, ua0 + 4] = table.word_counts[rows] / profile.mean_word_count
     else:
         out[:, ua0 + 4] = 1.0
-    out[:, ua0 + 5] = (at - cache.published[rows]) / 3600.0
+    out[:, ua0 + 5] = (at - table.published[rows]) / 3600.0
     return out
 
 
-def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int,
-                       cache: Optional[ArticleFeatureCache] = None) -> list[LabeledExample]:
+def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int) -> list[LabeledExample]:
     """Implicit-feedback examples for one day: every click is a positive;
     negatives are an equal-size uniform sample (without replacement, seeded)
     of the day's impressions whose (user, article) was not clicked that day.
@@ -317,13 +326,11 @@ def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int,
     else:
         negatives = candidates
 
-    if cache is None:
-        cache = ArticleFeatureCache(corpus)
     examples: list[LabeledExample] = []
     profiles = ProfileCache(corpus)
     for ev, label in [(e, 1) for e in clicks] + [(e, 0) for e in negatives]:
         prof = profiles.get(ev.user_id, ev.at)
-        row = extract_matrix(prof, [ev.article_id], ev.at, cache)[0]
+        row = extract_matrix(prof, [ev.article_id], ev.at, corpus)[0]
         examples.append(LabeledExample(row, label, ev.user_id, ev.article_id, ev.at))
     examples.sort(key=lambda ex: (ex.at, ex.user_id, ex.article_id, -ex.label))
     return examples

@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import (DAY, WEEK, Article, Corpus, Kind, _finite, _finite_number, _integer,
                      _str, _str_list, day_start, read_jsonl, utc_date, write_jsonl)
-from .features import (ArticleFeatureCache, LabeledExample, UserProfile,
+from .features import (ArticleFeatureCache, LabeledExample, UserProfile, article_table,
                        build_profile, build_training_set, extract_matrix)
 from .gbdt import TrainConfig, TreeEnsemble, train
 
@@ -136,12 +136,12 @@ def _sort_items(scored: Iterable[tuple[Article, float]]) -> list[tuple[str, floa
 
 
 def rank(model: TreeEnsemble, profile: UserProfile, cands: Sequence[Article],
-         at: float, cache: ArticleFeatureCache) -> RankedList:
+         at: float, corpus: Corpus) -> RankedList:
     """Score candidates for one user and return the full MNPage ranking."""
     if not cands:
         return RankedList(profile.user_id, Section.MN_PAGE, at, ())
     ids = [a.id for a in cands]
-    X = extract_matrix(profile, ids, at, cache)
+    X = extract_matrix(profile, ids, at, corpus)
     scores = model.predict_matrix(X)
     items = _sort_items(zip(cands, scores))
     return RankedList(profile.user_id, Section.MN_PAGE, at, tuple(items))
@@ -207,9 +207,7 @@ def _nightly_times(cfg: PipelineConfig, t_end: float) -> list[float]:
 
 
 def train_schedule(corpus: Corpus, cfg: PipelineConfig,
-                   t_end: Optional[float] = None,
-                   cache: Optional[ArticleFeatureCache] = None
-                   ) -> list[tuple[float, TreeEnsemble]]:
+                   t_end: Optional[float] = None) -> list[tuple[float, TreeEnsemble]]:
     """Train the nightly models over the horizon.
 
     At each nightly time, examples are built per-day over the previous
@@ -220,8 +218,6 @@ def train_schedule(corpus: Corpus, cfg: PipelineConfig,
     """
     if t_end is None:
         t_end = corpus.time_span()[1]
-    if cache is None:
-        cache = ArticleFeatureCache(corpus)
     schedule: list[tuple[float, TreeEnsemble]] = []
     by_day: dict[dt.date, list[LabeledExample]] = {}
     for t in _nightly_times(cfg, t_end):
@@ -233,7 +229,7 @@ def train_schedule(corpus: Corpus, cfg: PipelineConfig,
                 day = day0 - dt.timedelta(days=back)
                 if day not in by_day:
                     seed = cfg.rng_seed * 100003 + day.toordinal()
-                    by_day[day] = build_training_set(corpus, day, seed, cache=cache)
+                    by_day[day] = build_training_set(corpus, day, seed)
                 examples.extend(by_day[day])
         by_day.pop(day0 - dt.timedelta(days=7))  # no later night's window holds it
         labels = {ex.label for ex in examples}
@@ -254,9 +250,10 @@ def _utc(t: float) -> str:
 @dataclass(frozen=True, slots=True)
 class _Tick:
     """One serving instant's candidates as arrays, in `candidates` order:
-    their `ArticleFeatureCache` rows, which sort like their ids because the
-    cache's ids are sorted, negated publication times, recency scores, and
-    the widget (age <= 24h) and missed-last-week (24h < age <= 7d) masks."""
+    their rows in the corpus's `article_table`, which sort like their ids
+    because the table's ids are sorted, negated publication times, recency
+    scores, and the widget (age <= 24h) and missed-last-week (24h < age <= 7d)
+    masks."""
     at: float
     ids: list[str]
     rows: np.ndarray
@@ -266,11 +263,11 @@ class _Tick:
     missed: np.ndarray
 
 
-def _tick(cache: ArticleFeatureCache, dyn: np.ndarray, at: float,
+def _tick(table: ArticleFeatureCache, dyn: np.ndarray, at: float,
           cands: Sequence[Article]) -> _Tick:
     ids = [a.id for a in cands]
-    rows = cache.rows(ids)
-    published = cache.published[rows]
+    rows = table.rows(ids)
+    published = table.published[rows]
     age = at - published
     # the WEEK bound matters when the candidate window is longer than 7 days
     return _Tick(at, ids, rows, -published, dyn[rows], age <= DAY,
@@ -278,8 +275,7 @@ def _tick(cache: ArticleFeatureCache, dyn: np.ndarray, at: float,
 
 
 def _emit_user(out: list[RankedList], corpus: Corpus, cfg: PipelineConfig,
-               cache: ArticleFeatureCache, model: Optional[TreeEnsemble],
-               user_id: str, tick: _Tick) -> None:
+               model: Optional[TreeEnsemble], user_id: str, tick: _Tick) -> None:
     """Append the user's widget, missed-last-week and page lists at
     `tick.at`: the lists `rank` (or the recency fallback), `rerank` under
     DYNAMISM and `slice_sections` give, from one sort of the score arrays.
@@ -288,7 +284,7 @@ def _emit_user(out: list[RankedList], corpus: Corpus, cfg: PipelineConfig,
         scores, labels = tick.dyn, np.zeros(len(tick.ids), dtype=bool)
     else:
         profile = build_profile(corpus, user_id, tick.at)
-        scores = (model.predict_matrix(extract_matrix(profile, tick.ids, tick.at, cache))
+        scores = (model.predict_matrix(extract_matrix(profile, tick.ids, tick.at, corpus))
                   if tick.ids else np.zeros(0))
         labels = scores >= cfg.rec_label_threshold
         if cfg.treatment is Treatment.DYNAMISM:
@@ -325,16 +321,16 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
         t_end = corpus.time_span()[1]
     if t_end <= cfg.t_start:
         raise RankerError("empty horizon")
-    cache = ArticleFeatureCache(corpus)
+    table = article_table(corpus)
     if models is None:
-        models = train_schedule(corpus, cfg, t_end, cache=cache)
+        models = train_schedule(corpus, cfg, t_end)
     times = [t for t, _ in models]
     for i, (t, model) in enumerate(models):
         if i and t <= times[i - 1]:
             raise RankerError(
                 f"model schedule out of order: model {i} active from {_utc(t)} does not "
                 f"follow model {i - 1} active from {_utc(times[i - 1])}")
-        error = model.schema_error(cache.width)
+        error = model.schema_error(table.width)
         if error:
             raise RankerError(f"model active from {_utc(t)}: {error}")
 
@@ -355,14 +351,14 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
     out: list[RankedList] = []
     ordered_users = sorted(user_set)
     # `dyn_score_at` per article, once: np.log need not round like math.log
-    dyn = np.array([dyn_score_at(p, cfg.t_start) for p in cache.published.tolist()])
+    dyn = np.array([dyn_score_at(p, cfg.t_start) for p in table.published.tolist()])
     for at, kind, uid in queue:
         # the latest model trained at or before `at`, if any
         i = bisect_right(times, at)
         active = models[i - 1][1] if i else None
-        tick = _tick(cache, dyn, at, candidates(corpus, at, cfg.candidate_window))
+        tick = _tick(table, dyn, at, candidates(corpus, at, cfg.candidate_window))
         for user in ordered_users if kind == REFRESH else (uid,):
-            _emit_user(out, corpus, cfg, cache, active, user, tick)
+            _emit_user(out, corpus, cfg, active, user, tick)
     return out
 
 

@@ -47,9 +47,6 @@ class AttributeKind(Enum):
     EMBEDDING = "embedding"
 
 
-DISCRETE_ATTRIBUTES = (AttributeKind.SECTION, AttributeKind.TAGS, AttributeKind.AUTHORS)
-
-
 @dataclass(frozen=True)
 class MetricSample:
     metric: str

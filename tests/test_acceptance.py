@@ -9,24 +9,20 @@ the per-criterion lines.
 import datetime as dt
 import json
 import math
-import shutil
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from newsrec.cli import main as cli_main
-from newsrec.corpus import DAY, day_start, generate_world
+from newsrec.corpus import day_start, generate_world
 from newsrec.evaluation import (TTestVariant, _user_day_candidates,
                                 compare_manual_recsys, compare_treatments,
                                 offline_eval, t_test)
-from newsrec.features import ArticleFeatureCache
 from newsrec.gbdt import TrainConfig, train_arrays
-from newsrec.ranker import (PipelineConfig, RankedList, Section, Treatment,
-                            dyn_score_at, manual_lists, rerank, run_pipeline,
-                            train_schedule)
+from newsrec.ranker import (RankedList, Section, Treatment, dyn_score_at, manual_lists,
+                            rerank, run_pipeline, train_schedule)
 from newsrec.usefulness import (AttributeKind, CoverageScope, coverage, dynamism,
                                 entropy, gini, intra_list_diversity)
 from newsrec.worlds import reference_pipeline, reference_world
@@ -67,8 +63,7 @@ def reference_runs():
         wcfg, corpus, _ = reference_bundle()
         base_cfg = reference_pipeline(wcfg, Treatment.BASELINE)
         dyn_cfg = reference_pipeline(wcfg, Treatment.DYNAMISM)
-        cache = ArticleFeatureCache(corpus)
-        schedule = train_schedule(corpus, base_cfg, cache=cache)
+        schedule = train_schedule(corpus, base_cfg)
         users = corpus.user_ids()
         ems_b = run_pipeline(corpus, base_cfg, users, models=schedule)
         ems_d = run_pipeline(corpus, dyn_cfg, users, models=schedule)

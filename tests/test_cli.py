@@ -216,6 +216,18 @@ class TestErrors:
         assert run("compare", "--config", str(cfg), "--out", str(copy)) == 2
         assert "emissions_baseline.jsonl:2:" in capsys.readouterr().err
 
+    def test_missing_emissions_evaluate_exit_2(self, chain, tmp_path, capsys):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        for name in ("corpus", "models"):
+            shutil.copytree(out / name, copy / name)
+        shutil.copy(out / "emissions_baseline.jsonl", copy)
+        assert run("evaluate", "--config", str(cfg), "--out", str(copy)) == 2
+        err = capsys.readouterr().err
+        assert f"missing upstream artifact {copy / 'emissions_dynamism.jsonl'}" in err, err
+        assert "run 'newsrec run' first" in err, err
+        assert not (copy / "reports").exists()
+
     def test_malformed_corpus_exit_2(self, chain, tmp_path, capsys):
         out, cfg = chain
         copy = tmp_path / "copy"
@@ -291,8 +303,9 @@ class TestErrors:
          "pipeline: candidate_window_days must be finite, not nan"),
         ("generate", {"pipeline": {**SMOKE_CFG["pipeline"], "lambda": HUGE_INT}},
          f"pipeline: lambda must be finite, not {HUGE_INT}"),
+        # the start is set by start_day_offset alone
         ("generate", {"pipeline": {**SMOKE_CFG["pipeline"], "t_start": HUGE_INT}},
-         f"pipeline: t_start must be finite, not {HUGE_INT}"),
+         "pipeline: unknown keys ['t_start']"),
         ("generate", {"world": {**SMOKE_CFG["world"], "zipf_exponent": HUGE_INT}},
          f"world: zipf_exponent must be finite, not {HUGE_INT}"),
     ], ids=["rng-seed", "section-buckets", "top-k", "eval-ks", "updates-negative",
@@ -320,7 +333,7 @@ class TestErrors:
         ({"mnpage_cap": 10.0}, "mnpage_cap must be an integer, not 10.0"),
         ({"refresh_interval_hours": "3"}, "refresh_interval_hours must be a number, not '3'"),
         ({"lambda": True}, "lambda must be a number, not True"),
-        ({"t_start": None}, "t_start must be a number, not None"),
+        ({"t_start": None}, "unknown keys ['t_start']"),
     ], ids=["lambda", "window", "cap-0", "cap-minus-1", "unknown-key", "hour-float",
             "offset-float", "cap-float", "refresh-string", "lambda-bool", "t-start-null"])
     def test_bad_pipeline_section_exit_2(self, chain, tmp_path, capsys, pipeline, message):
@@ -369,7 +382,7 @@ def test_reference_config_is_the_reference_study():
     pipe = reference_pipeline(reference_world())
     assert cfg.world == reference_world()
     assert replace(cfg.pipeline, t_start=pipe.t_start) == pipe
-    assert cfg.t_start is None and cfg.start_day_offset == 1
+    assert cfg.start_day_offset == 1
 
 
 class TestSeedOverride:

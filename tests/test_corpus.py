@@ -14,7 +14,7 @@ from newsrec.corpus import (DAY, Article, Corpus, CorpusError, Kind,
 from newsrec.gbdt import TrainConfig
 from newsrec.ranker import PipelineConfig
 
-from conftest import T0, click, impression, make_article, make_provider
+from conftest import T0, impression, make_article, make_provider
 
 
 def write_lines(path, lines):

@@ -15,7 +15,7 @@ from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
                                 compare_treatments, ensemble_scorer, ndcg, offline_eval,
                                 precision_recall_at, regularized_incomplete_beta,
                                 t_test)
-from newsrec.features import ArticleFeatureCache, ProfileCache
+from newsrec.features import ProfileCache, article_table
 from newsrec.gbdt import TrainConfig, TreeEnsemble
 from newsrec.ranker import (MANUAL_USER, PipelineConfig, RankedList, Section,
                             Treatment, manual_lists, run_pipeline, train_schedule)
@@ -134,11 +134,11 @@ class TestOfflineEval:
                              schema_version=99, n_features=1)
         narrow = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
                               schema_version=1, n_features=1)
-        cache = ArticleFeatureCache(corpus)
+        width = article_table(corpus).width
         for model, message in ((stale, "version 99.*running schema is version 1"),
-                               (narrow, f"expects 1 features.*has {cache.width}")):
+                               (narrow, f"expects 1 features.*has {width}")):
             with pytest.raises(EvalError, match=message):
-                ensemble_scorer(model, cache)
+                ensemble_scorer(model, corpus)
 
     def test_no_samples_raises(self):
         corpus = self.build_world()

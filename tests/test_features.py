@@ -4,18 +4,17 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from newsrec.corpus import DAY, WEEK, Article, Corpus, Kind
 from newsrec.features import (SCHEMA_VERSION, SECTION_BUCKETS, TOP_K,
-                              ArticleFeatureCache, FeatureError, ProfileCache,
-                              UserProfile, _pub_dow, _pub_hour, _topk_mass,
-                              build_profile, build_training_set, empty_profile,
-                              extract_matrix, feature_names, stable_bucket,
-                              write_schema)
+                              FeatureError, ProfileCache, UserProfile, _pub_dow,
+                              _pub_hour, _topk_mass, article_table, build_profile,
+                              build_training_set, empty_profile, extract_matrix,
+                              feature_names, stable_bucket, write_schema)
 
-from conftest import T0, click, impression, make_article, make_corpus, make_provider
+from conftest import T0, click, impression, make_article, make_corpus
 
 H = 3600.0
 
@@ -28,8 +27,7 @@ def extract_row(profile, article, at, dim=4, corpus=None):
     """The served feature map (`extract_matrix`) on a one-article row."""
     if corpus is None:
         corpus = corpus_with_clicks([article], [], dim)
-    cache = ArticleFeatureCache(corpus)
-    return extract_matrix(profile, [article.id], at, cache)[0]
+    return extract_matrix(profile, [article.id], at, corpus)[0]
 
 
 # Scalar reference feature map: `extract_matrix` must reproduce it row by row.
@@ -311,7 +309,7 @@ class TestExtract:
     def test_width_matches_schema(self):
         art = make_article("a1")
         width = len(feature_names(4))
-        assert ArticleFeatureCache(corpus_with_clicks([art], [])).width == width
+        assert article_table(corpus_with_clicks([art], [])).width == width
         assert len(extract_row(empty_profile("u1", 4), art, T0)) == width
 
     def test_schema_json(self, tmp_path):
@@ -327,21 +325,19 @@ class TestExtract:
 class TestExtractMatrix:
     def test_matches_scalar_extract(self, tiny_world):
         cfg, corpus, _ = tiny_world
-        cache = ArticleFeatureCache(corpus)
         at = cfg.start + 3 * 86400.0
         ids = sorted(corpus.articles)[:40]
         for uid in corpus.user_ids()[:5]:
             prof = build_profile(corpus, uid, at)
-            M = extract_matrix(prof, ids, at, cache)
+            M = extract_matrix(prof, ids, at, corpus)
             for i, aid in enumerate(ids[:10]):
                 row = extract(prof, corpus.articles[aid], at)
                 assert np.allclose(M[i], row, atol=1e-12), aid
 
     def test_all_finite_over_world(self, tiny_world):
         cfg, corpus, _ = tiny_world
-        cache = ArticleFeatureCache(corpus)
         prof = empty_profile("u1", cfg.embedding_dim)
-        M = extract_matrix(prof, sorted(corpus.articles), cfg.start, cache)
+        M = extract_matrix(prof, sorted(corpus.articles), cfg.start, corpus)
         assert np.isfinite(M).all()
 
 

@@ -2,13 +2,16 @@ import datetime as dt
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import newsrec.ranker
-from newsrec.corpus import DAY, WEEK, Corpus, day_start
-from newsrec.features import (build_profile, build_training_set, empty_profile,
+from newsrec.corpus import DAY, WEEK, Corpus, SyntheticWorldConfig, day_start, generate_world
+from newsrec.evaluation import offline_eval, scorers_from_schedule
+from newsrec.features import (ArticleFeatureCache, article_table, build_profile,
+                              build_training_set, empty_profile,
                               feature_names)
 from newsrec.gbdt import TrainConfig, TreeEnsemble, train
 from newsrec.ranker import (PipelineConfig, RankedList, RankerError, Section,
@@ -16,7 +19,6 @@ from newsrec.ranker import (PipelineConfig, RankedList, RankerError, Section,
                             manual_lists, rank, read_emissions, rerank,
                             run_pipeline, slice_sections, train_schedule,
                             write_emissions)
-from newsrec.features import ArticleFeatureCache
 
 from conftest import T0, click, impression, make_article
 
@@ -92,8 +94,7 @@ class TestRank:
     def test_single_candidate(self):
         art = make_article("a1", T0)
         corpus = Corpus([art], [], 4)
-        cache = ArticleFeatureCache(corpus)
-        lst = rank(constant_model(WIDTH), empty_profile("u1", 4), [art], T0, cache)
+        lst = rank(constant_model(WIDTH), empty_profile("u1", 4), [art], T0, corpus)
         assert len(lst.items) == 1
         assert lst.section is Section.MN_PAGE
 
@@ -101,24 +102,21 @@ class TestRank:
         arts = [make_article("older", T0 - 3600), make_article("newer", T0 - 60),
                 make_article("apple", T0 - 60)]
         corpus = Corpus(arts, [], 4)
-        cache = ArticleFeatureCache(corpus)
         lst = rank(constant_model(WIDTH), empty_profile("u1", 4),
-                   arts, T0, cache)
+                   arts, T0, corpus)
         assert lst.ids() == ["apple", "newer", "older"]
 
     def test_input_order_irrelevant(self):
         arts = [make_article(f"a{i}", T0 - i * 60) for i in range(6)]
         corpus = Corpus(arts, [], 4)
-        cache = ArticleFeatureCache(corpus)
         prof = empty_profile("u1", 4)
         model = constant_model(WIDTH)
-        base = rank(model, prof, arts, T0, cache).ids()
-        assert rank(model, prof, arts[::-1], T0, cache).ids() == base
+        base = rank(model, prof, arts, T0, corpus).ids()
+        assert rank(model, prof, arts[::-1], T0, corpus).ids() == base
 
     def test_empty_candidates(self):
         corpus = Corpus([], [], 4)
-        cache = ArticleFeatureCache(corpus)
-        lst = rank(constant_model(WIDTH), empty_profile("u1", 4), [], T0, cache)
+        lst = rank(constant_model(WIDTH), empty_profile("u1", 4), [], T0, corpus)
         assert lst.items == ()
 
 
@@ -377,7 +375,7 @@ def fallback_list(user_id, cands, at, t_start):
     return RankedList(user_id, Section.MN_PAGE, at, tuple(items), fallback=True)
 
 
-def emit_user_oracle(out, corpus, cfg, cache, model, user_id, at):
+def emit_user_oracle(out, corpus, cfg, model, user_id, at):
     """One user's lists built step by step, the reference for the serve
     path: rank (or the fallback), rerank, slice, cut the page with `top`,
     then rebuild each list to attach its labels."""
@@ -387,7 +385,7 @@ def emit_user_oracle(out, corpus, cfg, cache, model, user_id, at):
         labels = {aid: False for aid, _ in full.items}
     else:
         profile = build_profile(corpus, user_id, at)
-        full = rank(model, profile, cands, at, cache)
+        full = rank(model, profile, cands, at, corpus)
         labels = {aid: s >= cfg.rec_label_threshold for aid, s in full.items}
         if cfg.treatment is Treatment.DYNAMISM:
             full = rerank(full, cfg.blend_lambda, cfg.t_start, corpus)
@@ -417,8 +415,8 @@ def serve_via_oracle(monkeypatch, corpus, cfg, users, **kwargs):
     """`run_pipeline` with each user's lists built by `emit_user_oracle`."""
     with monkeypatch.context() as m:
         m.setattr(newsrec.ranker, "_emit_user",
-                  lambda out, corpus, cfg, cache, model, user_id, tick:
-                      emit_user_oracle(out, corpus, cfg, cache, model, user_id, tick.at))
+                  lambda out, corpus, cfg, model, user_id, tick:
+                      emit_user_oracle(out, corpus, cfg, model, user_id, tick.at))
         return run_pipeline(corpus, cfg, users, **kwargs)
 
 
@@ -536,7 +534,6 @@ class TestServeOracle:
 def schedule_oracle(corpus, cfg):
     """Nightly models, building every day's examples again on each night
     whose seven-day window holds it (the path without per-day reuse)."""
-    cache = ArticleFeatureCache(corpus)
     schedule = []
     for t in newsrec.ranker._nightly_times(cfg, corpus.time_span()[1]):
         day0 = dt.datetime.fromtimestamp(day_start(t), tz=dt.timezone.utc).date()
@@ -546,7 +543,7 @@ def schedule_oracle(corpus, cfg):
             for back in range(7, 0, -1):
                 day = day0 - dt.timedelta(days=back)
                 seed = cfg.rng_seed * 100003 + day.toordinal()
-                examples.extend(build_training_set(corpus, day, seed, cache=cache))
+                examples.extend(build_training_set(corpus, day, seed))
         if {ex.label for ex in examples} == {0, 1}:
             schedule.append((t, train(examples, cfg.train)))
     return schedule
@@ -579,6 +576,61 @@ class TestTrainSchedule:
         for (t, model), (t_exp, model_exp) in zip(schedule, expected):
             assert t == t_exp
             assert model_json(model) == model_json(model_exp)
+
+
+def small_world(seed):
+    """A world whose article ids (`a00000`...) are those of every other
+    seed's world of the same shape."""
+    cfg = SyntheticWorldConfig(
+        seed=seed, n_users=12, n_days=4, articles_per_day=8, embedding_dim=8,
+        user_affinity_dim=4, vocab_size=200, n_tags=20, n_authors=8,
+        n_sections=4, n_personas=3, impressions_per_session=5)
+    corpus, _ = generate_world(cfg)
+    return cfg, corpus
+
+
+def small_pipe(cfg):
+    return pipe_config(t_start=cfg.start + DAY, nightly_train_hour=1,
+                       refresh_interval=6 * 3600.0,
+                       train=TrainConfig(n_trees=3, max_depth=2, learning_rate=0.3))
+
+
+class TestArticleTable:
+    def test_built_once_for_training_serving_and_replay(self, monkeypatch):
+        cfg, corpus = small_world(1)
+        pipe = small_pipe(cfg)
+        built = []
+        init = ArticleFeatureCache.__init__
+
+        def counted(table, corpus):
+            built.append(corpus)
+            init(table, corpus)
+
+        monkeypatch.setattr(ArticleFeatureCache, "__init__", counted)
+        schedule = train_schedule(corpus, pipe)
+        users = corpus.user_ids()
+        for treatment in Treatment:
+            run_pipeline(corpus, replace(pipe, treatment=treatment), users, models=schedule)
+        scorers = scorers_from_schedule(schedule, corpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            offline_eval(corpus, scorers, sorted(scorers))
+        assert schedule and len(built) == 1 and built[0] is corpus
+
+    def test_each_corpus_has_its_own_table(self):
+        cfg, a = small_world(1)
+        _, b = small_world(2)
+        assert sorted(a.articles) == sorted(b.articles)
+        assert article_table(a) is article_table(a)
+        assert article_table(a) is not article_table(b)
+        assert not np.array_equal(article_table(a).emb, article_table(b).emb)
+
+        pipe = small_pipe(cfg)
+        other = [model_json(m) for _, m in train_schedule(b, pipe)]
+        after_other = [(t, model_json(m)) for t, m in train_schedule(a, pipe)]
+        fresh = [(t, model_json(m)) for t, m in train_schedule(small_world(1)[1], pipe)]
+        assert after_other == fresh
+        assert [m for _, m in fresh] != other
 
 
 class TestManualLists:
