@@ -10,7 +10,10 @@ under the configured output directory:
     newsrec compare  --config cfg.json     reports/compare_{ab,manual}.{json,txt}
 
 Every stochastic choice is fixed by the config seed, so re-running a
-command overwrites its outputs byte-identically.
+command overwrites its outputs byte-identically. `train`, `run` and
+`compare` delete the outputs of an earlier run that their config no longer
+produces (models of other nights, other treatments' emission logs, an A/B
+report with fewer than two treatments).
 """
 
 from __future__ import annotations
@@ -350,6 +353,8 @@ def cmd_run(cfg: ExperimentConfig) -> None:
     pipe = _pipeline_config(cfg, corpus)
     # The nightly schedule does not depend on the treatment: load it once.
     schedule = _load_schedule(cfg, pipe, corpus)
+    for stale in (t for t in Treatment if t not in cfg.treatments):
+        cfg.emissions_path(stale).unlink(missing_ok=True)
     for treatment in cfg.treatments:
         emissions = run_pipeline(corpus, replace(pipe, treatment=treatment), users,
                                  models=schedule)
@@ -402,6 +407,9 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         table = format_comparison_table(reports, a.value, b.value)
         (cfg.reports_dir / "compare_ab.txt").write_text(table + "\n", encoding="utf-8")
         print(table)
+    else:  # an earlier run's A/B report does not describe this config
+        for name in ("compare_ab.json", "compare_ab.txt"):
+            (cfg.reports_dir / name).unlink(missing_ok=True)
 
     baseline_path = cfg.emissions_path(cfg.treatments[0])
     manual = _read_lists(_require(cfg.manual_path, "newsrec run"))

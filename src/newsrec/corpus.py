@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Protocol
 
 import numpy as np
@@ -280,12 +281,14 @@ class Corpus:
     def __init__(self, articles: Iterable[Article], events: Iterable[InteractionEvent],
                  embedding_dim: int):
         self.embedding_dim = int(embedding_dim)
-        self.articles: dict[str, Article] = {}
+        by_id: dict[str, Article] = {}
         for art in articles:
-            if art.id in self.articles:
+            if art.id in by_id:
                 raise CorpusError(f"duplicate article id {art.id!r}")
             art.validate(self.embedding_dim)
-            self.articles[art.id] = art
+            by_id[art.id] = art
+        # read-only: the article table and publication index are built from it
+        self.articles: Mapping[str, Article] = MappingProxyType(by_id)
 
         seen: set[tuple[str, str, float, Kind]] = set()
         deduped: list[InteractionEvent] = []

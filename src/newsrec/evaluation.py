@@ -93,7 +93,7 @@ def ensemble_scorer(model: TreeEnsemble, corpus: Corpus) -> Scorer:
         raise EvalError(error)
 
     def score(profile: UserProfile, articles: Sequence[Article], at: float) -> np.ndarray:
-        X = extract_matrix(profile, [a.id for a in articles], at, corpus)
+        X = extract_matrix([profile], [a.id for a in articles], at, corpus)
         return model.predict_matrix(X)
 
     return score

@@ -75,6 +75,20 @@ class TestChain:
         for name in written:
             assert (copy / name).read_bytes() == (out / name).read_bytes()
 
+    def test_outputs_of_dropped_treatment_deleted(self, chain, tmp_path):
+        out, _ = chain
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        cfg = smoke_config(tmp_path, treatments=["baseline"])
+        for cmd in ("run", "compare"):
+            assert run(cmd, "--config", str(cfg)) == 0, cmd
+        assert not (copy / "emissions_dynamism.jsonl").exists()
+        assert not (copy / "reports" / "compare_ab.json").exists()
+        assert not (copy / "reports" / "compare_ab.txt").exists()
+        for name in ("emissions_baseline.jsonl", "manual.jsonl", "reports/compare_manual.json",
+                     "reports/compare_manual.txt"):
+            assert (copy / name).read_bytes() == (out / name).read_bytes(), name
+
     def test_compare_variant_from_config(self, chain, tmp_path):
         out, _ = chain
         copy = tmp_path / "run"

@@ -340,6 +340,18 @@ class TestArticleCache:
 
 
 class TestInvariants:
+    def test_articles_read_only(self):
+        art = Article.from_content("a1", T0, "news", ["t"], ["au"], "t",
+                                   "alpha beta", make_provider())
+        corpus = Corpus([art], [], 4)
+        with pytest.raises(TypeError):
+            corpus.articles["a1"] = art
+        with pytest.raises(TypeError):
+            corpus.articles["a2"] = art
+        with pytest.raises(TypeError):
+            del corpus.articles["a1"]
+        assert list(corpus.articles) == ["a1"] and corpus.articles["a1"] is art
+
     def test_duplicate_article_rejected_in_constructor(self):
         art = Article.from_content("a1", T0, "news", ["t"], ["au"], "t",
                                    "alpha beta", make_provider())

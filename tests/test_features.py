@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from newsrec.corpus import DAY, WEEK, Article, Corpus, Kind
@@ -27,7 +27,7 @@ def extract_row(profile, article, at, dim=4, corpus=None):
     """The served feature map (`extract_matrix`) on a one-article row."""
     if corpus is None:
         corpus = corpus_with_clicks([article], [], dim)
-    return extract_matrix(profile, [article.id], at, corpus)[0]
+    return extract_matrix([profile], [article.id], at, corpus)[0]
 
 
 # Scalar reference feature map: `extract_matrix` must reproduce it row by row.
@@ -327,18 +327,69 @@ class TestExtractMatrix:
         cfg, corpus, _ = tiny_world
         at = cfg.start + 3 * 86400.0
         ids = sorted(corpus.articles)[:40]
-        for uid in corpus.user_ids()[:5]:
-            prof = build_profile(corpus, uid, at)
-            M = extract_matrix(prof, ids, at, corpus)
+        profs = [build_profile(corpus, uid, at) for uid in corpus.user_ids()[:5]]
+        M = extract_matrix(profs, ids, at, corpus)
+        assert M.shape == (len(profs) * len(ids), article_table(corpus).width)
+        jaccards = [feature_names(cfg.embedding_dim).index(f"ua_{attr}_jaccard")
+                    for attr in ("tag", "author")]
+        for u, prof in enumerate(profs):
             for i, aid in enumerate(ids[:10]):
                 row = extract(prof, corpus.articles[aid], at)
-                assert np.allclose(M[i], row, atol=1e-12), aid
+                assert np.allclose(M[u * len(ids) + i], row, atol=1e-12), aid
+                # counted overlaps: the quotient of two integers, exactly
+                assert np.array_equal(M[u * len(ids) + i, jaccards], row[jaccards]), aid
 
     def test_all_finite_over_world(self, tiny_world):
         cfg, corpus, _ = tiny_world
         prof = empty_profile("u1", cfg.embedding_dim)
-        M = extract_matrix(prof, sorted(corpus.articles), cfg.start, corpus)
+        M = extract_matrix([prof], sorted(corpus.articles), cfg.start, corpus)
         assert np.isfinite(M).all()
+
+    def test_dimension_mismatch_in_any_profile_raises(self, tiny_world):
+        cfg, corpus, _ = tiny_world
+        good = empty_profile("u1", cfg.embedding_dim)
+        with pytest.raises(FeatureError, match="dim"):
+            extract_matrix([good, empty_profile("u2", 4)], sorted(corpus.articles), T0,
+                           corpus)
+
+
+def _drawn_profile(corpus, kind, user, at):
+    built = build_profile(corpus, user, at)
+    if kind == "empty":
+        return empty_profile(user, corpus.embedding_dim)
+    if kind == "zero-embedding":  # clicks, but a mean embedding of norm 0
+        return dataclasses.replace(built, mean_embedding=np.zeros(corpus.embedding_dim))
+    return built
+
+
+ALL_ROWS = list(range(50))  # tiny_world's articles, by position in sorted ids
+
+
+@given(hour=st.integers(0, 5 * 24),
+       drawn=st.lists(st.tuples(st.sampled_from(["built", "empty", "zero-embedding"]),
+                                st.integers(0, 19), st.integers(-48, 0)), max_size=5),
+       repeat=st.booleans(),
+       positions=st.lists(st.integers(0, 49), unique=True, max_size=12))
+@example(hour=72, drawn=[("built", 0, 0)], repeat=False, positions=ALL_ROWS)
+@example(hour=72, drawn=[("built", 0, 0), ("built", 1, 0)], repeat=True, positions=ALL_ROWS)
+@example(hour=72, drawn=[("empty", 0, 0), ("built", 1, 0), ("zero-embedding", 2, 0)],
+         repeat=False, positions=ALL_ROWS)
+@example(hour=72, drawn=[("built", 0, 0), ("built", 1, 0)], repeat=False, positions=[])
+def test_stacked_profiles_equal_one_profile_calls(tiny_world, hour, drawn, repeat, positions):
+    cfg, corpus, _ = tiny_world
+    users, ids = corpus.user_ids(), sorted(corpus.articles)
+    assert len(ids) == len(ALL_ROWS)
+    at = cfg.start + hour * H
+    profs = [_drawn_profile(corpus, kind, users[u % len(users)], at + back * H)
+             for kind, u, back in drawn]
+    if profs and repeat:
+        profs.append(profs[0])  # the same profile object twice in one call
+    ids = [ids[i] for i in positions]
+    width = article_table(corpus).width
+    stacked = extract_matrix(profs, ids, at, corpus)
+    one_by_one = [extract_matrix([p], ids, at, corpus) for p in profs]
+    assert stacked.shape == (len(profs) * len(ids), width)
+    assert np.array_equal(stacked, np.concatenate(one_by_one or [np.zeros((0, width))]))
 
 
 @given(a=st.frozensets(st.sampled_from("abcdef"), max_size=5),

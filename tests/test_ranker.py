@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import newsrec.features
 import newsrec.ranker
 from newsrec.corpus import DAY, WEEK, Corpus, SyntheticWorldConfig, day_start, generate_world
 from newsrec.evaluation import offline_eval, scorers_from_schedule
@@ -411,13 +412,25 @@ def clicked_mini_corpus():
     return Corpus(list(corpus.articles.values()), events, 4)
 
 
+def emit_block_oracle(out, corpus, cfg, model, profiles, users, tick):
+    """A block's lists built user by user with `emit_user_oracle`."""
+    for user_id in users:
+        emit_user_oracle(out, corpus, cfg, model, user_id, tick.at)
+
+
 def serve_via_oracle(monkeypatch, corpus, cfg, users, **kwargs):
     """`run_pipeline` with each user's lists built by `emit_user_oracle`."""
     with monkeypatch.context() as m:
-        m.setattr(newsrec.ranker, "_emit_user",
-                  lambda out, corpus, cfg, model, user_id, tick:
-                      emit_user_oracle(out, corpus, cfg, model, user_id, tick.at))
+        m.setattr(newsrec.ranker, "_emit_block", emit_block_oracle)
         return run_pipeline(corpus, cfg, users, **kwargs)
+
+
+def oracle_config(wcfg, **over):
+    """Six-hourly serving of `tiny_world` from day 1; the first model comes
+    at 03:00, so the ticks before it serve fallback lists."""
+    return pipe_config(t_start=wcfg.start + DAY, refresh_interval=6 * 3600.0,
+                       nightly_train_hour=3,
+                       train=TrainConfig(n_trees=4, max_depth=2, learning_rate=0.3), **over)
 
 
 def aged_corpus():
@@ -444,11 +457,7 @@ class TestServeOracle:
     def test_pipeline_equals_step_by_step_oracle(self, tiny_world, monkeypatch,
                                                  treatment, mnpage_cap):
         wcfg, corpus, _ = tiny_world
-        # first model at 03:00: the ticks before it serve fallback lists
-        cfg = pipe_config(
-            t_start=wcfg.start + DAY, refresh_interval=6 * 3600.0, nightly_train_hour=3,
-            treatment=treatment, train=TrainConfig(n_trees=4, max_depth=2, learning_rate=0.3),
-            mnpage_cap=mnpage_cap)
+        cfg = oracle_config(wcfg, treatment=treatment, mnpage_cap=mnpage_cap)
         users = corpus.user_ids()[:5]
         got = run_pipeline(corpus, cfg, users)
         assert got == serve_via_oracle(monkeypatch, corpus, cfg, users)
@@ -457,6 +466,64 @@ class TestServeOracle:
         assert any((e.at - cfg.t_start) % cfg.refresh_interval for e in got)  # click triggers
         pages = [len(e.items) for e in got if e.section is Section.MN_PAGE]
         assert max(pages) == 2 if mnpage_cap else max(pages) > 2
+
+    @pytest.mark.parametrize("block_rows", ["1", "n+1"])
+    def test_block_boundaries_equal_oracle(self, tiny_world, monkeypatch, block_rows):
+        wcfg, corpus, _ = tiny_world
+        cfg = oracle_config(wcfg, treatment=Treatment.DYNAMISM)
+        users = corpus.user_ids()[:7]
+        # n candidates at noon on day 2: ticks with n rows serve one user per
+        # block, ticks with fewer rows two or more, the last block partial
+        n = len(candidates(corpus, cfg.t_start + DAY + 12 * 3600, cfg.candidate_window))
+        monkeypatch.setattr(newsrec.ranker, "_BLOCK_ROWS", 1 if block_rows == "1" else n + 1)
+        blocks = []
+        emit_block = newsrec.ranker._emit_block
+
+        def recorded(out, corpus, cfg, model, profiles, users, tick):
+            blocks.append(len(users))
+            emit_block(out, corpus, cfg, model, profiles, users, tick)
+
+        monkeypatch.setattr(newsrec.ranker, "_emit_block", recorded)
+        got = run_pipeline(corpus, cfg, users)
+        assert got == serve_via_oracle(monkeypatch, corpus, cfg, users)
+        if block_rows == "1":
+            assert set(blocks) == {1}
+        else:
+            assert 1 in blocks and any(1 < size < len(users) for size in blocks)
+
+    def test_one_profile_per_click_window_one_model_call_per_block(self, tiny_world,
+                                                                   monkeypatch):
+        wcfg, corpus, _ = tiny_world
+        cfg = oracle_config(wcfg)
+        models = train_schedule(corpus, cfg)
+        built, scored, blocks = [], [], []
+        build_profile = newsrec.features.build_profile
+        raw_scores = TreeEnsemble.raw_scores
+        emit_block = newsrec.ranker._emit_block
+
+        def recorded_profile(corpus, user_id, as_of):
+            built.append((user_id, as_of))
+            return build_profile(corpus, user_id, as_of)
+
+        def recorded_scores(model, X):
+            scored.append(len(X))
+            return raw_scores(model, X)
+
+        def recorded_block(out, corpus, cfg, model, profiles, users, tick):
+            if model is not None:
+                blocks.append(len(users) * len(tick.ids))
+            emit_block(out, corpus, cfg, model, profiles, users, tick)
+
+        monkeypatch.setattr(newsrec.features, "build_profile", recorded_profile)
+        monkeypatch.setattr(TreeEnsemble, "raw_scores", recorded_scores)
+        monkeypatch.setattr(newsrec.ranker, "_emit_block", recorded_block)
+        got = run_pipeline(corpus, cfg, corpus.user_ids(), models=models)
+        served = [e for e in got if not e.fallback and e.section is Section.MN_PAGE]
+        windows = {(e.user_id, newsrec.features._click_window(corpus.clicks_of(e.user_id),
+                                                              e.at))
+                   for e in served}
+        assert len(built) == len(windows) < len(served)
+        assert scored == blocks and len(blocks) < len(served)
 
     @pytest.mark.parametrize("model, treatment, blend_lambda, window, mnpage_cap", [
         ("trained", Treatment.DYNAMISM, 0.5, 10 * DAY, None),
