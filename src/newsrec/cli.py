@@ -38,7 +38,7 @@ from .features import ProfileCache, article_table, write_schema
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
-from .ranker import (PipelineConfig, RankedList, RankerError, Treatment,
+from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,
                      manual_lists, manual_updates_range, read_emissions, run_pipeline,
                      train_schedule, write_emissions)
 from .usefulness import write_metric_samples
@@ -269,9 +269,20 @@ def _load_corpus(cfg: ExperimentConfig) -> Corpus:
         raise CliError(str(exc)) from exc
 
 
-def _read_lists(path: Path) -> list[RankedList]:
+def _read_lists(path: Path, corpus: Corpus, manual: bool = False) -> list[RankedList]:
+    """The lists of an emission log: the manual stream (`manual`), whose
+    lists are all manual, or a treatment's log, which holds none. Every id
+    must name an article of `corpus`."""
+    def check(lst: RankedList) -> None:
+        if (lst.section is Section.MANUAL) != manual:
+            stream = "the manual stream" if manual else "a treatment's emission log"
+            raise ValueError(f"a {lst.section.value} list in {stream}")
+        for aid in lst.ids():
+            if aid not in corpus.articles:
+                raise ValueError(f"article id {aid!r} is not in the corpus")
+
     try:
-        return read_emissions(path)
+        return read_emissions(path, check)
     except RankerError as exc:  # a malformed emission file is bad input
         raise CliError(str(exc)) from exc
 
@@ -384,8 +395,8 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
     samples = []
     profiles = ProfileCache(corpus)
     for treatment, path in zip(cfg.treatments, paths):
-        samples.extend(collect_metric_samples(_read_lists(path), corpus, treatment.value,
-                                              profiles=profiles))
+        samples.extend(collect_metric_samples(_read_lists(path, corpus), corpus,
+                                              treatment.value, profiles=profiles))
     write_metric_samples(cfg.reports_dir / "metrics.csv", samples)
     print(format_accuracy_table(report))
     print(f"reports under {cfg.reports_dir}")
@@ -397,8 +408,8 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
 
     if len(cfg.treatments) >= 2:
         a, b = cfg.treatments[0], cfg.treatments[1]
-        emissions_a = _read_lists(_require(cfg.emissions_path(a), "newsrec run"))
-        emissions_b = _read_lists(_require(cfg.emissions_path(b), "newsrec run"))
+        emissions_a = _read_lists(_require(cfg.emissions_path(a), "newsrec run"), corpus)
+        emissions_b = _read_lists(_require(cfg.emissions_path(b), "newsrec run"), corpus)
         reports = compare_treatments(emissions_a, emissions_b, corpus, variant=cfg.variant)
         for r in reports:
             r.validate()
@@ -412,8 +423,8 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
             (cfg.reports_dir / name).unlink(missing_ok=True)
 
     baseline_path = cfg.emissions_path(cfg.treatments[0])
-    manual = _read_lists(_require(cfg.manual_path, "newsrec run"))
-    recsys = _read_lists(_require(baseline_path, "newsrec run"))
+    manual = _read_lists(_require(cfg.manual_path, "newsrec run"), corpus, manual=True)
+    recsys = _read_lists(_require(baseline_path, "newsrec run"), corpus)
     reports = compare_manual_recsys(manual, recsys, corpus, variant=cfg.variant)
     for r in reports:
         r.validate()

@@ -26,7 +26,7 @@ from .corpus import DAY, Article, Corpus, Kind, date_start, day_start, utc_date
 from .features import (ProfileCache, UserProfile, article_table, build_profile,
                        extract_matrix)
 from .gbdt import TreeEnsemble
-from .ranker import RankedList, Section, _sort_items
+from .ranker import RankedList, Section, _sort_items, _utc
 from .usefulness import (AttributeKind, CoverageScope, MetricSample, align, coverage,
                          dynamism, intra_list_diversity, serendipity)
 
@@ -378,21 +378,56 @@ def _articles(corpus: Corpus, ids: Iterable[str]) -> list[Article]:
     return [corpus.articles[aid] for aid in ids]
 
 
-def _metric_pass(emissions: Sequence[RankedList], corpus: Corpus, profiles: ProfileCache):
+class _ListValues:
+    """One study call's diversity and serendipity values, each distinct list's
+    computed once: the four `intra_list_diversity` values (ALL_ATTRIBUTES
+    order) keyed by the list's id tuple, and the four `serendipity` values
+    keyed by (id tuple, `ProfileCache.window_key` of the profile). A study
+    makes one and drops it on return; the values come from the definitions,
+    so a repeated key returns the floats a new call would."""
+
+    def __init__(self, corpus: Corpus, profiles: ProfileCache):
+        self.corpus = corpus
+        self.profiles = profiles
+        self._diversity: dict[tuple[str, ...], tuple[Optional[float], ...]] = {}
+        self._serendipity: dict[tuple, tuple[Optional[float], ...]] = {}
+
+    def diversity(self, ids: tuple[str, ...]) -> tuple[Optional[float], ...]:
+        values = self._diversity.get(ids)
+        if values is None:
+            articles = _articles(self.corpus, ids)
+            values = tuple(intra_list_diversity(articles, attr) for attr in ALL_ATTRIBUTES)
+            self._diversity[ids] = values
+        return values
+
+    def serendipity(self, ids: tuple[str, ...], user_id: str, at: float
+                    ) -> tuple[Optional[float], ...]:
+        """The list's serendipity for `user_id`'s profile at `at`; an empty
+        list has none, so it reads no profile."""
+        key = (ids, self.profiles.window_key(user_id, at) if ids else None)
+        values = self._serendipity.get(key)
+        if values is None:
+            articles = _articles(self.corpus, ids)
+            profile = self.profiles.get(user_id, at) if ids else None
+            values = tuple(serendipity(articles, profile, attr) for attr in ALL_ATTRIBUTES)
+            self._serendipity[key] = values
+        return values
+
+
+def _metric_pass(emissions: Sequence[RankedList], memo: _ListValues):
     """The one metric pass over a stream: per list in (at, user, section)
     order, its top-TOP_N cut, the cut's dynamism within its (user, section)
-    stream, and the cut's diversity and serendipity per attribute (lists in
+    stream, and the cut's diversity and serendipity per attribute (tuples in
     ALL_ATTRIBUTES order, each value None where undefined); then the cuts'
     `_daily_coverage` in COVERAGE_SCOPES."""
     ordered = sorted(emissions, key=lambda l: (l.at, l.user_id, l.section.value))
     tops = [lst.top(TOP_N) for lst in ordered]
     divs, sers = [], []
     for top in tops:
-        articles = _articles(corpus, top.ids())
-        profile = profiles.get(top.user_id, top.at) if articles else None
-        divs.append([intra_list_diversity(articles, attr) for attr in ALL_ATTRIBUTES])
-        sers.append([serendipity(articles, profile, attr) for attr in ALL_ATTRIBUTES])
-    daily = _daily_coverage(corpus, ((t.at, t) for t in tops), COVERAGE_SCOPES)
+        ids = tuple(aid for aid, _ in top.items)
+        divs.append(memo.diversity(ids))
+        sers.append(memo.serendipity(ids, top.user_id, top.at))
+    daily = _daily_coverage(memo.corpus, ((t.at, t) for t in tops), COVERAGE_SCOPES)
     return tops, _consecutive_dynamism(tops), divs, sers, daily
 
 
@@ -407,7 +442,7 @@ def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
         profiles = ProfileCache(corpus)
     elif profiles.corpus is not corpus:
         raise EvalError("the profile cache was made for another corpus")
-    tops, dyns, divs, sers, daily = _metric_pass(emissions, corpus, profiles)
+    tops, dyns, divs, sers, daily = _metric_pass(emissions, _ListValues(corpus, profiles))
     rows: list[MetricSample] = []
     for top, dyn, list_divs, list_sers in zip(tops, dyns, divs, sers):
         section = top.section.value
@@ -477,10 +512,10 @@ def compare_treatments(emissions_a: Sequence[RankedList],
     test (n < 2 on either side) are omitted from the result."""
     if not emissions_a or not emissions_b:
         raise EvalError("empty emission stream")
-    profiles = ProfileCache(corpus)
+    memo = _ListValues(corpus, ProfileCache(corpus))  # one for both streams
     samples = []
     for emissions in (emissions_a, emissions_b):
-        _, dyns, divs, sers, daily = _metric_pass(emissions, corpus, profiles)
+        _, dyns, divs, sers, daily = _metric_pass(emissions, memo)
         samples.append({
             "dynamism": [v for v in dyns if v is not None],
             "serendipity": [sum(v) / len(ALL_ATTRIBUTES) for v in sers if None not in v],
@@ -515,8 +550,13 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     are compared per attribute over lists (manual serendipity is measured
     against each aligned user's own history); dynamism over consecutive
     lists (aligned and all-changes variants); coverage per day in both
-    per-user and all-users scopes.
+    per-user and all-users scopes. A manual-stream list whose section is not
+    MANUAL is refused with an EvalError.
     """
+    for manual in manual_stream:
+        if manual.section is not Section.MANUAL:
+            raise EvalError(f"the manual stream holds a {manual.section.value} list "
+                            f"(user {manual.user_id!r}, at {_utc(manual.at)})")
     recsys_stream = [l for l in recsys_stream
                      if l.section is Section.MN_WIDGET and not l.fallback]
     if not manual_stream or not recsys_stream:
@@ -525,23 +565,18 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     pairs = align(manual_stream, recsys_stream)
     if not pairs:
         raise EvalError("alignment produced no pairs")
-    profiles = ProfileCache(corpus)
+    memo = _ListValues(corpus, ProfileCache(corpus))
 
-    # per attribute: manual diversity per manual list; per aligned pair, the
-    # recsys list's diversity and both lists' serendipity
-    manual_div, recsys_div, manual_ser, recsys_ser = (
-        {attr: [] for attr in ALL_ATTRIBUTES} for _ in range(4))
-    for manual in manual_stream:
-        articles = _articles(corpus, manual.ids())
-        for attr in ALL_ATTRIBUTES:
-            manual_div[attr].append(intra_list_diversity(articles, attr))
+    # per list, values in ALL_ATTRIBUTES order: manual diversity per manual
+    # list; per aligned pair, the recsys list's diversity and both lists'
+    # serendipity for the aligned user at the manual update
+    manual_div = [memo.diversity(tuple(manual.ids())) for manual in manual_stream]
+    recsys_div, manual_ser, recsys_ser = [], [], []
     for manual, lst in pairs:
-        manual_articles, articles = _articles(corpus, manual.ids()), _articles(corpus, lst.ids())
-        profile = profiles.get(lst.user_id, manual.at)
-        for attr in ALL_ATTRIBUTES:
-            recsys_div[attr].append(intra_list_diversity(articles, attr))
-            manual_ser[attr].append(serendipity(manual_articles, profile, attr))
-            recsys_ser[attr].append(serendipity(articles, profile, attr))
+        manual_ids, ids = tuple(manual.ids()), tuple(lst.ids())
+        recsys_div.append(memo.diversity(ids))
+        manual_ser.append(memo.serendipity(manual_ids, lst.user_id, manual.at))
+        recsys_ser.append(memo.serendipity(ids, lst.user_id, manual.at))
 
     def defined(values: Iterable[Optional[float]]) -> list[float]:
         return [v for v in values if v is not None]
@@ -549,8 +584,9 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     reports: list[ComparisonReport] = []
     for metric, samples_a, samples_b in (("diversity", manual_div, recsys_div),
                                          ("serendipity", manual_ser, recsys_ser)):
-        for attr in ALL_ATTRIBUTES:
-            reports.append(t_test(defined(samples_a[attr]), defined(samples_b[attr]),
+        for i, attr in enumerate(ALL_ATTRIBUTES):
+            reports.append(t_test(defined(v[i] for v in samples_a),
+                                  defined(v[i] for v in samples_b),
                                   variant=variant, metric=f"{metric}_{attr.value}"))
 
     manual_dyn = defined(_consecutive_dynamism(manual_stream))

@@ -149,8 +149,14 @@ class ProfileCache:
         self.corpus = corpus
         self._cache: dict[tuple[str, int, int], UserProfile] = {}
 
+    def window_key(self, user_id: str, at: float) -> tuple[str, int, int]:
+        """The key `get` files the profile of `user_id` at `at` under:
+        `(user, lo, hi)`, where `lo:hi` are the positions of `[at - 7d, at)`
+        in the user's time-sorted clicks. Equal keys, equal profiles."""
+        return (user_id, *_click_window(self.corpus.clicks_of(user_id), at))
+
     def get(self, user_id: str, at: float) -> UserProfile:
-        key = (user_id, *_click_window(self.corpus.clicks_of(user_id), at))
+        key = self.window_key(user_id, at)
         if key not in self._cache:
             self._cache[key] = build_profile(self.corpus, user_id, at)
         return self._cache[key]

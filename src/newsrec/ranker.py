@@ -25,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -472,7 +472,14 @@ def write_emissions(path: str | Path, emissions: Iterable[RankedList]) -> None:
     write_jsonl(path, map(_emission_record, emissions))
 
 
-def read_emissions(path: str | Path) -> list[RankedList]:
-    """The lists of an emission log; a malformed line raises RankerError
-    naming path:line."""
-    return read_jsonl(path, _parse_emission, RankerError)
+def read_emissions(path: str | Path,
+                   check: Optional[Callable[[RankedList], None]] = None) -> list[RankedList]:
+    """The lists of an emission log; a malformed line, or a list that
+    `check` refuses with a ValueError, raises RankerError naming path:line."""
+    def parse(obj) -> RankedList:
+        lst = _parse_emission(obj)
+        if check is not None:
+            check(lst)
+        return lst
+
+    return read_jsonl(path, parse, RankerError)

@@ -230,6 +230,46 @@ class TestErrors:
         assert run("compare", "--config", str(cfg), "--out", str(copy)) == 2
         assert "emissions_baseline.jsonl:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_manual_list_in_treatment_log_exit_2(self, chain, tmp_path, capsys, command):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = copy / "emissions_dynamism.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = (copy / "manual.jsonl").read_text().splitlines(keepends=True)[0]
+        path.write_text("".join(lines), encoding="utf-8")
+        assert run(command, "--config", str(cfg), "--out", str(copy)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: a manual list in a treatment's emission log" in err, err
+
+    def test_treatment_log_as_manual_stream_exit_2(self, chain, tmp_path, capsys):
+        """The baseline log copied over manual.jsonl would compare the
+        recommender with itself."""
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        shutil.copy(copy / "emissions_baseline.jsonl", copy / "manual.jsonl")
+        section = json.loads((copy / "manual.jsonl").read_text().splitlines()[0])["section"]
+        assert run("compare", "--config", str(cfg), "--out", str(copy)) == 2
+        err = capsys.readouterr().err
+        assert f"manual.jsonl:1: a {section} list in the manual stream" in err, err
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    @pytest.mark.parametrize("position", [0, 6])  # inside the top 5, past its cut
+    def test_unknown_article_id_exit_2(self, chain, tmp_path, capsys, command, position):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = copy / "emissions_baseline.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        line = next(i for i, rec in enumerate(records) if len(rec["ids"]) > position)
+        records[line]["ids"][position] = "zz_unknown"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+        assert run(command, "--config", str(cfg), "--out", str(copy)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{line + 1}: article id 'zz_unknown' is not in the corpus" in err, err
+
     def test_missing_emissions_evaluate_exit_2(self, chain, tmp_path, capsys):
         out, cfg = chain
         copy = tmp_path / "copy"

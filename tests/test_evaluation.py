@@ -15,7 +15,7 @@ from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
                                 compare_treatments, ensemble_scorer, ndcg, offline_eval,
                                 precision_recall_at, regularized_incomplete_beta,
                                 t_test)
-from newsrec.features import ProfileCache, article_table
+from newsrec.features import ProfileCache, article_table, build_profile
 from newsrec.gbdt import TrainConfig, TreeEnsemble
 from newsrec.ranker import (MANUAL_USER, PipelineConfig, RankedList, Section,
                             Treatment, manual_lists, run_pipeline, train_schedule)
@@ -727,7 +727,7 @@ class TestProfileCacheScope:
         """Every metric pass computes diversity and serendipity by calling
         `intra_list_diversity` and `serendipity` as `evaluation` names them,
         so a wrapper put there (as the benchmark's tracer does) sees each
-        call."""
+        distinct call."""
         calls = {}
 
         def counted(name, fn):
@@ -753,3 +753,211 @@ class TestProfileCacheScope:
             assert calls.get("intra_list_diversity", 0) > 0, study
             if study != "behavior_shift":  # it compares click diversity only
                 assert calls.get("serendipity", 0) > 0, study
+
+
+# --------------------------------------------------------------------------
+# The per-call memo of list values
+# --------------------------------------------------------------------------
+
+ALL_ATTRIBUTES = evaluation.ALL_ATTRIBUTES
+MEMO_IDS = tuple("abcdefg")
+
+
+def memo_corpus():
+    """a-d published on day 0 and e-g on day 1; d has no tags and a zero
+    embedding. u1 clicks a at 1h, b at 3h and e at day 1 1h; u2 clicks f
+    at day 1 2h; u3 never clicks."""
+    embeddings = ([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0],
+                  [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 1, 0])
+    arts = [make_article(aid, T0 + H / 2 + (DAY if i >= 4 else 0.0), section=f"s{i % 3}",
+                         tags=() if aid == "d" else (f"t{i % 2}", f"t{i % 3}"),
+                         authors=(f"p{i % 2}",), embedding=embeddings[i])
+            for i, aid in enumerate(MEMO_IDS)]
+    clicks = [click("u1", "a", T0 + H), click("u1", "b", T0 + 3 * H),
+              click("u1", "e", T0 + DAY + H), click("u2", "f", T0 + DAY + 2 * H)]
+    return Corpus(arts, clicks, 4)
+
+
+def memo_cases_stream():
+    """A stream over `memo_corpus` with every case the memo must get right."""
+    W, P = Section.MN_WIDGET, Section.MN_PAGE
+    return [
+        hand_built_list("u1", W, T0 + 2 * H, "a", "b", "c"),
+        hand_built_list("u1", W, T0 + 2.5 * H, "a", "b", "c"),  # repeated, same window
+        hand_built_list("u2", W, T0 + 2 * H, "a", "b", "c"),    # the same top 5, another user
+        hand_built_list("u1", W, T0 + 4 * H, "a", "b", "c"),    # u1 clicked b at 3h
+        hand_built_list("u1", P, T0 + 4 * H, "a", "b", "c", "d", "e", "f", "g"),  # cut at 5
+        hand_built_list("u2", P, T0 + 4 * H, "a", "b", "c", "d", "e", "g"),  # same top 5
+        hand_built_list("u3", W, T0 + 2 * H),                   # empty
+        hand_built_list("u2", W, T0 + 2.5 * H),                 # empty, another user
+        hand_built_list("u3", W, T0 + 3 * H, "d", fallback=True),
+        hand_built_list("u2", W, T0 + 3 * H, "d", fallback=True),
+        hand_built_list("u2", W, T0 + DAY + 3 * H, "e", "f", "g"),
+        hand_built_list("u1", W, T0 + DAY + 3 * H, "e", "f", "g"),
+        hand_built_list("u1", Section.MISSED_LW, T0 + DAY + 3 * H, "a", "b", "c"),
+    ]
+
+
+def memo_cases_manual():
+    return [hand_built_list(MANUAL_USER, Section.MANUAL, T0 + hour * H, *ids)
+            for hour, ids in ((2.25, "abc"), (3.5, "abc"), (4.5, "efg"), (4.75, ""),
+                              (DAY / H + 4, "efg"), (DAY / H + 5, "abc"))]
+
+
+class NoMemoValues(evaluation._ListValues):
+    """The no-memo oracle: each list's values from the definitions, called
+    once per list, with a profile built afresh for each."""
+
+    def diversity(self, ids):
+        articles = [self.corpus.articles[aid] for aid in ids]
+        return tuple(intra_list_diversity(articles, attr) for attr in ALL_ATTRIBUTES)
+
+    def serendipity(self, ids, user_id, at):
+        articles = [self.corpus.articles[aid] for aid in ids]
+        profile = build_profile(self.corpus, user_id, at)
+        return tuple(serendipity(articles, profile, attr) for attr in ALL_ATTRIBUTES)
+
+
+def outcome(study):
+    """A study's result, or the type and message of the error it raised."""
+    try:
+        return study()
+    except EvalError as exc:
+        return type(exc), str(exc)
+
+
+def studies(corpus, stream, other, manual):
+    return {
+        "collect_metric_samples": lambda: collect_metric_samples(stream, corpus, "t"),
+        "compare_treatments": lambda: compare_treatments(stream, other, corpus),
+        "compare_manual_recsys": lambda: compare_manual_recsys(manual, stream, corpus),
+    }
+
+
+def assert_studies_match_oracle(monkeypatch, corpus, stream, other, manual):
+    runs = studies(corpus, stream, other, manual)
+    memo = {name: outcome(run) for name, run in runs.items()}
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "_ListValues", NoMemoValues)
+        oracle = {name: outcome(run) for name, run in runs.items()}
+    assert memo == oracle
+
+    memo = evaluation._ListValues(corpus, ProfileCache(corpus))
+    assert (evaluation._metric_pass(stream, memo)
+            == evaluation._metric_pass(stream, NoMemoValues(corpus, None)))
+
+
+LIST_POOL = ((), ("a",), ("a", "b", "c"), ("c", "b", "a"), ("e", "f", "g"),
+             ("a", "b", "c", "d", "e"), ("a", "b", "c", "d", "e", "f", "g"))
+
+
+@st.composite
+def memo_list(draw, users=("u1", "u2", "u3"),
+              sections=(Section.MN_WIDGET, Section.MN_PAGE, Section.MISSED_LW)):
+    section = draw(st.sampled_from(sections))
+    cap = 5 if section is not Section.MN_PAGE else len(MEMO_IDS)
+    ids = draw(st.sampled_from(LIST_POOL) | st.lists(st.sampled_from(MEMO_IDS), unique=True))
+    hour = draw(st.sampled_from((2.0, 2.5, 3.0, 4.0, 25.0, 26.5, 27.0)))
+    return hand_built_list(draw(st.sampled_from(users)), section, T0 + hour * H,
+                           *ids[:cap], fallback=draw(st.booleans()))
+
+
+@st.composite
+def manual_list(draw):
+    ids = draw(st.sampled_from(LIST_POOL) | st.lists(st.sampled_from(MEMO_IDS), unique=True))
+    hour = draw(st.sampled_from((2.25, 3.5, 4.5, 25.5, 27.5)))
+    return hand_built_list(MANUAL_USER, Section.MANUAL, T0 + hour * H, *ids[:5])
+
+
+class TestListValueMemo:
+    """Each study call computes each distinct list's diversity and
+    serendipity once; every study reads what a pass without the memo reads."""
+
+    def test_cases_match_the_no_memo_oracle(self, monkeypatch):
+        stream = memo_cases_stream()
+        assert_studies_match_oracle(monkeypatch, memo_corpus(), stream,
+                                    list(reversed(stream)), memo_cases_manual())
+
+    def test_a_click_between_repeats_gives_new_values(self):
+        """u1's [a, b, c] at 2h and at 4h have the same ids and diversity, but
+        u1 clicked b at 3h, so serendipity must be computed again."""
+        corpus = memo_corpus()
+        memo = evaluation._ListValues(corpus, ProfileCache(corpus))
+        ids = ("a", "b", "c")
+        assert memo.serendipity(ids, "u1", T0 + 2 * H) != memo.serendipity(ids, "u1", T0 + 4 * H)
+        assert memo.serendipity(ids, "u1", T0 + 2 * H) == memo.serendipity(
+            ids, "u1", T0 + 2.5 * H)
+
+    @given(stream=st.lists(memo_list(), min_size=1, max_size=12),
+           other=st.lists(memo_list(), min_size=1, max_size=6),
+           manual=st.lists(manual_list(), min_size=1, max_size=5))
+    def test_studies_match_the_no_memo_oracle(self, stream, other, manual):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_studies_match_oracle(monkeypatch, memo_corpus(), stream, other, manual)
+
+    def test_definitions_run_once_per_distinct_key(self, monkeypatch):
+        """`intra_list_diversity` runs once per distinct id tuple and
+        attribute; `serendipity` once per distinct (ids, click window) and
+        attribute, where an empty list needs no window."""
+        calls = {"intra_list_diversity": [], "serendipity": []}
+
+        def recorded(name, fn):
+            def wrapper(articles, *args):
+                calls[name].append((tuple(a.id for a in articles), args[-1]))
+                return fn(articles, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name, recorded(name, getattr(evaluation, name)))
+        corpus = memo_corpus()
+        windows = ProfileCache(corpus)
+        stream, manual = memo_cases_stream(), memo_cases_manual()
+        other = [hand_built_list("u3", Section.MN_WIDGET, T0 + 2 * H, "c", "b", "a"),
+                 stream[0], stream[3]]
+
+        def diversity_calls(id_tuples):
+            return [(ids, attr) for ids in set(id_tuples) for attr in ALL_ATTRIBUTES]
+
+        def serendipity_calls(lists):
+            """Per distinct (ids, window) of `(ids, user, at)` lists."""
+            keys = {(ids, windows.window_key(user, at) if ids else None)
+                    for ids, user, at in lists}
+            return [(ids, attr) for ids, _ in keys for attr in ALL_ATTRIBUTES]
+
+        def cuts(lists):
+            return [(tuple(l.ids()[:5]), l.user_id, l.at) for l in lists]
+
+        widget = [l for l in stream if l.section is Section.MN_WIDGET and not l.fallback]
+        pairs = evaluation.align(sorted(manual, key=lambda l: l.at), widget)
+        expected = {
+            "collect_metric_samples": (diversity_calls(ids for ids, _, _ in cuts(stream)),
+                                       serendipity_calls(cuts(stream))),
+            "compare_treatments": (diversity_calls(ids for ids, _, _ in cuts(stream + other)),
+                                   serendipity_calls(cuts(stream + other))),
+            "compare_manual_recsys": (
+                diversity_calls([tuple(m.ids()) for m in manual]
+                                + [tuple(l.ids()) for _, l in pairs]),
+                serendipity_calls([(tuple(m.ids()), l.user_id, m.at) for m, l in pairs]
+                                  + [(tuple(l.ids()), l.user_id, m.at) for m, l in pairs])),
+        }
+        for name, run in studies(corpus, stream, other, manual).items():
+            for calls_of in calls.values():
+                calls_of.clear()
+            run()
+            want_divs, want_sers = expected[name]
+            assert sorted(calls["intra_list_diversity"], key=repr) == sorted(want_divs, key=repr)
+            assert sorted(calls["serendipity"], key=repr) == sorted(want_sers, key=repr)
+            # the memo saves calls here: the stream repeats its top 5s
+            assert len(calls["intra_list_diversity"]) < 4 * len(stream), name
+
+    def test_manual_stream_of_another_section_refused(self):
+        """A treatment's log handed over as the manual stream is refused,
+        naming the first list that is not a manual one."""
+        manual, recsys = hand_built_study1_streams()
+        corpus = hand_built_corpus()
+        with pytest.raises(EvalError, match=r"manual stream holds a mn_widget list "
+                                            r"\(user 'u1', at 2024-01-01T02:00:00\+00:00\)"):
+            compare_manual_recsys(recsys, recsys, corpus)
+        page = hand_built_list("u2", Section.MN_PAGE, T0 + 5 * H, "a")
+        with pytest.raises(EvalError, match=r"mn_page list \(user 'u2'"):
+            compare_manual_recsys([*manual, page], recsys, corpus)
