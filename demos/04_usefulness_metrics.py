@@ -13,7 +13,8 @@ from newsrec import SyntheticWorldConfig, TrainConfig, generate_world
 from newsrec.corpus import DAY
 from newsrec.evaluation import compare_manual_recsys, format_comparison_table
 from newsrec.features import build_profile
-from newsrec.ranker import PipelineConfig, Section, manual_lists, run_pipeline
+from newsrec.ranker import (PipelineConfig, Section, manual_lists, run_pipeline,
+                            train_schedule)
 from newsrec.usefulness import (AttributeKind, CoverageScope, align, coverage,
                                 dynamism, entropy, gini, intra_list_diversity,
                                 serendipity)
@@ -25,7 +26,7 @@ pipe = PipelineConfig(
     t_start=cfg.start + DAY, refresh_interval=4 * 3600.0, nightly_train_hour=1,
     rng_seed=cfg.seed, train=TrainConfig(n_trees=10, max_depth=2, learning_rate=0.3),
     mnpage_cap=10)
-emissions = run_pipeline(corpus, pipe, corpus.user_ids())
+emissions = run_pipeline(corpus, pipe, corpus.user_ids(), models=train_schedule(corpus, pipe))
 widget = [l for l in emissions if l.section is Section.MN_WIDGET and not l.fallback]
 
 lst = next(l for l in widget if len(l.items) >= 4)

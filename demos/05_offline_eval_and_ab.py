@@ -8,7 +8,6 @@ reading behavior is compared between the first and second half of the
 simulation, mirroring a before/after analysis of click diversity.
 """
 
-import warnings
 from dataclasses import replace
 
 from newsrec import SyntheticWorldConfig, TrainConfig, generate_world
@@ -27,10 +26,7 @@ base = PipelineConfig(
     mnpage_cap=10)
 
 schedule = train_schedule(corpus, base)
-scorers = scorers_from_schedule(schedule, corpus)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    report = offline_eval(corpus, scorers, sorted(scorers))
+report = offline_eval(corpus, scorers_from_schedule(schedule, corpus))
 print("offline accuracy of the nightly models (replayed user-days):")
 print(format_accuracy_table(report))
 

@@ -13,7 +13,8 @@ Every stochastic choice is fixed by the config seed, so re-running a
 command overwrites its outputs byte-identically. `train`, `run` and
 `compare` delete the outputs of an earlier run that their config no longer
 produces (models of other nights, other treatments' emission logs, an A/B
-report with fewer than two treatments).
+report with fewer than two treatments). `evaluate` and `compare` read and
+check every input, each once, before they write any report.
 """
 
 from __future__ import annotations
@@ -23,18 +24,17 @@ import datetime as dt
 import json
 import re
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .corpus import (DAY, Corpus, CorpusError, SyntheticWorldConfig, WordVectors,
                      _finite, date_start, day_start, generate_world, load_corpus,
                      save_corpus, utc_date)
-from .evaluation import (TTestVariant, collect_metric_samples, compare_manual_recsys,
-                         compare_treatments, format_accuracy_table,
+from .evaluation import (ComparisonReport, TTestVariant, collect_metric_samples,
+                         compare_manual_recsys, compare_treatments, format_accuracy_table,
                          format_comparison_table, offline_eval, scorers_from_schedule)
-from .features import ProfileCache, article_table, write_schema
+from .features import article_table, write_schema
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
@@ -378,60 +378,59 @@ def cmd_run(cfg: ExperimentConfig) -> None:
     print(f"manual: {len(manual)} lists -> {cfg.manual_path}")
 
 
+def _treatment_logs(cfg: ExperimentConfig, corpus: Corpus,
+                    treatments: Sequence[Treatment]) -> dict[Treatment, list[RankedList]]:
+    """Each treatment's emission log, read and checked once."""
+    return {t: _read_lists(_require(cfg.emissions_path(t), "newsrec run"), corpus)
+            for t in treatments}
+
+
 def cmd_evaluate(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
     pipe = _pipeline_config(cfg, corpus)
     schedule = _load_schedule(cfg, pipe, corpus)
-    paths = [_require(cfg.emissions_path(t), "newsrec run") for t in cfg.treatments]
-    scorers = scorers_from_schedule(schedule, corpus)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = offline_eval(corpus, scorers, sorted(scorers), ks=cfg.eval_ks)
+    streams = _treatment_logs(cfg, corpus, cfg.treatments)
+    report = offline_eval(corpus, scorers_from_schedule(schedule, corpus), ks=cfg.eval_ks)
+    samples = collect_metric_samples({t.value: lists for t, lists in streams.items()}, corpus)
+
     cfg.reports_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.reports_dir / "accuracy.json", report.to_dict())
     (cfg.reports_dir / "accuracy.txt").write_text(
         format_accuracy_table(report) + "\n", encoding="utf-8")
-
-    samples = []
-    profiles = ProfileCache(corpus)
-    for treatment, path in zip(cfg.treatments, paths):
-        samples.extend(collect_metric_samples(_read_lists(path, corpus), corpus,
-                                              treatment.value, profiles=profiles))
     write_metric_samples(cfg.reports_dir / "metrics.csv", samples)
     print(format_accuracy_table(report))
     print(f"reports under {cfg.reports_dir}")
 
 
+def _write_comparison(cfg: ExperimentConfig, name: str, reports: list[ComparisonReport],
+                      label_a: str, label_b: str) -> None:
+    _write_json(cfg.reports_dir / f"{name}.json", [r.to_dict() for r in reports])
+    table = format_comparison_table(reports, label_a, label_b)
+    (cfg.reports_dir / f"{name}.txt").write_text(table + "\n", encoding="utf-8")
+    print(table)
+
+
 def cmd_compare(cfg: ExperimentConfig) -> None:
     corpus = _load_corpus(cfg)
-    cfg.reports_dir.mkdir(parents=True, exist_ok=True)
+    # Study 2 compares the first two treatments; Study 1 the first with the
+    # manual stream
+    streams = _treatment_logs(cfg, corpus, cfg.treatments[:2])
+    manual = _read_lists(_require(cfg.manual_path, "newsrec run"), corpus, manual=True)
+    ab = (compare_treatments(*streams.values(), corpus, variant=cfg.variant)
+          if len(streams) == 2 else None)
+    mr = compare_manual_recsys(manual, streams[cfg.treatments[0]], corpus,
+                               variant=cfg.variant)
+    for r in (ab or []) + mr:
+        r.validate()
 
-    if len(cfg.treatments) >= 2:
-        a, b = cfg.treatments[0], cfg.treatments[1]
-        emissions_a = _read_lists(_require(cfg.emissions_path(a), "newsrec run"), corpus)
-        emissions_b = _read_lists(_require(cfg.emissions_path(b), "newsrec run"), corpus)
-        reports = compare_treatments(emissions_a, emissions_b, corpus, variant=cfg.variant)
-        for r in reports:
-            r.validate()
-        _write_json(cfg.reports_dir / "compare_ab.json",
-                    [r.to_dict() for r in reports])
-        table = format_comparison_table(reports, a.value, b.value)
-        (cfg.reports_dir / "compare_ab.txt").write_text(table + "\n", encoding="utf-8")
-        print(table)
-    else:  # an earlier run's A/B report does not describe this config
+    cfg.reports_dir.mkdir(parents=True, exist_ok=True)
+    if ab is None:  # an earlier run's A/B report does not describe this config
         for name in ("compare_ab.json", "compare_ab.txt"):
             (cfg.reports_dir / name).unlink(missing_ok=True)
-
-    baseline_path = cfg.emissions_path(cfg.treatments[0])
-    manual = _read_lists(_require(cfg.manual_path, "newsrec run"), corpus, manual=True)
-    recsys = _read_lists(_require(baseline_path, "newsrec run"), corpus)
-    reports = compare_manual_recsys(manual, recsys, corpus, variant=cfg.variant)
-    for r in reports:
-        r.validate()
-    _write_json(cfg.reports_dir / "compare_manual.json", [r.to_dict() for r in reports])
-    table = format_comparison_table(reports, "manual", "recsys")
-    (cfg.reports_dir / "compare_manual.txt").write_text(table + "\n", encoding="utf-8")
-    print(table)
+    else:
+        a, b = streams
+        _write_comparison(cfg, "compare_ab", ab, a.value, b.value)
+    _write_comparison(cfg, "compare_manual", mr, "manual", "recsys")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Protocol
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -56,12 +56,6 @@ def date_start(day: date) -> float:
 def utc_date(at: float) -> date:
     """The UTC date of the day containing `at`."""
     return datetime.fromtimestamp(day_start(at), tz=timezone.utc).date()
-
-
-class EmbeddingProvider(Protocol):
-    dim: int
-
-    def vector(self, word: str) -> Optional[np.ndarray]: ...
 
 
 class WordVectors:
@@ -127,7 +121,7 @@ class WordVectors:
                 fh.write(f"{word} {coords}\n")
 
 
-def compute_embedding(body: str, provider: EmbeddingProvider) -> np.ndarray:
+def compute_embedding(body: str, provider: WordVectors) -> np.ndarray:
     """Elementwise mean of the vectors of all body tokens known to the
     provider; unknown words contribute nothing, and an all-unknown body
     yields the zero vector."""
@@ -197,7 +191,7 @@ class Article:
         authors: Iterable[str],
         title: str,
         body: str,
-        provider: EmbeddingProvider,
+        provider: WordVectors,
     ) -> "Article":
         wc, sc, pc, cl, hapax, dis = text_stats(body)
         art = cls(
@@ -496,7 +490,7 @@ def _parse_event(obj: Mapping) -> InteractionEvent:
 
 
 def load_corpus(articles_path: str | Path, events_path: str | Path,
-                embeddings: EmbeddingProvider) -> Corpus:
+                embeddings: WordVectors) -> Corpus:
     """Load a corpus from the articles/events JSONL files, recomputing all
     content-derived fields from the body text."""
     def parse_article(obj: Mapping) -> Article:

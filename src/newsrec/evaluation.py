@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -128,22 +127,18 @@ def _user_day_candidates(corpus: Corpus, day_ts: float
     return out
 
 
-def offline_eval(corpus: Corpus, models: Mapping[dt.date, Scorer],
-                 days: Sequence[dt.date], ks: Sequence[int] = (5, 10)) -> AccuracyReport:
-    """Replay each user-day's displayed articles through that day's model.
+def offline_eval(corpus: Corpus, scorers: Mapping[dt.date, Scorer],
+                 ks: Sequence[int] = (5, 10)) -> AccuracyReport:
+    """Replay each user-day's displayed articles through that day's model,
+    for every day of `scorers` in date order.
 
-    `models` maps each day to the scorer of the model trained through the
+    `scorers` maps each day to the scorer of the model trained through the
     previous day (see `scorers_from_schedule`). User-days without clicks
-    are skipped (macro-averaging over defined samples only); days with no
-    model are skipped with a warning.
+    are skipped (macro-averaging over defined samples only).
     """
     ndcg_samples: list[float] = []
     pr_samples: dict[int, list[tuple[float, float]]] = {k: [] for k in ks}
-    for day in days:
-        scorer = models.get(day)
-        if scorer is None:
-            warnings.warn(f"no model for {day.isoformat()}; day skipped", stacklevel=2)
-            continue
+    for day, scorer in sorted(scorers.items()):
         day_ts = date_start(day)
         per_user = _user_day_candidates(corpus, day_ts)
         for uid in sorted(per_user):
@@ -431,31 +426,29 @@ def _metric_pass(emissions: Sequence[RankedList], memo: _ListValues):
     return tops, _consecutive_dynamism(tops), divs, sers, daily
 
 
-def collect_metric_samples(emissions: Sequence[RankedList], corpus: Corpus,
-                           treatment: str, profiles: Optional[ProfileCache] = None
+def collect_metric_samples(streams: Mapping[str, Sequence[RankedList]], corpus: Corpus
                            ) -> list[MetricSample]:
-    """The audit CSV's MetricSample rows over an emission stream, from
-    `_metric_pass`: per list, its dynamism, then per attribute its diversity
-    and serendipity; then per day its coverage in each scope. `profiles`,
-    made for `corpus`, may be shared with other streams over the same corpus."""
-    if profiles is None:
-        profiles = ProfileCache(corpus)
-    elif profiles.corpus is not corpus:
-        raise EvalError("the profile cache was made for another corpus")
-    tops, dyns, divs, sers, daily = _metric_pass(emissions, _ListValues(corpus, profiles))
+    """The audit CSV's MetricSample rows of each treatment's emission stream,
+    streams in mapping order, each labelled with its treatment name. From
+    `_metric_pass`, with one memo for all streams: per list, its dynamism,
+    then per attribute its diversity and serendipity; then per day its
+    coverage in each scope."""
+    memo = _ListValues(corpus, ProfileCache(corpus))  # one for all streams
     rows: list[MetricSample] = []
-    for top, dyn, list_divs, list_sers in zip(tops, dyns, divs, sers):
-        section = top.section.value
-        if dyn is not None:
-            rows.append(MetricSample("dynamism", dyn, None, treatment, section, top.at))
-        for attr, div, ser in zip(ALL_ATTRIBUTES, list_divs, list_sers):
-            if div is not None:
-                rows.append(MetricSample("diversity", div, attr, treatment, section, top.at))
-            if ser is not None:
-                rows.append(MetricSample("serendipity", ser, attr, treatment, section, top.at))
-    for day_ts, values in daily.items():
-        rows.extend(MetricSample("coverage", value, None, treatment, scope.value, day_ts)
-                    for scope, value in zip(COVERAGE_SCOPES, values))
+    for treatment, emissions in streams.items():
+        tops, dyns, divs, sers, daily = _metric_pass(emissions, memo)
+        for top, dyn, list_divs, list_sers in zip(tops, dyns, divs, sers):
+            section, at = top.section.value, top.at
+            if dyn is not None:
+                rows.append(MetricSample("dynamism", dyn, None, treatment, section, at))
+            for attr, div, ser in zip(ALL_ATTRIBUTES, list_divs, list_sers):
+                if div is not None:
+                    rows.append(MetricSample("diversity", div, attr, treatment, section, at))
+                if ser is not None:
+                    rows.append(MetricSample("serendipity", ser, attr, treatment, section, at))
+        for day_ts, values in daily.items():
+            rows.extend(MetricSample("coverage", value, None, treatment, scope.value, day_ts)
+                        for scope, value in zip(COVERAGE_SCOPES, values))
     return rows
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import warnings
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -326,6 +325,7 @@ def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int) -> list[Labe
     """Implicit-feedback examples for one day: every click is a positive;
     negatives are an equal-size uniform sample (without replacement, seeded)
     of the day's impressions whose (user, article) was not clicked that day.
+    A day without clicks has no examples (`[]`).
 
     Features are extracted with each user's profile as of the event time.
     """
@@ -338,7 +338,6 @@ def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int) -> list[Labe
                   and (e.user_id, e.article_id) not in clicked_pairs]
 
     if not clicks:
-        warnings.warn(f"no positive examples on {day.isoformat()}", stacklevel=2)
         return []
 
     candidates.sort(key=lambda e: (e.at, e.user_id, e.article_id))

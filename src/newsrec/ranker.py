@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -229,14 +228,12 @@ def train_schedule(corpus: Corpus, cfg: PipelineConfig,
     for t in _nightly_times(cfg, t_end):
         day0 = utc_date(t)
         examples = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for back in range(7, 0, -1):
-                day = day0 - dt.timedelta(days=back)
-                if day not in by_day:
-                    seed = cfg.rng_seed * 100003 + day.toordinal()
-                    by_day[day] = build_training_set(corpus, day, seed)
-                examples.extend(by_day[day])
+        for back in range(7, 0, -1):
+            day = day0 - dt.timedelta(days=back)
+            if day not in by_day:
+                seed = cfg.rng_seed * 100003 + day.toordinal()
+                by_day[day] = build_training_set(corpus, day, seed)
+            examples.extend(by_day[day])
         by_day.pop(day0 - dt.timedelta(days=7))  # no later night's window holds it
         labels = {ex.label for ex in examples}
         if labels != {0, 1}:
@@ -317,26 +314,23 @@ def _emit_block(out: list[RankedList], corpus: Corpus, cfg: PipelineConfig,
 
 
 def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
-                 t_end: Optional[float] = None,
-                 models: Optional[Sequence[tuple[float, TreeEnsemble]]] = None
-                 ) -> list[RankedList]:
+                 models: Sequence[tuple[float, TreeEnsemble]],
+                 t_end: Optional[float] = None) -> list[RankedList]:
     """Simulate the serving schedule over [t_start, t_end).
 
     Emits, in chronological order, every user's section lists at each
     refresh tick plus an extra regeneration for a user immediately after
     each of their clicks. Until the first nightly model exists users get
-    recency-ordered lists flagged as fallback. Pass a precomputed
-    `models` schedule (e.g. from train_schedule) to share training across
-    treatments; by default it is computed here. Its times must increase
-    strictly; a model serves from its time (inclusive) until the next one's.
+    recency-ordered lists flagged as fallback. `models` is the nightly
+    schedule (from `train_schedule`), which treatments share. Its times must
+    increase strictly; a model serves from its time (inclusive) until the
+    next one's.
     """
     if t_end is None:
         t_end = corpus.time_span()[1]
     if t_end <= cfg.t_start:
         raise RankerError("empty horizon")
     table = article_table(corpus)
-    if models is None:
-        models = train_schedule(corpus, cfg, t_end)
     times = [t for t, _ in models]
     for i, (t, model) in enumerate(models):
         if i and t <= times[i - 1]:

@@ -281,7 +281,7 @@ def test_criterion_4_offline_eval_protocol():
             return np.array([truth.click_prob(profile.user_id, a.id)
                              for a in articles])
 
-        report = offline_eval(corpus, {d: oracle for d in days}, days)
+        report = offline_eval(corpus, {d: oracle for d in days})
         assert report.n_user_days >= 1000
         assert report.ndcg >= 0.95
 
@@ -290,7 +290,7 @@ def test_criterion_4_offline_eval_protocol():
         def random_scorer(profile, articles, at):
             return rng.random(len(articles))
 
-        random_report = offline_eval(corpus, {d: random_scorer for d in days}, days)
+        random_report = offline_eval(corpus, {d: random_scorer for d in days})
 
         expected = []
         for d in days:

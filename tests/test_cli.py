@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import newsrec.cli
 from newsrec.cli import CliError, load_config, main
 from newsrec.corpus import WordVectors
+from newsrec.ranker import read_emissions
 from newsrec.worlds import reference_pipeline, reference_world
 
 REPO = Path(__file__).resolve().parent.parent
@@ -117,6 +119,24 @@ class TestChain:
         assert run("evaluate", "--config", str(cfg)) == 0
         for p, blob in before.items():
             assert p.read_bytes() == blob
+
+
+    def test_compare_reads_each_log_once(self, chain, tmp_path, monkeypatch):
+        out, _ = chain
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        cfg = smoke_config(tmp_path)
+        read = []
+
+        def counted(path, *args):
+            read.append(Path(path).name)
+            return read_emissions(path, *args)
+
+        monkeypatch.setattr(newsrec.cli, "read_emissions", counted)
+        assert run("compare", "--config", str(cfg)) == 0
+        assert read == ["emissions_baseline.jsonl", "emissions_dynamism.jsonl", "manual.jsonl"]
+        for name in ("compare_ab.json", "compare_manual.json"):
+            assert (copy / "reports" / name).read_bytes() == (out / "reports" / name).read_bytes()
 
 
 class TestErrors:
@@ -280,6 +300,33 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"missing upstream artifact {copy / 'emissions_dynamism.jsonl'}" in err, err
         assert "run 'newsrec run' first" in err, err
+        assert not (copy / "reports").exists()
+
+    def test_missing_manual_stream_compare_writes_no_report(self, chain, tmp_path, capsys):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        for name in ("corpus", "models"):
+            shutil.copytree(out / name, copy / name)
+        for name in ("emissions_baseline.jsonl", "emissions_dynamism.jsonl"):
+            shutil.copy(out / name, copy)
+        assert run("compare", "--config", str(cfg), "--out", str(copy)) == 2
+        err = capsys.readouterr().err
+        assert f"missing upstream artifact {copy / 'manual.jsonl'}" in err, err
+        assert not (copy / "reports").exists()
+
+    def test_malformed_treatment_log_evaluate_writes_no_report(self, chain, tmp_path, capsys):
+        out, cfg = chain
+        copy = tmp_path / "copy"
+        for name in ("corpus", "models"):
+            shutil.copytree(out / name, copy / name)
+        for name in ("emissions_baseline.jsonl", "emissions_dynamism.jsonl", "manual.jsonl"):
+            shutil.copy(out / name, copy)
+        path = copy / "emissions_dynamism.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = "{not json\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert run("evaluate", "--config", str(cfg), "--out", str(copy)) == 2
+        assert "emissions_dynamism.jsonl:2:" in capsys.readouterr().err
         assert not (copy / "reports").exists()
 
     def test_malformed_corpus_exit_2(self, chain, tmp_path, capsys):

@@ -111,22 +111,10 @@ class TestOfflineEval:
             return np.array([1.0 if a.id in clicked_ids else 0.0 for a in articles])
 
         day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
-        report = offline_eval(corpus, {day: oracle}, [day])
+        report = offline_eval(corpus, {day: oracle})
         assert report.ndcg == pytest.approx(1.0)
         assert report.n_user_days == 2
         assert report.r_at[5] == pytest.approx(1.0)
-
-    def test_missing_model_day_skipped_with_warning(self):
-        corpus = self.build_world()
-        day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
-        missing = day + dt.timedelta(days=1)
-
-        def oracle(profile, articles, at):
-            return np.zeros(len(articles))
-
-        with pytest.warns(UserWarning, match="no model"):
-            report = offline_eval(corpus, {day: oracle}, [day, missing])
-        assert report.n_user_days == 2
 
     def test_schema_mismatch_refused(self):
         corpus = self.build_world()
@@ -146,7 +134,7 @@ class TestOfflineEval:
         def scorer(profile, articles, at):
             return np.zeros(len(articles))
         with pytest.raises(EvalError):
-            offline_eval(corpus, {day: scorer}, [day])
+            offline_eval(corpus, {day: scorer})
 
 
 # Externally computed reference values (scipy.stats.ttest_ind), frozen.
@@ -445,7 +433,7 @@ def test_sample_order_pinned(monkeypatch):
     assert calls == study1
 
     rows = [(r.metric, r.attribute and r.attribute.value, r.scope, (r.at - T0) / H, r.value)
-            for r in collect_metric_samples(stream, corpus, "t")]
+            for r in collect_metric_samples({"t": stream}, corpus)]
     # per list in walk order: dynamism, then per attribute its diversity and
     # serendipity; then per day per-user and all-users coverage
     W = "mn_widget"
@@ -615,7 +603,7 @@ class TestMidnightPublication:
                           (31, ("m1", "a0")), (32.5, ("a0", "m1")))
 
     def test_collect_metric_samples(self):
-        rows = collect_metric_samples(self.recsys(), self.build_corpus(), "t")
+        rows = collect_metric_samples({"t": self.recsys()}, self.build_corpus())
         cov = {r.at: r.value for r in rows
                if r.metric == "coverage" and r.scope == "all_users"}
         # day 0 publishes a0, b0, both served; day 1 publishes m1, a1 of which m1
@@ -680,7 +668,7 @@ class TestProfileCacheScope:
         out = [r.to_dict() for r in compare_treatments(recsys, dynamic, corpus)]
         out += [r.to_dict() for r in compare_manual_recsys(manual, recsys, corpus)]
         out += [r.to_dict() for r in behavior_shift(corpus, period, period)]
-        out += collect_metric_samples(recsys, corpus, "t")
+        out += collect_metric_samples({"t": recsys}, corpus)
         return out
 
     def test_each_corpus_gets_its_own_values(self):
@@ -697,14 +685,12 @@ class TestProfileCacheScope:
         for attr in AttributeKind:
             assert values[0, attr] != values[1, attr], attr
 
-    def test_cache_of_another_corpus_refused(self):
-        first, second = self.build_corpus(0), self.build_corpus(1)
-        recsys, _, _ = self.streams()
-        with pytest.raises(EvalError, match="another corpus"):
-            collect_metric_samples(recsys, first, "t", profiles=ProfileCache(second))
-        shared = ProfileCache(first)
-        assert (collect_metric_samples(recsys, first, "t", profiles=shared)
-                == collect_metric_samples(recsys, first, "t"))
+    def test_two_streams_equal_two_calls(self):
+        corpus = self.build_corpus(0)
+        recsys, dynamic, _ = self.streams()
+        assert (collect_metric_samples({"a": recsys, "b": dynamic}, corpus)
+                == collect_metric_samples({"a": recsys}, corpus)
+                + collect_metric_samples({"b": dynamic}, corpus))
 
     def test_no_cache_outlives_the_comparison_call(self, monkeypatch):
         made = []
@@ -744,7 +730,7 @@ class TestProfileCacheScope:
         studies = {
             "compare_treatments": lambda: compare_treatments(recsys, dynamic, corpus),
             "compare_manual_recsys": lambda: compare_manual_recsys(manual, recsys, corpus),
-            "collect_metric_samples": lambda: collect_metric_samples(recsys, corpus, "t"),
+            "collect_metric_samples": lambda: collect_metric_samples({"t": recsys}, corpus),
             "behavior_shift": lambda: behavior_shift(corpus, period, period),
         }
         for study, run in studies.items():
@@ -828,7 +814,7 @@ def outcome(study):
 
 def studies(corpus, stream, other, manual):
     return {
-        "collect_metric_samples": lambda: collect_metric_samples(stream, corpus, "t"),
+        "collect_metric_samples": lambda: collect_metric_samples({"t": stream}, corpus),
         "compare_treatments": lambda: compare_treatments(stream, other, corpus),
         "compare_manual_recsys": lambda: compare_manual_recsys(manual, stream, corpus),
     }

@@ -451,5 +451,4 @@ class TestBuildTrainingSet:
         arts = [make_article("a0")]
         corpus = corpus_with_clicks(arts, [impression("u1", "a0", T0 + 10)])
         day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
-        with pytest.warns(UserWarning, match="no positive"):
-            assert build_training_set(corpus, day, 0) == []
+        assert build_training_set(corpus, day, 0) == []

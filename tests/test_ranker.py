@@ -1,7 +1,6 @@
 import datetime as dt
 import json
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -254,7 +253,9 @@ class TestPipeline:
     def test_schedule_arithmetic(self):
         corpus = mini_corpus()
         cfg = pipe_config()
-        ems = run_pipeline(corpus, cfg, ["u1", "u2"], t_end=T0 + 2 * DAY)
+        t_end = T0 + 2 * DAY
+        ems = run_pipeline(corpus, cfg, ["u1", "u2"], models=train_schedule(corpus, cfg, t_end),
+                           t_end=t_end)
         assert all(not e.fallback for e in ems)  # model trained at day-1 00:00
         for uid in ("u1", "u2"):
             for section in (Section.MN_WIDGET, Section.MISSED_LW, Section.MN_PAGE):
@@ -271,7 +272,9 @@ class TestPipeline:
         ]
         corpus2 = Corpus(list(corpus.articles.values()), events, 4)
         cfg = pipe_config()
-        ems = run_pipeline(corpus2, cfg, ["u1", "u2"], t_end=T0 + 2 * DAY)
+        t_end = T0 + 2 * DAY
+        ems = run_pipeline(corpus2, cfg, ["u1", "u2"], models=train_schedule(corpus2, cfg, t_end),
+                           t_end=t_end)
         at_trigger = [e for e in ems if e.at == extra_click_at]
         assert {e.user_id for e in at_trigger} == {"u1"}
         assert len(at_trigger) == 3  # one per section
@@ -281,7 +284,9 @@ class TestPipeline:
                 make_article("a2", T0 + DAY + 7200)]
         corpus = Corpus(arts, [], 4)
         cfg = pipe_config()
-        ems = run_pipeline(corpus, cfg, ["u1"], t_end=T0 + DAY + 6 * 3600)
+        t_end = T0 + DAY + 6 * 3600
+        ems = run_pipeline(corpus, cfg, ["u1"], models=train_schedule(corpus, cfg, t_end),
+                           t_end=t_end)
         assert ems and all(e.fallback for e in ems)
         page = [e for e in ems if e.section is Section.MN_PAGE and len(e.items) == 2]
         assert page
@@ -293,8 +298,10 @@ class TestPipeline:
         corpus = mini_corpus()
         base_cfg = pipe_config(treatment=Treatment.BASELINE)
         dyn_cfg = pipe_config(treatment=Treatment.DYNAMISM, blend_lambda=1.0)
-        ems_b = run_pipeline(corpus, base_cfg, ["u1", "u2"], t_end=T0 + 2 * DAY)
-        ems_d = run_pipeline(corpus, dyn_cfg, ["u1", "u2"], t_end=T0 + 2 * DAY)
+        t_end = T0 + 2 * DAY
+        models = train_schedule(corpus, base_cfg, t_end)
+        ems_b = run_pipeline(corpus, base_cfg, ["u1", "u2"], models=models, t_end=t_end)
+        ems_d = run_pipeline(corpus, dyn_cfg, ["u1", "u2"], models=models, t_end=t_end)
         assert ems_b == ems_d
 
     def test_emitted_lists_respect_candidate_window(self, tiny_world):
@@ -304,7 +311,7 @@ class TestPipeline:
             nightly_train_hour=1,
             train=TrainConfig(n_trees=4, max_depth=2, learning_rate=0.3),
             mnpage_cap=10)
-        ems = run_pipeline(corpus, cfg, corpus.user_ids()[:5])
+        ems = run_pipeline(corpus, cfg, corpus.user_ids()[:5], models=train_schedule(corpus, cfg))
         assert ems
         for lst in ems:
             for aid in lst.ids():
@@ -319,12 +326,15 @@ class TestPipeline:
             train=TrainConfig(n_trees=4, max_depth=2, learning_rate=0.3),
             mnpage_cap=10)
         users = corpus.user_ids()[:5]
-        assert run_pipeline(corpus, cfg, users) == run_pipeline(corpus, cfg, users)
+        assert (run_pipeline(corpus, cfg, users, models=train_schedule(corpus, cfg))
+                == run_pipeline(corpus, cfg, users, models=train_schedule(corpus, cfg)))
 
     def test_rec_labels_follow_model_scores(self):
         corpus = mini_corpus()
         cfg = pipe_config(rec_label_threshold=0.5)
-        ems = run_pipeline(corpus, cfg, ["u1"], t_end=T0 + DAY + 2 * 3600)
+        t_end = T0 + DAY + 2 * 3600
+        ems = run_pipeline(corpus, cfg, ["u1"], models=train_schedule(corpus, cfg, t_end),
+                           t_end=t_end)
         pages = [e for e in ems if e.section is Section.MN_PAGE and not e.fallback]
         assert pages
         for lst in pages:
@@ -459,8 +469,9 @@ class TestServeOracle:
         wcfg, corpus, _ = tiny_world
         cfg = oracle_config(wcfg, treatment=treatment, mnpage_cap=mnpage_cap)
         users = corpus.user_ids()[:5]
-        got = run_pipeline(corpus, cfg, users)
-        assert got == serve_via_oracle(monkeypatch, corpus, cfg, users)
+        models = train_schedule(corpus, cfg)
+        got = run_pipeline(corpus, cfg, users, models=models)
+        assert got == serve_via_oracle(monkeypatch, corpus, cfg, users, models=models)
         assert {e.fallback for e in got} == {False, True}
         assert {label for e in got if not e.fallback for label in e.rec_labels} == {False, True}
         assert any((e.at - cfg.t_start) % cfg.refresh_interval for e in got)  # click triggers
@@ -472,6 +483,7 @@ class TestServeOracle:
         wcfg, corpus, _ = tiny_world
         cfg = oracle_config(wcfg, treatment=Treatment.DYNAMISM)
         users = corpus.user_ids()[:7]
+        models = train_schedule(corpus, cfg)
         # n candidates at noon on day 2: ticks with n rows serve one user per
         # block, ticks with fewer rows two or more, the last block partial
         n = len(candidates(corpus, cfg.t_start + DAY + 12 * 3600, cfg.candidate_window))
@@ -484,8 +496,8 @@ class TestServeOracle:
             emit_block(out, corpus, cfg, model, profiles, users, tick)
 
         monkeypatch.setattr(newsrec.ranker, "_emit_block", recorded)
-        got = run_pipeline(corpus, cfg, users)
-        assert got == serve_via_oracle(monkeypatch, corpus, cfg, users)
+        got = run_pipeline(corpus, cfg, users, models=models)
+        assert got == serve_via_oracle(monkeypatch, corpus, cfg, users, models=models)
         if block_rows == "1":
             assert set(blocks) == {1}
         else:
@@ -605,12 +617,10 @@ def schedule_oracle(corpus, cfg):
     for t in newsrec.ranker._nightly_times(cfg, corpus.time_span()[1]):
         day0 = dt.datetime.fromtimestamp(day_start(t), tz=dt.timezone.utc).date()
         examples = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for back in range(7, 0, -1):
-                day = day0 - dt.timedelta(days=back)
-                seed = cfg.rng_seed * 100003 + day.toordinal()
-                examples.extend(build_training_set(corpus, day, seed))
+        for back in range(7, 0, -1):
+            day = day0 - dt.timedelta(days=back)
+            seed = cfg.rng_seed * 100003 + day.toordinal()
+            examples.extend(build_training_set(corpus, day, seed))
         if {ex.label for ex in examples} == {0, 1}:
             schedule.append((t, train(examples, cfg.train)))
     return schedule
@@ -678,10 +688,7 @@ class TestArticleTable:
         users = corpus.user_ids()
         for treatment in Treatment:
             run_pipeline(corpus, replace(pipe, treatment=treatment), users, models=schedule)
-        scorers = scorers_from_schedule(schedule, corpus)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            offline_eval(corpus, scorers, sorted(scorers))
+        offline_eval(corpus, scorers_from_schedule(schedule, corpus))
         assert schedule and len(built) == 1 and built[0] is corpus
 
     def test_each_corpus_has_its_own_table(self):
