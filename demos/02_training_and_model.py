@@ -22,14 +22,14 @@ cfg = SyntheticWorldConfig(seed=21, n_users=40, n_days=3, articles_per_day=14,
 corpus, truth = generate_world(cfg)
 
 day = dt.datetime.fromtimestamp(cfg.start + 2 * DAY, tz=dt.timezone.utc).date()
-examples = build_training_set(corpus, day, rng_seed=1)
-n_pos = sum(e.label for e in examples)
-print(f"training set for {day}: {len(examples)} examples "
-      f"({n_pos} positive / {len(examples) - n_pos} negative, 1:1 by sampling)")
+X, y, _ = build_training_set(corpus, day, rng_seed=1)
+n_pos = int(y.sum())
+print(f"training set for {day}: {len(y)} examples "
+      f"({n_pos} positive / {len(y) - n_pos} negative, 1:1 by sampling)")
 names = feature_names(corpus.embedding_dim)
 print(f"feature width {len(names)}; first few names: {names[:4]} ...")
 
-model = train(examples, TrainConfig(n_trees=25, max_depth=3, learning_rate=0.2))
+model = train(X, y, TrainConfig(n_trees=25, max_depth=3, learning_rate=0.2))
 print(f"\nbase score (log-odds of positive rate): {model.base_score:.4f}")
 print("training log-loss per boosting round (non-increasing):")
 curve = model.train_losses
@@ -37,8 +37,6 @@ for i in range(0, len(curve), 5):
     bar = "#" * int(60 * curve[i] / curve[0])
     print(f"  round {i:3d}  {curve[i]:.4f}  {bar}")
 
-X = np.stack([e.features for e in examples])
-y = np.array([e.label for e in examples])
 p = model.predict_matrix(X)
 print(f"\nmean predicted probability on positives: {p[y == 1].mean():.3f}")
 print(f"mean predicted probability on negatives: {p[y == 0].mean():.3f}")

@@ -15,8 +15,8 @@ from .corpus import (Article, Corpus, CorpusError, GroundTruth, InteractionEvent
                      Kind, Context, SyntheticWorldConfig, WordVectors,
                      compute_embedding, generate_world, load_corpus, save_corpus,
                      tokenize)
-from .features import (LabeledExample, UserProfile, build_profile, build_training_set,
-                       extract_matrix, feature_names, write_schema)
+from .features import (UserProfile, build_profile, build_training_set, extract_matrix,
+                       feature_names, write_schema)
 from .gbdt import GbdtError, TrainConfig, Tree, TreeEnsemble, train
 from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,
                      candidates, dyn_score_at, manual_lists, rank,

@@ -21,7 +21,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import DAY, Article, Corpus, Kind, date_start, day_start, utc_date
+from .corpus import (DAY, Article, Corpus, Kind, _integer, date_start, day_start,
+                     utc_date)
 from .features import (ProfileCache, UserProfile, article_table, build_profile,
                        extract_matrix)
 from .gbdt import TreeEnsemble
@@ -134,8 +135,12 @@ def offline_eval(corpus: Corpus, scorers: Mapping[dt.date, Scorer],
 
     `scorers` maps each day to the scorer of the model trained through the
     previous day (see `scorers_from_schedule`). User-days without clicks
-    are skipped (macro-averaging over defined samples only).
+    are skipped (macro-averaging over defined samples only). Each k of `ks`
+    must be an integer >= 1; any other is refused before the replay.
     """
+    for k in ks:
+        if _integer(k, "k", EvalError) < 1:
+            raise EvalError(f"k must be >= 1, not {k}")
     ndcg_samples: list[float] = []
     pr_samples: dict[int, list[tuple[float, float]]] = {k: [] for k in ks}
     for day, scorer in sorted(scorers.items()):
@@ -328,6 +333,15 @@ def t_test(sample_a: Sequence[float], sample_b: Sequence[float],
     return report
 
 
+def _t_tests(tests: Iterable[tuple[str, Sequence[float], Sequence[float]]],
+             variant: TTestVariant) -> list[ComparisonReport]:
+    """One `t_test` per `(metric, sample_a, sample_b)`, in order. A metric
+    whose samples are too small to test (n < 2 on either side) is left out,
+    so a short horizon drops a metric rather than failing the study."""
+    return [t_test(a, b, variant=variant, metric=metric)
+            for metric, a, b in tests if len(a) >= 2 and len(b) >= 2]
+
+
 # --------------------------------------------------------------------------
 # Metric sample collection over emission logs
 # --------------------------------------------------------------------------
@@ -501,8 +515,8 @@ def compare_treatments(emissions_a: Sequence[RankedList],
     each compared with a two-sample t-test (group_a vs group_b). From
     `_metric_pass`, in its list order: dynamism per list that has one,
     diversity and serendipity per list as the mean over its attributes, and
-    all-users coverage per day. Metrics whose sample sets are too small to
-    test (n < 2 on either side) are omitted from the result."""
+    all-users coverage per day. Metrics too small to test are left out
+    (see `_t_tests`)."""
     if not emissions_a or not emissions_b:
         raise EvalError("empty emission stream")
     memo = _ListValues(corpus, ProfileCache(corpus))  # one for both streams
@@ -516,18 +530,12 @@ def compare_treatments(emissions_a: Sequence[RankedList],
             "diversity": [sum(v) / len(ALL_ATTRIBUTES) for v in divs if None not in v],
         })
     samples_a, samples_b = samples
-    reports = []
-    for metric in STUDY_METRICS:
-        if len(samples_a[metric]) >= 2 and len(samples_b[metric]) >= 2:
-            reports.append(t_test(samples_a[metric], samples_b[metric],
-                                  variant=variant, metric=metric))
     ndcg_a = ndcg_by_section(emissions_a, corpus)
     ndcg_b = ndcg_by_section(emissions_b, corpus)
-    for section in (Section.MISSED_LW, Section.MN_WIDGET, Section.MN_PAGE):
-        if len(ndcg_a[section]) >= 2 and len(ndcg_b[section]) >= 2:
-            reports.append(t_test(ndcg_a[section], ndcg_b[section], variant=variant,
-                                  metric=f"ndcg_{section.value}"))
-    return reports
+    sections = (Section.MISSED_LW, Section.MN_WIDGET, Section.MN_PAGE)
+    return _t_tests([(m, samples_a[m], samples_b[m]) for m in STUDY_METRICS]
+                    + [(f"ndcg_{s.value}", ndcg_a[s], ndcg_b[s]) for s in sections],
+                    variant)
 
 
 def compare_manual_recsys(manual_stream: Sequence[RankedList],
@@ -543,8 +551,9 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     are compared per attribute over lists (manual serendipity is measured
     against each aligned user's own history); dynamism over consecutive
     lists (aligned and all-changes variants); coverage per day in both
-    per-user and all-users scopes. A manual-stream list whose section is not
-    MANUAL is refused with an EvalError.
+    per-user and all-users scopes. Metrics too small to test are left out
+    (see `_t_tests`), as in `compare_treatments`. A manual-stream list
+    whose section is not MANUAL is refused with an EvalError.
     """
     for manual in manual_stream:
         if manual.section is not Section.MANUAL:
@@ -574,13 +583,12 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     def defined(values: Iterable[Optional[float]]) -> list[float]:
         return [v for v in values if v is not None]
 
-    reports: list[ComparisonReport] = []
+    tests = []
     for metric, samples_a, samples_b in (("diversity", manual_div, recsys_div),
                                          ("serendipity", manual_ser, recsys_ser)):
         for i, attr in enumerate(ALL_ATTRIBUTES):
-            reports.append(t_test(defined(v[i] for v in samples_a),
-                                  defined(v[i] for v in samples_b),
-                                  variant=variant, metric=f"{metric}_{attr.value}"))
+            tests.append((f"{metric}_{attr.value}", defined(v[i] for v in samples_a),
+                          defined(v[i] for v in samples_b)))
 
     manual_dyn = defined(_consecutive_dynamism(manual_stream))
     # users in id order, each user's lists in stream order
@@ -588,18 +596,17 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
         sorted((lst for _, lst in pairs), key=lambda l: l.user_id)))
     all_dyn = defined(_consecutive_dynamism(
         sorted(recsys_stream, key=lambda l: (l.user_id, l.at))))
-    reports.append(t_test(manual_dyn, aligned_dyn, variant=variant,
-                          metric="dynamism_aligned"))
-    reports.append(t_test(manual_dyn, all_dyn, variant=variant, metric="dynamism_all"))
+    tests.append(("dynamism_aligned", manual_dyn, aligned_dyn))
+    tests.append(("dynamism_all", manual_dyn, all_dyn))
 
     manual_cov = _daily_coverage(corpus, ((l.at, l) for l in manual_stream),
                                  (CoverageScope.ALL_USERS,))
     recsys_cov = _daily_coverage(corpus, ((l.at, l) for l in recsys_stream), COVERAGE_SCOPES)
     days = [day_ts for day_ts in manual_cov if day_ts in recsys_cov]
     for i, scope in enumerate(COVERAGE_SCOPES):
-        reports.append(t_test([manual_cov[d][0] for d in days], [recsys_cov[d][i] for d in days],
-                              variant=variant, metric=f"coverage_{scope.value}"))
-    return reports
+        tests.append((f"coverage_{scope.value}", [manual_cov[d][0] for d in days],
+                      [recsys_cov[d][i] for d in days]))
+    return _t_tests(tests, variant)
 
 
 def behavior_shift(corpus: Corpus, before: tuple[float, float],

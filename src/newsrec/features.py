@@ -161,15 +161,6 @@ class ProfileCache:
         return self._cache[key]
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledExample:
-    features: np.ndarray  # one `extract_matrix` row
-    label: int
-    user_id: str
-    article_id: str
-    at: float
-
-
 def _topk_mass(freq: dict[str, int], k: int) -> float:
     total = sum(freq.values())
     if total == 0:
@@ -321,13 +312,15 @@ def extract_matrix(profiles: Sequence[UserProfile], article_ids: Sequence[str], 
     return out.reshape(len(profiles) * len(rows), table.width)
 
 
-def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int) -> list[LabeledExample]:
-    """Implicit-feedback examples for one day: every click is a positive;
-    negatives are an equal-size uniform sample (without replacement, seeded)
-    of the day's impressions whose (user, article) was not clicked that day.
-    A day without clicks has no examples (`[]`).
-
-    Features are extracted with each user's profile as of the event time.
+def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int
+                       ) -> tuple[np.ndarray, np.ndarray, list[InteractionEvent]]:
+    """Implicit-feedback examples for one day, as `(X, y, events)`: every
+    click is a positive; negatives are an equal-size uniform sample (without
+    replacement, seeded) of the day's impressions whose (user, article) was
+    not clicked that day. `X` holds one `extract_matrix` row per example,
+    with the user's profile as of the event time; `y` its label (1 = click,
+    0 = not clicked); `events` the example's event. Rows sort by (at, user,
+    article, clicks first). A day without clicks has no rows.
     """
     t0 = date_start(day)
     day_events = corpus.events_between(t0, t0 + DAY)
@@ -338,7 +331,7 @@ def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int) -> list[Labe
                   and (e.user_id, e.article_id) not in clicked_pairs]
 
     if not clicks:
-        return []
+        return np.empty((0, article_table(corpus).width)), np.empty(0), []
 
     candidates.sort(key=lambda e: (e.at, e.user_id, e.article_id))
     rng = np.random.default_rng(rng_seed)
@@ -349,11 +342,9 @@ def build_training_set(corpus: Corpus, day: dt.date, rng_seed: int) -> list[Labe
     else:
         negatives = candidates
 
-    examples: list[LabeledExample] = []
+    labeled = [(e, 1.0) for e in clicks] + [(e, 0.0) for e in negatives]
+    labeled.sort(key=lambda el: (el[0].at, el[0].user_id, el[0].article_id, -el[1]))
     profiles = ProfileCache(corpus)
-    for ev, label in [(e, 1) for e in clicks] + [(e, 0) for e in negatives]:
-        prof = profiles.get(ev.user_id, ev.at)
-        row = extract_matrix([prof], [ev.article_id], ev.at, corpus)[0]
-        examples.append(LabeledExample(row, label, ev.user_id, ev.article_id, ev.at))
-    examples.sort(key=lambda ex: (ex.at, ex.user_id, ex.article_id, -ex.label))
-    return examples
+    X = np.array([extract_matrix([profiles.get(ev.user_id, ev.at)], [ev.article_id],
+                                 ev.at, corpus)[0] for ev, _ in labeled])
+    return X, np.array([label for _, label in labeled]), [ev for ev, _ in labeled]

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import _finite, _finite_number, _integer
-from .features import SCHEMA_VERSION, LabeledExample
+from .features import SCHEMA_VERSION
 
 
 class GbdtError(ValueError):
@@ -384,18 +384,20 @@ class _TreeBuilder:
         return tree, contrib
 
 
-def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-                 base_score: Optional[float] = None) -> TreeEnsemble:
-    """Fit an ensemble on a raw (n, F) matrix with {0,1} labels, under the
-    running feature schema.
+def train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
+          base_score: Optional[float] = None) -> TreeEnsemble:
+    """Fit an ensemble on an (n, F) feature matrix with n {0,1} labels,
+    under the running feature schema.
 
     base_score defaults to the log-odds of the positive rate; pass an
     explicit value to pin the starting margin (useful for analytic checks).
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or len(X) != len(y):
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise GbdtError("X must be (n, F) with matching labels")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise GbdtError("labels must be 0 or 1")
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == len(y):
         raise GbdtError("training requires at least one positive and one negative")
@@ -426,17 +428,6 @@ def train_arrays(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     return TreeEnsemble(trees=trees, learning_rate=cfg.learning_rate, base_score=base,
                         schema_version=SCHEMA_VERSION, n_features=X.shape[1],
                         train_losses=losses)
-
-
-def train(examples: Sequence[LabeledExample], cfg: TrainConfig) -> TreeEnsemble:
-    if not examples:
-        raise GbdtError("no training examples")
-    widths = {len(ex.features) for ex in examples}
-    if len(widths) != 1:
-        raise GbdtError(f"non-uniform feature widths: {sorted(widths)}")
-    X = np.stack([ex.features for ex in examples])
-    y = np.array([ex.label for ex in examples], dtype=np.float64)
-    return train_arrays(X, y, cfg)
 
 
 MODEL_FORMAT = 1

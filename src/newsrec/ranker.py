@@ -30,7 +30,7 @@ import numpy as np
 
 from .corpus import (DAY, WEEK, Article, Corpus, Kind, _finite, _finite_number, _integer,
                      _str, _str_list, day_start, read_jsonl, utc_date, write_jsonl)
-from .features import (ArticleFeatureCache, LabeledExample, ProfileCache, UserProfile,
+from .features import (ArticleFeatureCache, ProfileCache, UserProfile,
                        article_table, build_training_set, extract_matrix)
 from .gbdt import TrainConfig, TreeEnsemble, train
 
@@ -216,29 +216,29 @@ def train_schedule(corpus: Corpus, cfg: PipelineConfig,
     """Train the nightly models over the horizon.
 
     At each nightly time, examples are built per-day over the previous
-    seven calendar days; nights without enough signal produce no model (the
-    previous one stays active). Per-day sampling seeds derive from rng_seed
-    and the day ordinal, so the schedule is reproducible, and each day's
-    examples are built once and shared by the nights whose window holds it.
+    seven calendar days and stacked in date order; a night whose examples
+    hold no click or no non-click produces no model (the previous one stays
+    active). Per-day sampling seeds derive from rng_seed and the day
+    ordinal, so the schedule is reproducible, and each day's examples are
+    built once and shared by the nights whose window holds it.
     """
     if t_end is None:
         t_end = corpus.time_span()[1]
     schedule: list[tuple[float, TreeEnsemble]] = []
-    by_day: dict[dt.date, list[LabeledExample]] = {}
+    by_day: dict[dt.date, tuple[np.ndarray, np.ndarray]] = {}
     for t in _nightly_times(cfg, t_end):
         day0 = utc_date(t)
-        examples = []
-        for back in range(7, 0, -1):
-            day = day0 - dt.timedelta(days=back)
+        days = [day0 - dt.timedelta(days=back) for back in range(7, 0, -1)]
+        for day in days:
             if day not in by_day:
                 seed = cfg.rng_seed * 100003 + day.toordinal()
-                by_day[day] = build_training_set(corpus, day, seed)
-            examples.extend(by_day[day])
-        by_day.pop(day0 - dt.timedelta(days=7))  # no later night's window holds it
-        labels = {ex.label for ex in examples}
-        if labels != {0, 1}:
+                by_day[day] = build_training_set(corpus, day, seed)[:2]
+        X = np.concatenate([by_day[day][0] for day in days])
+        y = np.concatenate([by_day[day][1] for day in days])
+        by_day.pop(days[0])  # no later night's window holds it
+        if not 0 < y.sum() < len(y):
             continue
-        schedule.append((t, train(examples, cfg.train)))
+        schedule.append((t, train(X, y, cfg.train)))
     return schedule
 
 

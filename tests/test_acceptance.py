@@ -20,7 +20,7 @@ from newsrec.corpus import day_start, generate_world
 from newsrec.evaluation import (TTestVariant, _user_day_candidates,
                                 compare_manual_recsys, compare_treatments,
                                 offline_eval, t_test)
-from newsrec.gbdt import TrainConfig, train_arrays
+from newsrec.gbdt import TrainConfig, train
 from newsrec.ranker import (RankedList, Section, Treatment, dyn_score_at, manual_lists,
                             rerank, run_pipeline, train_schedule)
 from newsrec.usefulness import (AttributeKind, CoverageScope, coverage, dynamism,
@@ -245,7 +245,7 @@ def test_criterion_3_gbdt_sanity():
         rng = np.random.default_rng(31)
         X = rng.normal(size=(200, 4))
         y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
-        model = train_arrays(X, y, TrainConfig(n_trees=40, max_depth=3))
+        model = train(X, y, TrainConfig(n_trees=40, max_depth=3))
         losses = model.train_losses
         assert all(losses[i + 1] <= losses[i] + 1e-9 for i in range(len(losses) - 1))
         scores = model.predict_matrix(X)
@@ -258,10 +258,9 @@ def test_criterion_3_gbdt_sanity():
 
         yleaf = np.array([1] * 140 + [0] * 60, dtype=float)
         lam = 1.0
-        single = train_arrays(rng.normal(size=(200, 2)), yleaf,
-                              TrainConfig(n_trees=1, max_depth=0, learning_rate=1.0,
-                                          l2_reg=lam),
-                              base_score=0.0)
+        single = train(rng.normal(size=(200, 2)), yleaf,
+                       TrainConfig(n_trees=1, max_depth=0, learning_rate=1.0, l2_reg=lam),
+                       base_score=0.0)
         expected = -(0.5 - yleaf).sum() / (0.25 * len(yleaf) + lam)
         assert abs(single.trees[0].weight[0] - expected) <= 1e-9
 

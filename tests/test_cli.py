@@ -478,6 +478,17 @@ class TestErrors:
         assert not (tmp_path / "run").exists()
 
 
+def test_two_day_chain_leaves_untestable_coverage_out(tmp_path):
+    # one manual day and one served day: coverage has n = 1 on each side
+    cfg = smoke_config(tmp_path, world=dict(SMOKE_CFG["world"], n_days=2))
+    for cmd in ("generate", "train", "run", "evaluate", "compare"):
+        assert run(cmd, "--config", str(cfg)) == 0, cmd
+    reports = json.loads((tmp_path / "run" / "reports" / "compare_manual.json").read_text())
+    metrics = [r["metric"] for r in reports]
+    assert "dynamism_all" in metrics
+    assert not [m for m in metrics if m.startswith("coverage_")]
+
+
 def test_reference_config_is_the_reference_study():
     cfg = load_config(REPO / "configs" / "reference.json")
     pipe = reference_pipeline(reference_world())

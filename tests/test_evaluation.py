@@ -1,6 +1,7 @@
 import datetime as dt
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -115,6 +116,24 @@ class TestOfflineEval:
         assert report.ndcg == pytest.approx(1.0)
         assert report.n_user_days == 2
         assert report.r_at[5] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "k must be >= 1, not 0"),
+        (-1, "k must be >= 1, not -1"),
+        (5.5, "k must be an integer, not 5.5"),
+    ], ids=["zero", "negative", "fractional"])
+    def test_bad_k_refused_before_replay(self, k, message):
+        corpus = self.build_world()
+        replayed = []
+
+        def scorer(profile, articles, at):
+            replayed.append(at)
+            return np.zeros(len(articles))
+
+        day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
+        with pytest.raises(EvalError, match=re.escape(message)):
+            offline_eval(corpus, {day: scorer}, ks=(5, k))
+        assert replayed == []
 
     def test_schema_mismatch_refused(self):
         corpus = self.build_world()

@@ -413,16 +413,26 @@ class TestBuildTrainingSet:
     def test_equal_ratio_and_determinism(self, tiny_world):
         cfg, corpus, _ = tiny_world
         day = self._day(cfg, 2)
-        ex1 = build_training_set(corpus, day, 11)
-        ex2 = build_training_set(corpus, day, 11)
-        pos = [e for e in ex1 if e.label == 1]
-        neg = [e for e in ex1 if e.label == 0]
-        assert len(pos) == len(neg) > 0
-        assert [(e.user_id, e.article_id, e.at, e.label) for e in ex1] == \
-               [(e.user_id, e.article_id, e.at, e.label) for e in ex2]
-        ex3 = build_training_set(corpus, day, 12)
-        assert [(e.user_id, e.article_id) for e in ex3 if e.label == 0] != \
-               [(e.user_id, e.article_id) for e in ex1 if e.label == 0]
+        X1, y1, ev1 = build_training_set(corpus, day, 11)
+        X2, y2, ev2 = build_training_set(corpus, day, 11)
+        assert X1.shape == (len(y1), article_table(corpus).width)
+        assert len(ev1) == len(y1)
+        assert (y1 == 1).sum() == (y1 == 0).sum() > 0
+        assert ev1 == ev2
+        assert np.array_equal(X1, X2) and np.array_equal(y1, y2)
+        _, y3, ev3 = build_training_set(corpus, day, 12)
+        assert [(e.user_id, e.article_id) for e, label in zip(ev3, y3) if label == 0] != \
+               [(e.user_id, e.article_id) for e, label in zip(ev1, y1) if label == 0]
+
+    def test_rows_are_extract_matrix_rows(self, tiny_world):
+        cfg, corpus, _ = tiny_world
+        X, y, events = build_training_set(corpus, self._day(cfg, 2), 11)
+        keys = [(e.at, e.user_id, e.article_id, -label) for e, label in zip(events, y)]
+        assert keys == sorted(keys)
+        for row, label, e in zip(X, y, events):
+            assert label == (e.kind is Kind.CLICK)
+            profile = build_profile(corpus, e.user_id, e.at)
+            assert (row == extract_matrix([profile], [e.article_id], e.at, corpus)[0]).all()
 
     def test_negative_exhaustion(self):
         arts = [make_article(f"a{i}") for i in range(6)]
@@ -433,9 +443,9 @@ class TestBuildTrainingSet:
         events.append(impression("u1", "a5", T0 + 2000))
         corpus = corpus_with_clicks(arts, events)
         day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
-        ex = build_training_set(corpus, day, 0)
-        assert sum(1 for e in ex if e.label == 1) == 4
-        assert sum(1 for e in ex if e.label == 0) == 2  # all that exist
+        _, y, _ = build_training_set(corpus, day, 0)
+        assert (y == 1).sum() == 4
+        assert (y == 0).sum() == 2  # all that exist
 
     def test_clicked_impressions_not_negatives(self):
         arts = [make_article("a0"), make_article("a1")]
@@ -443,12 +453,15 @@ class TestBuildTrainingSet:
                   impression("u1", "a1", T0 + 30)]
         corpus = corpus_with_clicks(arts, events)
         day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
-        ex = build_training_set(corpus, day, 0)
-        neg_ids = [e.article_id for e in ex if e.label == 0]
+        _, y, events = build_training_set(corpus, day, 0)
+        neg_ids = [e.article_id for e, label in zip(events, y) if label == 0]
         assert neg_ids == ["a1"]
 
-    def test_zero_positives_warns_and_empty(self):
+    def test_zero_positives_empty(self):
         arts = [make_article("a0")]
         corpus = corpus_with_clicks(arts, [impression("u1", "a0", T0 + 10)])
         day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
-        assert build_training_set(corpus, day, 0) == []
+        X, y, events = build_training_set(corpus, day, 0)
+        assert X.shape == (0, article_table(corpus).width)
+        assert y.shape == (0,)
+        assert events == []

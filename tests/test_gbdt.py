@@ -8,9 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from newsrec.features import SCHEMA_VERSION, LabeledExample
+from newsrec.features import SCHEMA_VERSION
 from newsrec.gbdt import (GbdtError, TrainConfig, Tree, TreeEnsemble, _TreeBuilder,
-                          load, save, train, train_arrays)
+                          load, save, train)
 
 
 def sigmoid(z):
@@ -25,12 +25,6 @@ def auc_oracle(y, scores):
     return wins / (len(pos) * len(neg))
 
 
-def examples_from(X, y):
-    return [LabeledExample(np.asarray(row, dtype=float), int(label),
-                           f"u{i}", f"a{i}", float(i))
-            for i, (row, label) in enumerate(zip(X, y))]
-
-
 def separable_dataset(n=200, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 3))
@@ -42,7 +36,7 @@ class TestTrain:
     def test_constant_model_on_balanced_labels(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
-        model = train_arrays(X, y, TrainConfig(n_trees=1, max_depth=0))
+        model = train(X, y, TrainConfig(n_trees=1, max_depth=0))
         assert model.base_score == pytest.approx(0.0)
         for x in ([-5.0], [0.5], [100.0]):
             assert model.predict_matrix(np.array([x]))[0] == pytest.approx(0.5)
@@ -50,7 +44,7 @@ class TestTrain:
     def test_base_score_is_log_odds(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-        model = train_arrays(X, y, TrainConfig(n_trees=1, max_depth=0))
+        model = train(X, y, TrainConfig(n_trees=1, max_depth=0))
         assert model.base_score == pytest.approx(math.log(0.3 / 0.7))
 
     def test_depth0_leaf_matches_newton_step(self):
@@ -59,7 +53,7 @@ class TestTrain:
         y = np.array([1] * 30 + [0] * 10)
         lam = 1.0
         cfg = TrainConfig(n_trees=1, max_depth=0, learning_rate=1.0, l2_reg=lam)
-        model = train_arrays(X, y, cfg, base_score=0.0)
+        model = train(X, y, cfg, base_score=0.0)
         g = 0.5 - y
         expected = -g.sum() / (0.25 * len(y) + lam)  # analytic oracle
         leaf = model.trees[0].weight[0]
@@ -70,26 +64,26 @@ class TestTrain:
         x = np.concatenate([rng.uniform(-2, -0.1, 50), rng.uniform(0.1, 2, 50)])
         y = (x > 0).astype(int)
         X = x.reshape(-1, 1)
-        model = train_arrays(X, y, TrainConfig(n_trees=5, max_depth=1, learning_rate=0.5))
+        model = train(X, y, TrainConfig(n_trees=5, max_depth=1, learning_rate=0.5))
         pred = (model.predict_matrix(X) >= 0.5).astype(int)
         assert (pred == y).all()
 
     def test_monotone_training_loss(self):
         X, y = separable_dataset(seed=3)
-        model = train_arrays(X, y, TrainConfig(n_trees=40, max_depth=3))
+        model = train(X, y, TrainConfig(n_trees=40, max_depth=3))
         losses = model.train_losses
         assert all(losses[i + 1] <= losses[i] + 1e-9 for i in range(len(losses) - 1))
 
     def test_separable_auc(self):
         X, y = separable_dataset(n=200, seed=5)
-        model = train_arrays(X, y, TrainConfig(n_trees=30, max_depth=3))
+        model = train(X, y, TrainConfig(n_trees=30, max_depth=3))
         scores = model.predict_matrix(X)
         assert auc_oracle(y, scores) >= 0.95
 
     def test_determinism(self):
         X, y = separable_dataset(n=80, seed=7)
-        m1 = train_arrays(X, y, TrainConfig(n_trees=10, max_depth=2))
-        m2 = train_arrays(X, y, TrainConfig(n_trees=10, max_depth=2))
+        m1 = train(X, y, TrainConfig(n_trees=10, max_depth=2))
+        m2 = train(X, y, TrainConfig(n_trees=10, max_depth=2))
         assert json.dumps([t.to_dict() for t in m1.trees]) == \
                json.dumps([t.to_dict() for t in m2.trees])
 
@@ -97,20 +91,27 @@ class TestTrain:
         x = np.array([-1.0, -0.5, 0.5, 1.0])
         X = np.column_stack([x, x])  # identical columns, identical gains
         y = (x > 0).astype(int)
-        model = train_arrays(X, y, TrainConfig(n_trees=1, max_depth=1,
-                                               min_child_weight=0.0))
+        model = train(X, y, TrainConfig(n_trees=1, max_depth=1,
+                                        min_child_weight=0.0))
         assert model.trees[0].feature[0] == 0
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
         with pytest.raises(GbdtError, match="positive"):
-            train_arrays(X, np.ones(4), TrainConfig())
+            train(X, np.ones(4), TrainConfig())
 
-    def test_width_mismatch_rejected(self):
-        exs = examples_from([[1.0], [0.0]], [1, 0])
-        exs += examples_from([[1.0, 2.0]], [1])
-        with pytest.raises(GbdtError, match="width"):
-            train(exs, TrainConfig())
+    @pytest.mark.parametrize("X, y, match", [
+        (np.array([0.0, 1.0, 2.0]), np.array([0, 1, 0]), "must be"),
+        (np.zeros((3, 2)), np.array([0, 1]), "matching labels"),
+        (np.zeros((3, 2)), np.array([[0], [1], [0]]), "matching labels"),
+        (np.zeros((3, 2)), np.array([0, 2, 1]), "labels must be 0 or 1"),
+        (np.zeros((3, 2)), np.array([0.5, 1.0, 0.0]), "labels must be 0 or 1"),
+        (np.array([[0.0, math.nan], [1.0, 0.0]]), np.array([0, 1]), "NaN or infinity"),
+        (np.array([[0.0, 1.0], [-math.inf, 0.0]]), np.array([0, 1]), "NaN or infinity"),
+    ], ids=["1d_X", "short_y", "2d_y", "label_2", "label_half", "nan", "inf"])
+    def test_malformed_input_refused(self, X, y, match):
+        with pytest.raises(GbdtError, match=match):
+            train(X, y, TrainConfig(n_trees=1))
 
     def test_config_validation(self):
         with pytest.raises(GbdtError):
@@ -127,9 +128,9 @@ class TestTrain:
         with pytest.raises(GbdtError, match=f"{field} must be finite, not {bad!r}"):
             TrainConfig(**{field: bad})
 
-    def test_train_from_labeled_examples(self):
+    def test_model_records_schema_and_width(self):
         X, y = separable_dataset(n=60, seed=11)
-        model = train(examples_from(X, y), TrainConfig(n_trees=5, max_depth=2))
+        model = train(X, y, TrainConfig(n_trees=5, max_depth=2))
         assert model.schema_version == SCHEMA_VERSION
         assert model.n_features == 3
 
@@ -148,7 +149,7 @@ class TestPredict:
 
     def test_output_strictly_inside_unit_interval(self):
         X, y = separable_dataset(n=100, seed=13)
-        model = train_arrays(X, y, TrainConfig(n_trees=60, max_depth=3, learning_rate=1.0))
+        model = train(X, y, TrainConfig(n_trees=60, max_depth=3, learning_rate=1.0))
         p = model.predict_matrix(X)
         assert (p > 0.0).all() and (p < 1.0).all()
 
@@ -162,7 +163,7 @@ class TestPredict:
 class TestSaveLoad:
     def test_roundtrip_bit_identical_scores(self, tmp_path):
         X, y = separable_dataset(n=120, seed=17)
-        model = train_arrays(X, y, TrainConfig(n_trees=12, max_depth=3))
+        model = train(X, y, TrainConfig(n_trees=12, max_depth=3))
         save(model, tmp_path / "m.json")
         again = load(tmp_path / "m.json")
         probe = np.random.default_rng(0).normal(size=(100, 3))
@@ -179,7 +180,7 @@ class TestSaveLoad:
 
     def test_other_schema_version_loads_and_is_named(self, tmp_path):
         X, y = separable_dataset(n=40, seed=19)
-        model = train_arrays(X, y, TrainConfig(n_trees=2, max_depth=1))
+        model = train(X, y, TrainConfig(n_trees=2, max_depth=1))
         assert model.schema_version == SCHEMA_VERSION
         save(model, tmp_path / "m.json")
         payload = json.loads((tmp_path / "m.json").read_text())
@@ -284,13 +285,13 @@ class TestCompiledScoring:
 
     def test_trained_model_matches_oracle(self):
         X, y = separable_dataset(n=300, seed=23)
-        model = train_arrays(X, y, TrainConfig(n_trees=25, max_depth=4))
+        model = train(X, y, TrainConfig(n_trees=25, max_depth=4))
         probe = np.random.default_rng(1).normal(size=(200, 3))
         assert np.array_equal(model.raw_scores(probe), raw_scores_oracle(model, probe))
 
     def test_model_is_immutable(self):
         X, y = separable_dataset(n=120, seed=29)
-        model = train_arrays(X, y, TrainConfig(n_trees=3, max_depth=2))
+        model = train(X, y, TrainConfig(n_trees=3, max_depth=2))
         for name, value in (("trees", ()), ("learning_rate", 0.5),
                             ("schema_version", 99), ("n_features", 2)):
             with pytest.raises(dataclasses.FrozenInstanceError):

@@ -616,13 +616,15 @@ def schedule_oracle(corpus, cfg):
     schedule = []
     for t in newsrec.ranker._nightly_times(cfg, corpus.time_span()[1]):
         day0 = dt.datetime.fromtimestamp(day_start(t), tz=dt.timezone.utc).date()
-        examples = []
+        rows, labels = [], []
         for back in range(7, 0, -1):
             day = day0 - dt.timedelta(days=back)
             seed = cfg.rng_seed * 100003 + day.toordinal()
-            examples.extend(build_training_set(corpus, day, seed))
-        if {ex.label for ex in examples} == {0, 1}:
-            schedule.append((t, train(examples, cfg.train)))
+            X, y, _ = build_training_set(corpus, day, seed)
+            rows.extend(X)
+            labels.extend(y)
+        if set(labels) == {0, 1}:
+            schedule.append((t, train(np.array(rows), np.array(labels), cfg.train)))
     return schedule
 
 
