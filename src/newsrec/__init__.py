@@ -23,7 +23,8 @@ from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment
                      read_emissions, rerank, run_pipeline, slice_sections,
                      train_schedule, write_emissions)
 from .usefulness import (AttributeKind, CoverageScope, MetricSample, align, coverage,
-                         dynamism, entropy, gini, intra_list_diversity, serendipity, sim)
+                         dynamism, entropy, gini, intra_list_diversity, serendipity, sim,
+                         unexpectedness)
 from .evaluation import (AccuracyReport, ComparisonReport, EvalError, TTestVariant,
                          behavior_shift, compare_manual_recsys, compare_treatments,
                          ndcg, offline_eval, precision_recall_at,

@@ -28,7 +28,7 @@ from .features import (ProfileCache, UserProfile, article_table, build_profile,
 from .gbdt import TreeEnsemble
 from .ranker import RankedList, Section, _sort_items, _utc
 from .usefulness import (AttributeKind, CoverageScope, MetricSample, align, coverage,
-                         dynamism, intra_list_diversity, serendipity)
+                         dynamism, intra_list_diversity, serendipity, sim, unexpectedness)
 
 
 class EvalError(ValueError):
@@ -387,25 +387,40 @@ def _articles(corpus: Corpus, ids: Iterable[str]) -> list[Article]:
     return [corpus.articles[aid] for aid in ids]
 
 
+def _by_attribute(terms: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    """Per attribute of ALL_ATTRIBUTES, its value of each term 4-tuple, in
+    the terms' order."""
+    return list(zip(*terms)) if terms else [()] * len(ALL_ATTRIBUTES)
+
+
 class _ListValues:
     """One study call's diversity and serendipity values, each distinct list's
     computed once: the four `intra_list_diversity` values (ALL_ATTRIBUTES
     order) keyed by the list's id tuple, and the four `serendipity` values
-    keyed by (id tuple, `ProfileCache.window_key` of the profile). A study
-    makes one and drops it on return; the values come from the definitions,
-    so a repeated key returns the floats a new call would."""
+    keyed by (id tuple, `ProfileCache.window_key` of the profile).
+
+    Below them, each term is computed once too: the four `sim` values of an
+    article pair keyed by the ordered id pair (the list's earlier id first),
+    and the four `unexpectedness` values of an item keyed by (window key,
+    article id). A list's values are the definitions called with its terms
+    in their order, so a repeated key returns the floats a new call would.
+    A study makes one memo and drops it on return."""
 
     def __init__(self, corpus: Corpus, profiles: ProfileCache):
         self.corpus = corpus
         self.profiles = profiles
         self._diversity: dict[tuple[str, ...], tuple[Optional[float], ...]] = {}
         self._serendipity: dict[tuple, tuple[Optional[float], ...]] = {}
+        self._pairs: dict[tuple[str, str], tuple[float, ...]] = {}
+        self._items: dict[tuple, tuple[float, ...]] = {}
 
     def diversity(self, ids: tuple[str, ...]) -> tuple[Optional[float], ...]:
         values = self._diversity.get(ids)
         if values is None:
             articles = _articles(self.corpus, ids)
-            values = tuple(intra_list_diversity(articles, attr) for attr in ALL_ATTRIBUTES)
+            pairs = [self._pair(a, b) for i, a in enumerate(articles) for b in articles[i + 1:]]
+            values = tuple(intra_list_diversity(articles, attr, sims=sims)
+                           for attr, sims in zip(ALL_ATTRIBUTES, _by_attribute(pairs)))
             self._diversity[ids] = values
         return values
 
@@ -413,14 +428,34 @@ class _ListValues:
                     ) -> tuple[Optional[float], ...]:
         """The list's serendipity for `user_id`'s profile at `at`; an empty
         list has none, so it reads no profile."""
-        key = (ids, self.profiles.window_key(user_id, at) if ids else None)
+        window = self.profiles.window_key(user_id, at) if ids else None
+        key = (ids, window)
         values = self._serendipity.get(key)
         if values is None:
             articles = _articles(self.corpus, ids)
             profile = self.profiles.get(user_id, at) if ids else None
-            values = tuple(serendipity(articles, profile, attr) for attr in ALL_ATTRIBUTES)
+            items = [self._item(window, a, profile) for a in articles]
+            values = tuple(serendipity(articles, profile, attr, terms=terms)
+                           for attr, terms in zip(ALL_ATTRIBUTES, _by_attribute(items)))
             self._serendipity[key] = values
         return values
+
+    def _pair(self, a: Article, b: Article) -> tuple[float, ...]:
+        key = (a.id, b.id)
+        terms = self._pairs.get(key)
+        if terms is None:
+            terms = tuple(sim(a, b, attr) for attr in ALL_ATTRIBUTES)
+            self._pairs[key] = terms
+        return terms
+
+    def _item(self, window: tuple, article: Article, profile: UserProfile
+              ) -> tuple[float, ...]:
+        key = (window, article.id)
+        terms = self._items.get(key)
+        if terms is None:
+            terms = tuple(unexpectedness(article, profile, attr) for attr in ALL_ATTRIBUTES)
+            self._items[key] = terms
+        return terms
 
 
 def _metric_pass(emissions: Sequence[RankedList], memo: _ListValues):
@@ -614,7 +649,9 @@ def behavior_shift(corpus: Corpus, before: tuple[float, float],
                    variant: TTestVariant = TTestVariant.STUDENT
                    ) -> list[ComparisonReport]:
     """Reading-behavior comparison between two periods: per-user daily-click
-    diversity per attribute, plus all-users daily coverage of clicks."""
+    diversity per attribute, plus all-users daily coverage of clicks.
+    Metrics too small to test are left out (see `_t_tests`), as in the
+    studies: a one-day period has one coverage value, so it drops coverage."""
 
     def period_samples(t0: float, t1: float):
         clicks: dict[tuple[str, float], list[str]] = {}
@@ -637,12 +674,9 @@ def behavior_shift(corpus: Corpus, before: tuple[float, float],
 
     div_before, cov_before = period_samples(*before)
     div_after, cov_after = period_samples(*after)
-    reports = []
-    for attr in ALL_ATTRIBUTES:
-        reports.append(t_test(div_before[attr], div_after[attr], variant=variant,
-                              metric=f"click_diversity_{attr.value}"))
-    reports.append(t_test(cov_before, cov_after, variant=variant, metric="coverage"))
-    return reports
+    return _t_tests([(f"click_diversity_{attr.value}", div_before[attr], div_after[attr])
+                     for attr in ALL_ATTRIBUTES]
+                    + [("coverage", cov_before, cov_after)], variant)
 
 
 # --------------------------------------------------------------------------

@@ -88,6 +88,10 @@ class RankedList:
         return [aid for aid, _ in self.items]
 
     def top(self, n: int) -> "RankedList":
+        """The list cut to its first `n` items; the list itself when it is no
+        longer (it is frozen, so sharing it is safe)."""
+        if n >= len(self.items):
+            return self
         return RankedList(self.user_id, self.section, self.at, self.items[:n],
                           self.fallback,
                           self.rec_labels[:n] if self.rec_labels is not None else None)

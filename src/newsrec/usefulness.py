@@ -15,10 +15,12 @@ pairs of consecutive lists) drawn from an emission log:
 * coverage: share of the day's publications served, per user
   (macro-averaged) or unioned across users.
 
-`sim`, `intra_list_diversity` and `serendipity` are the one definition of
-each rule, over Article objects; `evaluation` passes each list's articles.
+`sim` (a pair's similarity) and `unexpectedness` (an item's, under a
+profile) are the one definition of each term, over Article objects;
+`intra_list_diversity` and `serendipity` aggregate a list's terms, which a
+caller may pass in precomputed (`evaluation` does, from a per-call memo).
 An article caches its embedding norm and section set, a profile its
-mean-embedding norm, so a list reads each value once.
+mean-embedding norm.
 
 Gini and Shannon entropy of attribute count distributions are provided as
 the cross-check dispersion measures.
@@ -91,28 +93,27 @@ def sim(a: Article, b: Article, attr: AttributeKind) -> float:
     return _jaccard(attribute_values(a, attr), attribute_values(b, attr))
 
 
-def intra_list_diversity(articles: Sequence[Article], attr: AttributeKind) -> Optional[float]:
-    """Mean pairwise dissimilarity of a list (`sim` over its pairs); None
-    for lists shorter than 2.
+def intra_list_diversity(articles: Sequence[Article], attr: AttributeKind, *,
+                         sims: Optional[Sequence[float]] = None) -> Optional[float]:
+    """Mean pairwise dissimilarity of a list; None for lists shorter than 2.
 
+    `sims` are the list's pair similarities, `sim(articles[i], articles[j],
+    attr)` in (i, j), i < j, order; when None they are computed here.
     Embedding similarities are divided by the list's maximum pairwise
     similarity first ("normalized by the maximal score"); if that maximum
     is 0 every pair is already maximally dissimilar.
     """
     n = len(articles)
+    if sims is not None and len(sims) != n * (n - 1) // 2:
+        raise ValueError(f"{len(sims)} pair similarities for a list of {n}")
     if n < 2:
         return None
+    if sims is None:
+        sims = [sim(articles[i], articles[j], attr) for i in range(n) for j in range(i + 1, n)]
     if attr is AttributeKind.EMBEDDING:
-        vecs = [a.embedding for a in articles]
-        norms = [a.embedding_norm for a in articles]
-        sims = [_cosine01(vecs[i], vecs[j], norms[i], norms[j])
-                for i in range(n) for j in range(i + 1, n)]
         top = max(sims)
         if top > 0.0:
             sims = [s / top for s in sims]
-    else:
-        sets = [attribute_values(a, attr) for a in articles]
-        sims = [_jaccard(sets[i], sets[j]) for i in range(n) for j in range(i + 1, n)]
     return sum(1.0 - s for s in sims) / len(sims)
 
 
@@ -132,9 +133,9 @@ def dynamism(l1, l2) -> Optional[float]:
     return sum(1 for aid in new if aid not in old) / len(new)
 
 
-def _freq_mass(values: frozenset[str], freq: Mapping[str, int], total: int) -> float:
-    """Share of `freq`'s counts, which sum to `total`, held by `values`; at
-    most 1."""
+def _freq_mass(values: frozenset[str], freq: Mapping[str, int]) -> float:
+    """Share of `freq`'s counts held by `values`; at most 1."""
+    total = sum(freq.values())
     if total == 0:
         return 0.0
     mass = sum(freq.get(v, 0) for v in values) / total
@@ -149,24 +150,29 @@ def _profile_freq(profile: UserProfile, attr: AttributeKind) -> Mapping[str, int
     return profile.author_freq
 
 
-def serendipity(articles: Sequence[Article], profile: UserProfile,
-                attr: AttributeKind) -> Optional[float]:
-    """Mean unexpectedness of the list's items under the user's 7-day
-    history: 1 minus the item's cosine to the mean embedding, or minus its
-    values' frequency mass. Every item is unexpected for an empty history.
-    None for an empty list."""
+def unexpectedness(article: Article, profile: UserProfile, attr: AttributeKind) -> float:
+    """How unexpected `article` is under the user's 7-day history: 1 minus
+    its cosine to the profile's mean embedding, or minus its values'
+    frequency mass."""
+    if attr is AttributeKind.EMBEDDING:
+        return 1.0 - _cosine01(profile.mean_embedding, article.embedding,
+                               profile.embedding_norm, article.embedding_norm)
+    return 1.0 - _freq_mass(attribute_values(article, attr), _profile_freq(profile, attr))
+
+
+def serendipity(articles: Sequence[Article], profile: UserProfile, attr: AttributeKind, *,
+                terms: Optional[Sequence[float]] = None) -> Optional[float]:
+    """Mean `unexpectedness` of the list's items; `terms` are those values
+    in list order, computed here when None. Every item is unexpected for an
+    empty history. None for an empty list."""
+    if terms is not None and len(terms) != len(articles):
+        raise ValueError(f"{len(terms)} item terms for a list of {len(articles)}")
     if not articles:
         return None
     if profile.n_clicks == 0:
         return 1.0
-    if attr is AttributeKind.EMBEDDING:
-        mean, mean_norm = profile.mean_embedding, profile.embedding_norm
-        terms = [1.0 - _cosine01(mean, a.embedding, mean_norm, a.embedding_norm)
-                 for a in articles]
-    else:
-        freq = _profile_freq(profile, attr)
-        total = sum(freq.values())
-        terms = [1.0 - _freq_mass(attribute_values(a, attr), freq, total) for a in articles]
+    if terms is None:
+        terms = [unexpectedness(a, profile, attr) for a in articles]
     return sum(terms) / len(articles)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newsrec import evaluation
+from newsrec import evaluation, usefulness
 from newsrec.corpus import DAY, Corpus
 from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
                                 collect_metric_samples, compare_manual_recsys,
@@ -589,6 +589,16 @@ class TestBehaviorShift:
         cov = by_name["coverage"]
         assert cov.group_b.mean > cov.group_a.mean
 
+    def test_one_day_periods_leave_coverage_out(self):
+        """A one-day period has one coverage value per side, too few to test:
+        coverage is left out, and click diversity (six user-days a side) is
+        still compared."""
+        corpus = self.build_phase_corpus()
+        reports = behavior_shift(corpus, (T0, T0 + DAY), (T0 + 2 * DAY, T0 + 3 * DAY))
+        assert [r.metric for r in reports] == [f"click_diversity_{attr.value}"
+                                               for attr in AttributeKind]
+        assert all(r.group_a.n == r.group_b.n == 6 for r in reports)
+
     def test_empty_period_rejected(self):
         corpus = self.build_phase_corpus()
         with pytest.raises(EvalError, match="no clicks"):
@@ -907,9 +917,9 @@ class TestListValueMemo:
         calls = {"intra_list_diversity": [], "serendipity": []}
 
         def recorded(name, fn):
-            def wrapper(articles, *args):
+            def wrapper(articles, *args, **kwargs):
                 calls[name].append((tuple(a.id for a in articles), args[-1]))
-                return fn(articles, *args)
+                return fn(articles, *args, **kwargs)
             return wrapper
 
         for name in calls:
@@ -954,6 +964,78 @@ class TestListValueMemo:
             assert sorted(calls["serendipity"], key=repr) == sorted(want_sers, key=repr)
             # the memo saves calls here: the stream repeats its top 5s
             assert len(calls["intra_list_diversity"]) < 4 * len(stream), name
+
+    def test_terms_computed_once_per_distinct_key(self, monkeypatch):
+        """Below the list values, each study computes one `sim` per distinct
+        ordered id pair of its lists and attribute, and one `unexpectedness`
+        per distinct (click window, article) of a non-empty list and
+        attribute."""
+        calls = {"sim": [], "unexpectedness": []}
+        windows = {}
+
+        def pair_sim(a, b, attr):
+            calls["sim"].append(((a.id, b.id), attr))
+            return usefulness.sim(a, b, attr)
+
+        def item_term(article, profile, attr):
+            calls["unexpectedness"].append(((windows[id(profile)], article.id), attr))
+            return usefulness.unexpectedness(article, profile, attr)
+
+        class WindowCache(ProfileCache):
+            """Records which click window each profile it returns is for."""
+
+            def get(self, user_id, at):
+                profile = super().get(user_id, at)
+                windows[id(profile)] = self.window_key(user_id, at)
+                return profile
+
+        monkeypatch.setattr(evaluation, "sim", pair_sim)
+        monkeypatch.setattr(evaluation, "unexpectedness", item_term)
+        monkeypatch.setattr(evaluation, "ProfileCache", WindowCache)
+        corpus = memo_corpus()
+        keys = ProfileCache(corpus)
+        stream, manual = memo_cases_stream(), memo_cases_manual()
+        other = [hand_built_list("u3", Section.MN_WIDGET, T0 + 2 * H, "c", "b", "a"),
+                 stream[0], stream[3]]
+
+        def expected(lists, served):
+            """Per distinct key, each attribute once: `lists` holds the id
+            tuples whose diversity a study reads, `served` the (ids, user,
+            at) whose serendipity it reads."""
+            pairs = {(ids[i], ids[j]) for ids in lists
+                     for i in range(len(ids)) for j in range(i + 1, len(ids))}
+            items = {(keys.window_key(user, at), aid) for ids, user, at in served
+                     for aid in ids}
+            slots = sum(len(ids) * (len(ids) - 1) // 2 for ids in lists)
+            return ([(pair, attr) for pair in pairs for attr in ALL_ATTRIBUTES],
+                    [(item, attr) for item in items for attr in ALL_ATTRIBUTES], slots)
+
+        def cuts(lists):
+            return [(tuple(l.ids()[:5]), l.user_id, l.at) for l in lists]
+
+        widget = [l for l in stream if l.section is Section.MN_WIDGET and not l.fallback]
+        pairs = evaluation.align(sorted(manual, key=lambda l: l.at), widget)
+        want = {
+            "collect_metric_samples": expected([ids for ids, _, _ in cuts(stream)],
+                                               cuts(stream)),
+            "compare_treatments": expected([ids for ids, _, _ in cuts(stream + other)],
+                                           cuts(stream + other)),
+            "compare_manual_recsys": expected(
+                [tuple(m.ids()) for m in manual] + [tuple(l.ids()) for _, l in pairs],
+                [(tuple(m.ids()), l.user_id, m.at) for m, l in pairs]
+                + [(tuple(l.ids()), l.user_id, m.at) for m, l in pairs]),
+        }
+        for name, run in studies(corpus, stream, other, manual).items():
+            for calls_of in calls.values():
+                calls_of.clear()
+            run()
+            want_sims, want_items, pair_slots = want[name]
+            assert sorted(calls["sim"], key=repr) == sorted(want_sims, key=repr), name
+            assert (sorted(calls["unexpectedness"], key=repr)
+                    == sorted(want_items, key=repr)), name
+            # the lists share pairs, so the pair terms are fewer than the
+            # pair slots of the lists read
+            assert len(calls["sim"]) < 4 * pair_slots, name
 
     def test_manual_stream_of_another_section_refused(self):
         """A treatment's log handed over as the manual stream is refused,

@@ -248,6 +248,18 @@ class TestRankedListInvariants:
         lst = RankedList("u", Section.MN_PAGE, T0, items, rec_labels=labels)
         assert lst.top(5) == lst
 
+    def test_top_shares_a_short_list_and_cuts_a_long_one(self):
+        """A list no longer than `n` is its own top `n`; a longer one is cut
+        to a list equal to its prefix, labels included."""
+        items = tuple((f"a{i}", float(10 - i)) for i in range(7))
+        labels = (True, False) * 3 + (True,)
+        short = RankedList("u", Section.MN_WIDGET, T0, items[:5], fallback=True)
+        assert short.top(5) is short and short.top(7) is short
+        page = RankedList("u", Section.MN_PAGE, T0, items, rec_labels=labels)
+        assert page.top(7) is page and page.top(9) is page
+        assert page.top(5) == RankedList("u", Section.MN_PAGE, T0, items[:5],
+                                         rec_labels=labels[:5])
+
 
 class TestPipeline:
     def test_schedule_arithmetic(self):

@@ -1,6 +1,6 @@
 """Every name a module imports is used in that module.
 
-The scan covers `src/`, `tests/` and `demos/` with `ast` alone. Package
+The scan covers `src/`, `tests/`, `demos/` and `tools/` with `ast` alone. Package
 `__init__.py` files are skipped, because their imports are the package's
 public names, and so are `from __future__` imports, which set compiler
 features rather than bind names.
@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SCANNED = ("src", "tests", "demos")
+SCANNED = ("src", "tests", "demos", "tools")
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:

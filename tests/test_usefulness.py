@@ -11,7 +11,7 @@ from newsrec.features import ProfileCache, UserProfile, build_profile, empty_pro
 from newsrec.ranker import RankedList, Section
 from newsrec.usefulness import (AttributeKind, CoverageScope, MetricSample, align, coverage,
                                 dynamism, entropy, gini, intra_list_diversity, serendipity,
-                                sim, write_metric_samples)
+                                sim, unexpectedness, write_metric_samples)
 
 from conftest import T0, click, make_article, make_corpus
 
@@ -313,6 +313,50 @@ class TestPairRuleOracle:
         profile = ProfileCache(corpus).get("u1", T0 + H)
         assert profile.embedding_norm == 0.0 and profile.n_clicks == 1
         definitions_match_pair_rule(corpus, ["a", "z"], "u1", T0 + H)
+
+
+class TestPrecomputedTerms:
+    """Given a list's terms, `intra_list_diversity` and `serendipity` only
+    aggregate them; the terms `sim` and `unexpectedness` give, in (i, j),
+    i < j, and list order, make the floats they compute themselves."""
+
+    @given(st.data())
+    def test_terms_give_the_computed_floats(self, data):
+        corpus = data.draw(small_corpora())
+        ids = data.draw(st.lists(st.sampled_from(sorted(corpus.articles)), max_size=7))
+        articles = [corpus.articles[aid] for aid in ids]
+        profile = build_profile(corpus, data.draw(st.sampled_from(["u0", "u1", "u2"])),
+                                T0 + data.draw(st.integers(0, 420)) * H)
+        n = len(articles)
+        for attr in AttributeKind:
+            sims = [sim(articles[i], articles[j], attr) for i in range(n) for j in range(i + 1, n)]
+            terms = [unexpectedness(a, profile, attr) for a in articles]
+            assert (intra_list_diversity(articles, attr, sims=sims)
+                    == intra_list_diversity(articles, attr))
+            assert serendipity(articles, profile, attr, terms=terms) == serendipity(
+                articles, profile, attr)
+
+    def test_given_terms_are_aggregated(self):
+        arts = [make_article(f"a{i}", tags=("x",)) for i in range(3)]
+        assert intra_list_diversity(arts, AttributeKind.TAGS, sims=[0.25, 0.5, 0.75]) == 0.5
+        # embedding similarities are still divided by the list's maximum
+        assert intra_list_diversity(arts, AttributeKind.EMBEDDING,
+                                    sims=[0.25, 0.5, 0.5]) == pytest.approx(1 / 6)
+        prof = profile_with(tag_freq={"x": 1})
+        assert serendipity(arts, prof, AttributeKind.TAGS, terms=[0.5, 1.0, 0.0]) == 0.5
+        # an empty history keeps its rule: every item is unexpected
+        assert serendipity(arts, profile_with(n_clicks=0), AttributeKind.TAGS,
+                           terms=[0.5, 1.0, 0.0]) == 1.0
+
+    @pytest.mark.parametrize("n, given_n", [(3, 2), (3, 4), (1, 1), (0, 1), (2, 0)])
+    def test_wrong_length_refused(self, n, given_n):
+        arts = [make_article(f"a{i}", tags=("x",)) for i in range(n)]
+        prof = profile_with(tag_freq={"x": 1})
+        with pytest.raises(ValueError, match=f"{given_n} pair similarities for a list of {n}"):
+            intra_list_diversity(arts, AttributeKind.TAGS, sims=[0.5] * given_n)
+        if given_n != n:
+            with pytest.raises(ValueError, match=f"{given_n} item terms for a list of {n}"):
+                serendipity(arts, prof, AttributeKind.TAGS, terms=[0.5] * given_n)
 
 
 class TestCoverage:
