@@ -11,7 +11,7 @@ logarithmic recency score before slicing.
 from newsrec import SyntheticWorldConfig, TrainConfig, generate_world
 from newsrec.corpus import DAY
 from newsrec.ranker import (PipelineConfig, Section, Treatment, dyn_score_at,
-                            run_pipeline, train_schedule)
+                            serve_treatments, train_schedule)
 
 cfg = SyntheticWorldConfig(seed=31, n_users=25, n_days=4, articles_per_day=12,
                            embedding_dim=16, user_affinity_dim=8, n_personas=4)
@@ -26,9 +26,10 @@ schedule = train_schedule(corpus, base)
 print(f"nightly models trained: {len(schedule)}")
 
 users = corpus.user_ids()
-baseline = run_pipeline(corpus, base, users, models=schedule)
-dyn_cfg = PipelineConfig(**{**base.__dict__, "treatment": Treatment.DYNAMISM})
-dynamism = run_pipeline(corpus, dyn_cfg, users, models=schedule)
+# one walk serves both treatments: they differ only in the recency blend
+streams = serve_treatments(corpus, base, users, schedule,
+                           (Treatment.BASELINE, Treatment.DYNAMISM))
+baseline, dynamism = streams[Treatment.BASELINE], streams[Treatment.DYNAMISM]
 print(f"emissions per treatment: {len(baseline)} ranked lists "
       f"({len(users)} users x ticks x 3 sections + click triggers)")
 

@@ -8,14 +8,12 @@ reading behavior is compared between the first and second half of the
 simulation, mirroring a before/after analysis of click diversity.
 """
 
-from dataclasses import replace
-
 from newsrec import SyntheticWorldConfig, TrainConfig, generate_world
 from newsrec.corpus import DAY
 from newsrec.evaluation import (behavior_shift, compare_treatments,
                                 format_accuracy_table, format_comparison_table,
                                 offline_eval, scorers_from_schedule)
-from newsrec.ranker import PipelineConfig, Treatment, run_pipeline, train_schedule
+from newsrec.ranker import PipelineConfig, Treatment, serve_treatments, train_schedule
 
 cfg = SyntheticWorldConfig(seed=51, n_users=40, n_days=6, articles_per_day=14,
                            embedding_dim=16, user_affinity_dim=8, n_personas=4)
@@ -31,9 +29,9 @@ print("offline accuracy of the nightly models (replayed user-days):")
 print(format_accuracy_table(report))
 
 users = corpus.user_ids()
-ems_base = run_pipeline(corpus, base, users, models=schedule)
-dyn = replace(base, treatment=Treatment.DYNAMISM)
-ems_dyn = run_pipeline(corpus, dyn, users, models=schedule)
+streams = serve_treatments(corpus, base, users, schedule,
+                           (Treatment.BASELINE, Treatment.DYNAMISM))
+ems_base, ems_dyn = streams[Treatment.BASELINE], streams[Treatment.DYNAMISM]
 
 print("\nA/B comparison, baseline vs recency-blended treatment:")
 reports = compare_treatments(ems_base, ems_dyn, corpus)

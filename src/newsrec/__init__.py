@@ -20,8 +20,8 @@ from .features import (UserProfile, build_profile, build_training_set, extract_m
 from .gbdt import GbdtError, TrainConfig, Tree, TreeEnsemble, train
 from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,
                      candidates, dyn_score_at, manual_lists, rank,
-                     read_emissions, rerank, run_pipeline, slice_sections,
-                     train_schedule, write_emissions)
+                     read_emissions, rerank, run_pipeline, serve_treatments,
+                     slice_sections, train_schedule, write_emissions)
 from .usefulness import (AttributeKind, CoverageScope, MetricSample, align, coverage,
                          dynamism, entropy, gini, intra_list_diversity, serendipity, sim,
                          unexpectedness)

@@ -39,7 +39,7 @@ from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
 from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,
-                     manual_lists, manual_updates_range, read_emissions, run_pipeline,
+                     manual_lists, manual_updates_range, read_emissions, serve_treatments,
                      train_schedule, write_emissions)
 from .usefulness import write_metric_samples
 
@@ -366,9 +366,8 @@ def cmd_run(cfg: ExperimentConfig) -> None:
     schedule = _load_schedule(cfg, pipe, corpus)
     for stale in (t for t in Treatment if t not in cfg.treatments):
         cfg.emissions_path(stale).unlink(missing_ok=True)
-    for treatment in cfg.treatments:
-        emissions = run_pipeline(corpus, replace(pipe, treatment=treatment), users,
-                                 models=schedule)
+    streams = serve_treatments(corpus, pipe, users, schedule, cfg.treatments)
+    for treatment, emissions in streams.items():
         write_emissions(cfg.emissions_path(treatment), emissions)
         print(f"{treatment.value}: {len(emissions)} lists -> {cfg.emissions_path(treatment)}")
     manual = manual_lists(corpus, pipe.t_start, corpus.time_span()[1],

@@ -161,6 +161,25 @@ class ProfileCache:
         return self._cache[key]
 
 
+class LatestProfiles:
+    """`build_profile` results, one per user: the profile of the user's
+    latest click window. For a walk whose instants never go back in time a
+    user's window only moves forward, so an earlier one never comes back;
+    each distinct window is built once and memory is bounded by the users.
+    An instant out of order is still served right, by building again."""
+
+    def __init__(self, corpus: Corpus):
+        self.corpus = corpus
+        self._latest: dict[str, tuple[tuple[int, int], UserProfile]] = {}
+
+    def get(self, user_id: str, at: float) -> UserProfile:
+        window = _click_window(self.corpus.clicks_of(user_id), at)
+        held = self._latest.get(user_id)
+        if held is None or held[0] != window:
+            held = self._latest[user_id] = (window, build_profile(self.corpus, user_id, at))
+        return held[1]
+
+
 def _topk_mass(freq: dict[str, int], k: int) -> float:
     total = sum(freq.values())
     if total == 0:

@@ -7,6 +7,8 @@ refresh interval (and immediately after each click) it regenerates the
 clicking user's lists. Each regeneration emits three RankedLists: the
 fresh-articles widget (top 5, <= 24h old), the missed-last-week strip
 (top 5, older than 24h but within 7 days), and the full personalized page.
+One walk of the clock serves every treatment (`serve_treatments`): they
+share its candidates and model scores and differ only in the re-ranker.
 
 The recency score of an article published at t is
 
@@ -30,8 +32,8 @@ import numpy as np
 
 from .corpus import (DAY, WEEK, Article, Corpus, Kind, _finite, _finite_number, _integer,
                      _str, _str_list, day_start, read_jsonl, utc_date, write_jsonl)
-from .features import (ArticleFeatureCache, ProfileCache, UserProfile,
-                       article_table, build_training_set, extract_matrix)
+from .features import (ArticleFeatureCache, LatestProfiles, UserProfile, article_table,
+                       build_training_set, extract_matrix)
 from .gbdt import TrainConfig, TreeEnsemble, train
 
 MANUAL_USER = "__manual__"
@@ -281,55 +283,93 @@ def _tick(table: ArticleFeatureCache, dyn: np.ndarray, at: float,
                  (age > DAY) & (age <= WEEK))
 
 
-def _emit_block(out: list[RankedList], corpus: Corpus, cfg: PipelineConfig,
-                model: Optional[TreeEnsemble], profiles: ProfileCache,
+def _emit_block(outs: dict[Treatment, list[RankedList]], corpus: Corpus,
+                cfg: PipelineConfig, model: Optional[TreeEnsemble], profiles: LatestProfiles,
                 users: Sequence[str], tick: _Tick) -> None:
     """Append each user's widget, missed-last-week and page lists at
-    `tick.at`, user by user: the lists `rank` (or the recency fallback),
-    `rerank` under DYNAMISM and `slice_sections` give, from one feature
-    matrix, one model call and one sort of the (user, candidate) score array.
-    Labels are the model scores before the blend against the threshold."""
+    `tick.at` to each treatment's stream in `outs`, in its order, user by
+    user: the lists `rank` (or the recency fallback), `rerank` under
+    DYNAMISM and `slice_sections` give. The block is scored once, from one
+    feature matrix and one model call, and labelled once: the model scores
+    before the blend against the threshold. Each treatment then blends its
+    own copy of the scores and sorts it. Before the first model every
+    treatment's lists are the recency lists, built once and appended to
+    every stream."""
     shape = (len(users), len(tick.ids))
     if model is None:
-        scores, labels = np.broadcast_to(tick.dyn, shape), np.zeros(shape, dtype=bool)
-    else:
-        X = extract_matrix([profiles.get(user, tick.at) for user in users], tick.ids,
-                           tick.at, corpus)
-        scores = model.predict_matrix(X).reshape(shape)
-        labels = scores >= cfg.rec_label_threshold
-        if cfg.treatment is Treatment.DYNAMISM:
-            lam = cfg.blend_lambda
-            scores = lam * scores + (1.0 - lam) * tick.dyn
+        lists = _block_lists(users, tick, np.broadcast_to(tick.dyn, shape),
+                             np.zeros(shape, dtype=bool), cfg.mnpage_cap, fallback=True)
+        for out in outs.values():
+            out.extend(lists)
+        return
+    X = extract_matrix([profiles.get(user, tick.at) for user in users], tick.ids,
+                       tick.at, corpus)
+    scores = model.predict_matrix(X).reshape(shape)
+    labels = scores >= cfg.rec_label_threshold
+    lam = cfg.blend_lambda
+    for treatment, out in outs.items():
+        blended = (lam * scores + (1.0 - lam) * tick.dyn
+                   if treatment is Treatment.DYNAMISM else scores)
+        out.extend(_block_lists(users, tick, blended, labels, cfg.mnpage_cap,
+                                fallback=False))
+
+
+def _block_lists(users: Sequence[str], tick: _Tick, scores: np.ndarray, labels: np.ndarray,
+                 mnpage_cap: Optional[int], fallback: bool) -> list[RankedList]:
+    """Each user's three lists from one sort of the block's (user,
+    candidate) `scores`."""
+    shape = scores.shape
     # `_sort_items`' key: score descending, newest first, then id (as row)
     order = np.lexsort((np.broadcast_to(tick.rows, shape),
                         np.broadcast_to(tick.neg_published, shape), -scores), axis=-1)
+    lists = []
     for user, user_order, user_scores, user_labels in zip(users, order, scores, labels):
         for section, picked in (
                 (Section.MN_WIDGET,
                  user_order[tick.fresh[user_order]][:SECTION_CAPS[Section.MN_WIDGET]]),
                 (Section.MISSED_LW,
                  user_order[tick.missed[user_order]][:SECTION_CAPS[Section.MISSED_LW]]),
-                (Section.MN_PAGE, user_order[:cfg.mnpage_cap])):
-            out.append(RankedList(user, section, tick.at,
-                                  tuple(zip([tick.ids[i] for i in picked.tolist()],
-                                            user_scores[picked].tolist())),
-                                  fallback=model is None,
-                                  rec_labels=tuple(user_labels[picked].tolist())))
+                (Section.MN_PAGE, user_order[:mnpage_cap])):
+            lists.append(RankedList(user, section, tick.at,
+                                    tuple(zip([tick.ids[i] for i in picked.tolist()],
+                                              user_scores[picked].tolist())),
+                                    fallback=fallback,
+                                    rec_labels=tuple(user_labels[picked].tolist())))
+    return lists
 
 
-def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
-                 models: Sequence[tuple[float, TreeEnsemble]],
-                 t_end: Optional[float] = None) -> list[RankedList]:
-    """Simulate the serving schedule over [t_start, t_end).
+def serve_treatments(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
+                     models: Sequence[tuple[float, TreeEnsemble]],
+                     treatments: Sequence[Treatment],
+                     t_end: Optional[float] = None) -> dict[Treatment, list[RankedList]]:
+    """Simulate the serving schedule over [t_start, t_end) once for every
+    treatment in `treatments`, and return each treatment's stream, in that
+    order.
 
-    Emits, in chronological order, every user's section lists at each
-    refresh tick plus an extra regeneration for a user immediately after
-    each of their clicks. Until the first nightly model exists users get
-    recency-ordered lists flagged as fallback. `models` is the nightly
+    Each stream holds, in chronological order, every user's section lists
+    at each refresh tick plus an extra regeneration for a user immediately
+    after each of their clicks. Until the first nightly model exists users
+    get recency-ordered lists flagged as fallback. `models` is the nightly
     schedule (from `train_schedule`), which treatments share. Its times must
     increase strictly; a model serves from its time (inclusive) until the
     next one's.
+
+    Clicks come from the corpus, not from the served lists, so every
+    treatment walks the same queue with the same candidates, profiles and
+    model scores: each block is scored once, and only the blend and the sort
+    are per treatment, so a stream is the same whichever treatments are
+    served beside it. `cfg.treatment` is not read: `treatments` names the
+    streams, and an empty one, a repeated treatment or a value that is not
+    a `Treatment` raises RankerError before any serving.
     """
+    treatments = tuple(treatments)
+    if not treatments:
+        raise RankerError("no treatments to serve")
+    for i, treatment in enumerate(treatments):
+        if not isinstance(treatment, Treatment):
+            raise RankerError(f"not a Treatment: {treatment!r}")
+        if treatment in treatments[:i]:
+            raise RankerError(f"treatment {treatment.value!r} is named twice")
     if t_end is None:
         t_end = corpus.time_span()[1]
     if t_end <= cfg.t_start:
@@ -359,9 +399,10 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
             queue.append((ev.at, CLICK, ev.user_id))
     queue.sort(key=lambda q: (q[0], q[1], q[2] or ""))
 
-    out: list[RankedList] = []
+    outs: dict[Treatment, list[RankedList]] = {treatment: [] for treatment in treatments}
     ordered_users = sorted(user_set)
-    profiles = ProfileCache(corpus)
+    # the queue goes forward in time, so each user's latest window suffices
+    profiles = LatestProfiles(corpus)
     # `dyn_score_at` per article, once: np.log need not round like math.log
     dyn = np.array([dyn_score_at(p, cfg.t_start) for p in table.published.tolist()])
     for at, kind, uid in queue:
@@ -372,8 +413,16 @@ def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
         tick_users = ordered_users if kind == REFRESH else [uid]
         step = max(1, _BLOCK_ROWS // max(len(tick.ids), 1))
         for lo in range(0, len(tick_users), step):
-            _emit_block(out, corpus, cfg, active, profiles, tick_users[lo:lo + step], tick)
-    return out
+            _emit_block(outs, corpus, cfg, active, profiles, tick_users[lo:lo + step], tick)
+    return outs
+
+
+def run_pipeline(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
+                 models: Sequence[tuple[float, TreeEnsemble]],
+                 t_end: Optional[float] = None) -> list[RankedList]:
+    """The stream of `cfg.treatment` alone: `serve_treatments` with that one
+    treatment."""
+    return serve_treatments(corpus, cfg, users, models, (cfg.treatment,), t_end)[cfg.treatment]
 
 
 # --------------------------------------------------------------------------

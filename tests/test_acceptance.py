@@ -22,7 +22,7 @@ from newsrec.evaluation import (TTestVariant, _user_day_candidates,
                                 offline_eval, t_test)
 from newsrec.gbdt import TrainConfig, train
 from newsrec.ranker import (RankedList, Section, Treatment, dyn_score_at, manual_lists,
-                            rerank, run_pipeline, train_schedule)
+                            rerank, serve_treatments, train_schedule)
 from newsrec.usefulness import (AttributeKind, CoverageScope, coverage, dynamism,
                                 entropy, gini, intra_list_diversity)
 from newsrec.worlds import reference_pipeline, reference_world
@@ -62,11 +62,10 @@ def reference_runs():
     if "runs" not in _cache:
         wcfg, corpus, _ = reference_bundle()
         base_cfg = reference_pipeline(wcfg, Treatment.BASELINE)
-        dyn_cfg = reference_pipeline(wcfg, Treatment.DYNAMISM)
         schedule = train_schedule(corpus, base_cfg)
-        users = corpus.user_ids()
-        ems_b = run_pipeline(corpus, base_cfg, users, models=schedule)
-        ems_d = run_pipeline(corpus, dyn_cfg, users, models=schedule)
+        streams = serve_treatments(corpus, base_cfg, corpus.user_ids(), schedule,
+                                   (Treatment.BASELINE, Treatment.DYNAMISM))
+        ems_b, ems_d = streams[Treatment.BASELINE], streams[Treatment.DYNAMISM]
         _cache["runs"] = (base_cfg, schedule, ems_b, ems_d)
     return _cache["runs"]
 

@@ -77,6 +77,20 @@ class TestChain:
         for name in written:
             assert (copy / name).read_bytes() == (out / name).read_bytes()
 
+    def test_run_treatments_in_either_order(self, chain, tmp_path):
+        # one walk serves every configured treatment; its order changes no log
+        out, _ = chain
+        copy = tmp_path / "run"
+        for name in ("corpus", "models"):
+            shutil.copytree(out / name, copy / name)
+        cfg = smoke_config(tmp_path, treatments=["dynamism", "baseline"])
+        assert run("run", "--config", str(cfg)) == 0
+        written = sorted(p.name for p in copy.iterdir() if p.is_file())
+        assert written == ["emissions_baseline.jsonl", "emissions_dynamism.jsonl",
+                           "manual.jsonl"]
+        for name in written:
+            assert (copy / name).read_bytes() == (out / name).read_bytes()
+
     def test_outputs_of_dropped_treatment_deleted(self, chain, tmp_path):
         out, _ = chain
         copy = tmp_path / "run"

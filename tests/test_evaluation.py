@@ -19,7 +19,7 @@ from newsrec.evaluation import (EvalError, TTestVariant, behavior_shift,
 from newsrec.features import ProfileCache, article_table, build_profile
 from newsrec.gbdt import TrainConfig, TreeEnsemble
 from newsrec.ranker import (MANUAL_USER, PipelineConfig, RankedList, Section,
-                            Treatment, manual_lists, run_pipeline, train_schedule)
+                            Treatment, manual_lists, serve_treatments, train_schedule)
 from newsrec.usefulness import AttributeKind, intra_list_diversity, serendipity
 
 from conftest import T0, click, impression, make_article
@@ -328,10 +328,9 @@ def small_runs(tiny_world):
         rng_seed=3, train=TrainConfig(n_trees=6, max_depth=2, learning_rate=0.3),
         mnpage_cap=10)
     schedule = train_schedule(corpus, base)
-    users = corpus.user_ids()
-    ems_b = run_pipeline(corpus, base, users, models=schedule)
-    dyn = PipelineConfig(**{**base.__dict__, "treatment": Treatment.DYNAMISM})
-    ems_d = run_pipeline(corpus, dyn, users, models=schedule)
+    streams = serve_treatments(corpus, base, corpus.user_ids(), schedule,
+                               (Treatment.BASELINE, Treatment.DYNAMISM))
+    ems_b, ems_d = streams[Treatment.BASELINE], streams[Treatment.DYNAMISM]
     return corpus, ems_b, ems_d
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import newsrec.features
 from newsrec.corpus import DAY, WEEK, Article, Corpus, Kind
 from newsrec.features import (SCHEMA_VERSION, SECTION_BUCKETS, TOP_K,
-                              FeatureError, ProfileCache, UserProfile, _pub_dow,
-                              _pub_hour, _topk_mass, article_table, build_profile,
+                              FeatureError, LatestProfiles, ProfileCache, UserProfile,
+                              _pub_dow, _pub_hour, _topk_mass, article_table, build_profile,
                               build_training_set, empty_profile, extract_matrix,
                               feature_names, stable_bucket, write_schema)
 
@@ -244,6 +245,34 @@ class TestProfileCache:
         cache = ProfileCache(self.build())
         profile = self.check(cache, "nobody", T0 + DAY)
         assert profile.n_clicks == 0 and profile.embedding_norm == 0.0
+
+
+class TestLatestProfiles:
+    """Each user's latest click window only; a window left behind is built
+    again if asked for."""
+
+    check = TestProfileCache.check
+
+    def test_holds_one_window_per_user(self, monkeypatch):
+        cache = LatestProfiles(TestProfileCache().build())
+        built = []
+
+        def counted(corpus, user_id, as_of):
+            built.append((user_id, as_of))
+            return build_profile(corpus, user_id, as_of)
+
+        monkeypatch.setattr(newsrec.features, "build_profile", counted)
+        only_a = self.check(cache, "u1", T0 + DAY)
+        assert self.check(cache, "u1", T0 + DAY + H) is only_a
+        other = self.check(cache, "u2", T0 + DAY)
+        assert self.check(cache, "u1", T0 + 2 * DAY) is only_a  # [at - 7d, at) excludes at
+        both = self.check(cache, "u1", T0 + 2 * DAY + H)  # b enters
+        assert both is not only_a and both.n_clicks == 2
+        # back in time: the earlier window is built again, not looked up
+        again = self.check(cache, "u1", T0 + DAY)
+        assert again is not only_a and again.n_clicks == 1
+        assert self.check(cache, "u2", T0 + 3 * DAY) is other
+        assert [user for user, _ in built] == ["u1", "u2", "u1", "u1"]
 
 
 class TestExtract:

@@ -17,8 +17,8 @@ from newsrec.gbdt import TrainConfig, TreeEnsemble, train
 from newsrec.ranker import (PipelineConfig, RankedList, RankerError, Section,
                             Treatment, candidates, dyn_score_at,
                             manual_lists, rank, read_emissions, rerank,
-                            run_pipeline, slice_sections, train_schedule,
-                            write_emissions)
+                            run_pipeline, serve_treatments, slice_sections,
+                            train_schedule, write_emissions)
 
 from conftest import T0, click, impression, make_article
 
@@ -434,10 +434,13 @@ def clicked_mini_corpus():
     return Corpus(list(corpus.articles.values()), events, 4)
 
 
-def emit_block_oracle(out, corpus, cfg, model, profiles, users, tick):
-    """A block's lists built user by user with `emit_user_oracle`."""
-    for user_id in users:
-        emit_user_oracle(out, corpus, cfg, model, user_id, tick.at)
+def emit_block_oracle(outs, corpus, cfg, model, profiles, users, tick):
+    """A block's lists built user by user with `emit_user_oracle`, for each
+    treatment's stream under that treatment's config."""
+    for treatment, out in outs.items():
+        for user_id in users:
+            emit_user_oracle(out, corpus, replace(cfg, treatment=treatment), model, user_id,
+                             tick.at)
 
 
 def serve_via_oracle(monkeypatch, corpus, cfg, users, **kwargs):
@@ -503,9 +506,9 @@ class TestServeOracle:
         blocks = []
         emit_block = newsrec.ranker._emit_block
 
-        def recorded(out, corpus, cfg, model, profiles, users, tick):
+        def recorded(outs, corpus, cfg, model, profiles, users, tick):
             blocks.append(len(users))
-            emit_block(out, corpus, cfg, model, profiles, users, tick)
+            emit_block(outs, corpus, cfg, model, profiles, users, tick)
 
         monkeypatch.setattr(newsrec.ranker, "_emit_block", recorded)
         got = run_pipeline(corpus, cfg, users, models=models)
@@ -533,15 +536,17 @@ class TestServeOracle:
             scored.append(len(X))
             return raw_scores(model, X)
 
-        def recorded_block(out, corpus, cfg, model, profiles, users, tick):
+        def recorded_block(outs, corpus, cfg, model, profiles, users, tick):
             if model is not None:
                 blocks.append(len(users) * len(tick.ids))
-            emit_block(out, corpus, cfg, model, profiles, users, tick)
+            emit_block(outs, corpus, cfg, model, profiles, users, tick)
 
         monkeypatch.setattr(newsrec.features, "build_profile", recorded_profile)
         monkeypatch.setattr(TreeEnsemble, "raw_scores", recorded_scores)
         monkeypatch.setattr(newsrec.ranker, "_emit_block", recorded_block)
-        got = run_pipeline(corpus, cfg, corpus.user_ids(), models=models)
+        # both treatments in one walk: one profile and one model call serve both
+        streams = serve_treatments(corpus, cfg, corpus.user_ids(), models, tuple(Treatment))
+        got = [e for stream in streams.values() for e in stream]
         served = [e for e in got if not e.fallback and e.section is Section.MN_PAGE]
         windows = {(e.user_id, newsrec.features._click_window(corpus.clicks_of(e.user_id),
                                                               e.at))
@@ -620,6 +625,64 @@ class TestServeOracle:
         assert counts["constructions"] == len(out)
         assert counts["steps"] == 0
         assert counts["candidates"] == 24 + 1  # once per tick, once per click
+
+
+class TestServeTreatments:
+    @pytest.mark.parametrize("block_rows", [None, "1", "n+1"])
+    @pytest.mark.parametrize("mnpage_cap", [None, 2])
+    def test_one_walk_equals_one_call_per_treatment(self, tiny_world, monkeypatch,
+                                                    mnpage_cap, block_rows):
+        wcfg, corpus, _ = tiny_world
+        cfg = oracle_config(wcfg, mnpage_cap=mnpage_cap)
+        users = corpus.user_ids()[:7]
+        models = train_schedule(corpus, cfg)
+        if block_rows:
+            n = len(candidates(corpus, cfg.t_start + DAY + 12 * 3600, cfg.candidate_window))
+            monkeypatch.setattr(newsrec.ranker, "_BLOCK_ROWS",
+                                1 if block_rows == "1" else n + 1)
+        separate = {t: run_pipeline(corpus, replace(cfg, treatment=t), users, models)
+                    for t in Treatment}
+        for order in (tuple(Treatment), (Treatment.DYNAMISM, Treatment.BASELINE)):
+            got = serve_treatments(corpus, cfg, users, models, order)
+            assert list(got) == list(order)
+            assert got == separate
+        # one treatment alone, whatever `cfg.treatment` says
+        for treatment, other in zip(Treatment, reversed(Treatment)):
+            alone = serve_treatments(corpus, replace(cfg, treatment=other), users, models,
+                                     (treatment,))
+            assert alone == {treatment: separate[treatment]}
+        baseline = separate[Treatment.BASELINE]
+        assert baseline != separate[Treatment.DYNAMISM]
+        assert {e.fallback for e in baseline} == {False, True}
+        assert any((e.at - cfg.t_start) % cfg.refresh_interval for e in baseline)
+        pages = [len(e.items) for e in baseline if e.section is Section.MN_PAGE]
+        assert max(pages) == 2 if mnpage_cap else max(pages) > 2
+
+    def test_fallback_lists_built_once_for_every_stream(self, tiny_world):
+        wcfg, corpus, _ = tiny_world
+        cfg = oracle_config(wcfg)
+        streams = serve_treatments(corpus, cfg, corpus.user_ids()[:5],
+                                   train_schedule(corpus, cfg), tuple(Treatment))
+        baseline, dynamism = streams.values()
+        assert len(baseline) == len(dynamism)
+        fallback = [(b, d) for b, d in zip(baseline, dynamism) if b.fallback]
+        assert fallback and all(b is d for b, d in fallback)
+        assert all(b is not d for b, d in zip(baseline, dynamism) if not b.fallback)
+
+    @pytest.mark.parametrize("treatments, message", [
+        ((), "no treatments"),
+        ((Treatment.BASELINE, Treatment.DYNAMISM, Treatment.BASELINE), "named twice"),
+        ((Treatment.BASELINE, "dynamism"), "not a Treatment"),
+    ], ids=["empty", "repeated", "not-a-treatment"])
+    def test_bad_treatments_refused_before_serving(self, monkeypatch, treatments, message):
+        def no_serving(*args):
+            raise AssertionError("served before the treatments were checked")
+
+        monkeypatch.setattr(newsrec.ranker, "candidates", no_serving)
+        monkeypatch.setattr(newsrec.ranker, "_emit_block", no_serving)
+        with pytest.raises(RankerError, match=message):
+            serve_treatments(mini_corpus(), pipe_config(), ["u1"],
+                             [(T0 + DAY, constant_model(WIDTH))], treatments, T0 + 2 * DAY)
 
 
 def schedule_oracle(corpus, cfg):
