@@ -38,7 +38,7 @@ from .features import article_table, write_schema
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
-from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment,
+from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment, _utc,
                      manual_lists, manual_updates_range, read_emissions, serve_treatments,
                      train_schedule, write_emissions)
 from .usefulness import write_metric_samples
@@ -289,8 +289,13 @@ def _read_lists(path: Path, corpus: Corpus, manual: bool = False) -> list[Ranked
 
 def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus) -> PipelineConfig:
     """The config's pipeline, starting `start_day_offset` days after the
-    corpus's first day."""
-    t_start = day_start(corpus.time_span()[0]) + cfg.start_day_offset * DAY
+    corpus's first day and before its last instant."""
+    first, last = corpus.time_span()
+    t_start = day_start(first) + cfg.start_day_offset * DAY
+    if t_start >= last:
+        raise CliError(f"invalid config: pipeline: start_day_offset {cfg.start_day_offset} "
+                       f"starts the pipeline at {_utc(t_start)}, not before the corpus "
+                       f"ends at {_utc(last)}")
     return replace(cfg.pipeline, t_start=t_start)
 
 

@@ -136,7 +136,8 @@ def offline_eval(corpus: Corpus, scorers: Mapping[dt.date, Scorer],
     `scorers` maps each day to the scorer of the model trained through the
     previous day (see `scorers_from_schedule`). User-days without clicks
     are skipped (macro-averaging over defined samples only). Each k of `ks`
-    must be an integer >= 1; any other is refused before the replay.
+    must be an integer >= 1; any other is refused before the replay. Scorer
+    output other than one finite score per pool article raises EvalError.
     """
     for k in ks:
         if _integer(k, "k", EvalError) < 1:
@@ -150,7 +151,13 @@ def offline_eval(corpus: Corpus, scorers: Mapping[dt.date, Scorer],
             clicks, pool_ids = per_user[uid]
             articles = [corpus.articles[aid] for aid in pool_ids]
             profile = build_profile(corpus, uid, day_ts)
-            scores = scorer(profile, articles, day_ts)
+            scores = np.asarray(scorer(profile, articles, day_ts))
+            where, n = f"scorer of {day}, user {uid!r}", len(articles)
+            if scores.shape != (n,):
+                got = len(scores) if scores.ndim == 1 else f"shape {scores.shape}"
+                raise EvalError(f"{where}: {got} scores for {n} pool articles")
+            if not np.isfinite(scores).all():
+                raise EvalError(f"{where}: score {scores[~np.isfinite(scores)][0]} is not finite")
             ranking = [aid for aid, _ in _sort_items(zip(articles, scores))]
             value = ndcg(ranking, clicks)
             if value is None:
@@ -404,11 +411,11 @@ class _ListValues:
     and the four `unexpectedness` values of an item keyed by (window key,
     article id). A list's values are the definitions called with its terms
     in their order, so a repeated key returns the floats a new call would.
-    A study makes one memo and drops it on return."""
+    A study makes one memo, with its own `ProfileCache`, and drops both."""
 
-    def __init__(self, corpus: Corpus, profiles: ProfileCache):
+    def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self.profiles = profiles
+        self.profiles = ProfileCache(corpus)
         self._diversity: dict[tuple[str, ...], tuple[Optional[float], ...]] = {}
         self._serendipity: dict[tuple, tuple[Optional[float], ...]] = {}
         self._pairs: dict[tuple[str, str], tuple[float, ...]] = {}
@@ -482,7 +489,7 @@ def collect_metric_samples(streams: Mapping[str, Sequence[RankedList]], corpus: 
     `_metric_pass`, with one memo for all streams: per list, its dynamism,
     then per attribute its diversity and serendipity; then per day its
     coverage in each scope."""
-    memo = _ListValues(corpus, ProfileCache(corpus))  # one for all streams
+    memo = _ListValues(corpus)  # one for all streams
     rows: list[MetricSample] = []
     for treatment, emissions in streams.items():
         tops, dyns, divs, sers, daily = _metric_pass(emissions, memo)
@@ -554,7 +561,7 @@ def compare_treatments(emissions_a: Sequence[RankedList],
     (see `_t_tests`)."""
     if not emissions_a or not emissions_b:
         raise EvalError("empty emission stream")
-    memo = _ListValues(corpus, ProfileCache(corpus))  # one for both streams
+    memo = _ListValues(corpus)  # one for both streams
     samples = []
     for emissions in (emissions_a, emissions_b):
         _, dyns, divs, sers, daily = _metric_pass(emissions, memo)
@@ -602,7 +609,7 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     pairs = align(manual_stream, recsys_stream)
     if not pairs:
         raise EvalError("alignment produced no pairs")
-    memo = _ListValues(corpus, ProfileCache(corpus))
+    memo = _ListValues(corpus)
 
     # per list, values in ALL_ATTRIBUTES order: manual diversity per manual
     # list; per aligned pair, the recsys list's diversity and both lists'

@@ -141,42 +141,27 @@ def build_profile(corpus: Corpus, user_id: str, as_of: float) -> UserProfile:
 
 
 class ProfileCache:
-    """`build_profile` results keyed by click window: instants whose
-    [at - 7d, at) windows hold the same clicks of a user share one profile."""
+    """`build_profile` results keyed by click window, one per user: the
+    profile of the user's latest [at - 7d, at) window. Instants whose windows
+    hold the same clicks of a user share one profile, and memory is bounded
+    by the users. A walk forward in time builds each distinct window once; an
+    instant out of order is still served right, by building again."""
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self._cache: dict[tuple[str, int, int], UserProfile] = {}
+        self._latest: dict[str, tuple[tuple[str, int, int], UserProfile]] = {}
 
     def window_key(self, user_id: str, at: float) -> tuple[str, int, int]:
-        """The key `get` files the profile of `user_id` at `at` under:
+        """The key `get` holds the profile of `user_id` at `at` under:
         `(user, lo, hi)`, where `lo:hi` are the positions of `[at - 7d, at)`
         in the user's time-sorted clicks. Equal keys, equal profiles."""
         return (user_id, *_click_window(self.corpus.clicks_of(user_id), at))
 
     def get(self, user_id: str, at: float) -> UserProfile:
         key = self.window_key(user_id, at)
-        if key not in self._cache:
-            self._cache[key] = build_profile(self.corpus, user_id, at)
-        return self._cache[key]
-
-
-class LatestProfiles:
-    """`build_profile` results, one per user: the profile of the user's
-    latest click window. For a walk whose instants never go back in time a
-    user's window only moves forward, so an earlier one never comes back;
-    each distinct window is built once and memory is bounded by the users.
-    An instant out of order is still served right, by building again."""
-
-    def __init__(self, corpus: Corpus):
-        self.corpus = corpus
-        self._latest: dict[str, tuple[tuple[int, int], UserProfile]] = {}
-
-    def get(self, user_id: str, at: float) -> UserProfile:
-        window = _click_window(self.corpus.clicks_of(user_id), at)
         held = self._latest.get(user_id)
-        if held is None or held[0] != window:
-            held = self._latest[user_id] = (window, build_profile(self.corpus, user_id, at))
+        if held is None or held[0] != key:
+            held = self._latest[user_id] = (key, build_profile(self.corpus, user_id, at))
         return held[1]
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import (DAY, WEEK, Article, Corpus, Kind, _finite, _finite_number, _integer,
                      _str, _str_list, day_start, read_jsonl, utc_date, write_jsonl)
-from .features import (ArticleFeatureCache, LatestProfiles, UserProfile, article_table,
+from .features import (ArticleFeatureCache, ProfileCache, UserProfile, article_table,
                        build_training_set, extract_matrix)
 from .gbdt import TrainConfig, TreeEnsemble, train
 
@@ -284,7 +284,7 @@ def _tick(table: ArticleFeatureCache, dyn: np.ndarray, at: float,
 
 
 def _emit_block(outs: dict[Treatment, list[RankedList]], corpus: Corpus,
-                cfg: PipelineConfig, model: Optional[TreeEnsemble], profiles: LatestProfiles,
+                cfg: PipelineConfig, model: Optional[TreeEnsemble], profiles: ProfileCache,
                 users: Sequence[str], tick: _Tick) -> None:
     """Append each user's widget, missed-last-week and page lists at
     `tick.at` to each treatment's stream in `outs`, in its order, user by
@@ -401,8 +401,8 @@ def serve_treatments(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
 
     outs: dict[Treatment, list[RankedList]] = {treatment: [] for treatment in treatments}
     ordered_users = sorted(user_set)
-    # the queue goes forward in time, so each user's latest window suffices
-    profiles = LatestProfiles(corpus)
+    # the queue goes forward in time, so each window is built once
+    profiles = ProfileCache(corpus)
     # `dyn_score_at` per article, once: np.log need not round like math.log
     dyn = np.array([dyn_score_at(p, cfg.t_start) for p in table.published.tolist()])
     for at, kind, uid in queue:

@@ -16,8 +16,9 @@ END_TO_END = [{"name": "study_s", "unit": "s", "better": "lower", "bound": 0.25}
 DIGESTS = {"1": {"lock": "ab12"}}
 
 
-def record(study_s, eval_lists_per_s, digests=DIGESTS, correct=True):
+def record(study_s, eval_lists_per_s, digests=DIGESTS, correct=True, attempted=10, failed=0):
     return {"correct": correct, "error": None, "digests": digests,
+            "attempted": attempted, "failed": failed,
             "metrics": {"study_s": study_s, "eval_lists_per_s": eval_lists_per_s}}
 
 
@@ -71,3 +72,56 @@ def test_incorrect_or_unfinished_run_fails():
 def test_unequal_run_counts_refused():
     with pytest.raises(ValueError, match="2 parent runs but 1 change runs"):
         bench_pairs.summarize([record(1.0, 1.0)] * 2, [record(1.0, 1.0)], END_TO_END)
+
+
+def test_worse_beyond_bound_flagged():
+    # study_s (lower is better) 1.0 -> 1.3 is 30% worse, beyond its 25%;
+    # eval_lists_per_s (higher is better) 100 -> 80 is 20% worse, inside it
+    summary = bench_pairs.summarize([record(1.0, 100.0)] * 3, [record(1.3, 80.0)] * 3,
+                                    END_TO_END)
+    study, evals = summary["metrics"]["study_s"], summary["metrics"]["eval_lists_per_s"]
+    assert study["beyond_bound"] and not evals["beyond_bound"]
+    assert not summary["within_bounds"] and not summary["ok"]
+    assert summary["digests_match"] and summary["all_correct"]
+    assert "YES (25%)" in bench_pairs.format_summary(summary)
+    # better by any amount is never beyond the bound
+    summary = bench_pairs.summarize([record(1.0, 100.0)] * 3, [record(0.5, 200.0)] * 3,
+                                    END_TO_END)
+    assert summary["within_bounds"] and summary["ok"]
+    evals = bench_pairs.summarize([record(1.0, 100.0)], [record(1.0, 74.0)], END_TO_END)
+    assert evals["metrics"]["eval_lists_per_s"]["beyond_bound"]
+
+
+def test_failed_share_per_side():
+    parent = [record(1.0, 100.0, attempted=10), record(1.0, 100.0, attempted=30, failed=1)]
+    change = [record(1.0, 100.0, attempted=20, failed=1), record(1.0, 100.0, attempted=20)]
+    summary = bench_pairs.summarize(parent, change, END_TO_END)
+    assert summary["failed"]["parent"] == {"attempted": 40, "failed": 1, "share": 0.025}
+    assert summary["failed"]["change"] == {"attempted": 40, "failed": 1, "share": 0.025}
+    assert not summary["failed_share_rose"]
+    text = bench_pairs.format_summary(summary)
+    assert "failed share: parent 1/40 (2.50%), change 1/40 (2.50%)" in text
+    change[1] = record(1.0, 100.0, attempted=20, failed=1)
+    summary = bench_pairs.summarize(parent, change, END_TO_END)
+    assert summary["failed_share_rose"] and not summary["ok"]
+    assert "the change failed more" in bench_pairs.format_summary(summary)
+
+
+def test_main_exits_1_when_the_change_fails_more(monkeypatch, tmp_path, capsys):
+    """`main` on stub runs: equal digests and correct runs, but the change
+    fails a larger share of operations."""
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "study_s", "unit": "s", "better": "lower", "bound": 0.25},'
+        ' {"name": "eval_lists_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}')
+
+    def stub(checkout, workload, seed, seconds):
+        return record(1.0, 100.0, failed=int(checkout.name == "change"))
+
+    monkeypatch.setattr(bench_pairs, "run_once", stub)
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "serve-wide", "--pairs", "2"])
+    assert code == 1
+    assert "the change failed more" in capsys.readouterr().out

@@ -449,8 +449,13 @@ class TestErrors:
         ({"refresh_interval_hours": "3"}, "refresh_interval_hours must be a number, not '3'"),
         ({"lambda": True}, "lambda must be a number, not True"),
         ({"t_start": None}, "unknown keys ['t_start']"),
+        # past the corpus end: nothing to train or serve, so refused up front
+        ({"start_day_offset": 1000}, "start_day_offset 1000 starts the pipeline at "
+                                     "2026-09-27T00:00:00+00:00, not before the corpus ends "
+                                     "at 2024-01-"),
     ], ids=["lambda", "window", "cap-0", "cap-minus-1", "unknown-key", "hour-float",
-            "offset-float", "cap-float", "refresh-string", "lambda-bool", "t-start-null"])
+            "offset-float", "cap-float", "refresh-string", "lambda-bool", "t-start-null",
+            "offset-past-end"])
     def test_bad_pipeline_section_exit_2(self, chain, tmp_path, capsys, pipeline, message):
         out, _ = chain
         smoke = json.loads(SMOKE.read_text())

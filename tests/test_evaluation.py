@@ -135,6 +135,21 @@ class TestOfflineEval:
             offline_eval(corpus, {day: scorer}, ks=(5, k))
         assert replayed == []
 
+    @pytest.mark.parametrize("output, message", [
+        (lambda n: np.zeros(n - 1), "2 scores for 3 pool articles"),
+        (lambda n: np.zeros(n + 2), "5 scores for 3 pool articles"),
+        (lambda n: np.zeros((n, 1)), "shape (3, 1) scores for 3 pool articles"),
+        (lambda n: np.array([0.5] * (n - 1) + [np.nan]), "score nan is not finite"),
+        (lambda n: np.array([-np.inf] + [0.5] * (n - 1)), "score -inf is not finite"),
+    ], ids=["short", "long", "2-d", "nan", "inf"])
+    def test_bad_scorer_output_refused(self, output, message):
+        """`_sort_items` zips articles with scores, so a short output would
+        drop articles from the ranking, and a NaN would sort anywhere."""
+        corpus = self.build_world()
+        day = dt.datetime.fromtimestamp(T0, tz=dt.timezone.utc).date()
+        with pytest.raises(EvalError, match=re.escape(f"scorer of {day}, user 'u0': {message}")):
+            offline_eval(corpus, {day: lambda profile, articles, at: output(len(articles))})
+
     def test_schema_mismatch_refused(self):
         corpus = self.build_world()
         stale = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
@@ -856,9 +871,9 @@ def assert_studies_match_oracle(monkeypatch, corpus, stream, other, manual):
         oracle = {name: outcome(run) for name, run in runs.items()}
     assert memo == oracle
 
-    memo = evaluation._ListValues(corpus, ProfileCache(corpus))
+    memo = evaluation._ListValues(corpus)
     assert (evaluation._metric_pass(stream, memo)
-            == evaluation._metric_pass(stream, NoMemoValues(corpus, None)))
+            == evaluation._metric_pass(stream, NoMemoValues(corpus)))
 
 
 LIST_POOL = ((), ("a",), ("a", "b", "c"), ("c", "b", "a"), ("e", "f", "g"),
@@ -896,7 +911,7 @@ class TestListValueMemo:
         """u1's [a, b, c] at 2h and at 4h have the same ids and diversity, but
         u1 clicked b at 3h, so serendipity must be computed again."""
         corpus = memo_corpus()
-        memo = evaluation._ListValues(corpus, ProfileCache(corpus))
+        memo = evaluation._ListValues(corpus)
         ids = ("a", "b", "c")
         assert memo.serendipity(ids, "u1", T0 + 2 * H) != memo.serendipity(ids, "u1", T0 + 4 * H)
         assert memo.serendipity(ids, "u1", T0 + 2 * H) == memo.serendipity(

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import newsrec.features
 from newsrec.corpus import DAY, WEEK, Article, Corpus, Kind
 from newsrec.features import (SCHEMA_VERSION, SECTION_BUCKETS, TOP_K,
-                              FeatureError, LatestProfiles, ProfileCache, UserProfile,
+                              FeatureError, ProfileCache, UserProfile,
                               _pub_dow, _pub_hour, _topk_mass, article_table, build_profile,
                               build_training_set, empty_profile, extract_matrix,
                               feature_names, stable_bucket, write_schema)
@@ -246,15 +247,10 @@ class TestProfileCache:
         profile = self.check(cache, "nobody", T0 + DAY)
         assert profile.n_clicks == 0 and profile.embedding_norm == 0.0
 
-
-class TestLatestProfiles:
-    """Each user's latest click window only; a window left behind is built
-    again if asked for."""
-
-    check = TestProfileCache.check
-
     def test_holds_one_window_per_user(self, monkeypatch):
-        cache = LatestProfiles(TestProfileCache().build())
+        """Each user's latest click window only; a window left behind is
+        built again if asked for."""
+        cache = ProfileCache(self.build())
         built = []
 
         def counted(corpus, user_id, as_of):
@@ -273,6 +269,48 @@ class TestLatestProfiles:
         assert again is not only_a and again.n_clicks == 1
         assert self.check(cache, "u2", T0 + 3 * DAY) is other
         assert [user for user, _ in built] == ["u1", "u2", "u1", "u1"]
+
+    @given(st.data())
+    def test_any_time_order_builds_on_a_key_change_only(self, data):
+        """`get` for several users, forward and back in time: every profile
+        equals the linear-scan oracle, `build_profile` runs exactly when the
+        user's window key differs from that user's previous `get`, and at
+        most one profile per user stays alive."""
+        users = ("u1", "u2", "u3")
+        arts = [make_article(f"a{i}", tags=(f"t{i % 2}",), authors=(f"p{i}",),
+                             embedding=[i, 1, 0, 0], word_count=50 + 10 * i)
+                for i in range(3)]
+        # offsets in hours from T0 + WEEK; a gap over 168 h crosses a window
+        hours = st.sampled_from([-170.0, -168.0, -2.0, -1.0, 0.0, 0.5, 3.0,
+                                 30.0, 166.0, 168.0, 170.0, 200.0])
+        events = [(click if kind else impression)(user, aid, T0 + WEEK + h * H)
+                  for kind, user, aid, h in data.draw(st.lists(st.tuples(
+                      st.booleans(), st.sampled_from(users),
+                      st.sampled_from([a.id for a in arts]), hours), max_size=12))]
+        corpus = make_corpus(arts, events)
+        walk = data.draw(st.lists(st.tuples(st.sampled_from(users + ("nobody",)), hours),
+                                  min_size=1, max_size=24))
+        alive = []
+
+        def counted(corpus, user_id, as_of):
+            profile = build_profile(corpus, user_id, as_of)
+            alive.append(weakref.ref(profile))
+            return profile
+
+        cache = ProfileCache(corpus)
+        previous = {}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(newsrec.features, "build_profile", counted)
+            for user, h in walk:
+                at = T0 + WEEK + h * H
+                times = [e.at for e in events if e.kind is Kind.CLICK and e.user_id == user]
+                # positions of [at - 7d, at) in the user's time-sorted clicks
+                key = (sum(t < at - WEEK for t in times), sum(t < at for t in times))
+                before = len(alive)
+                assert_same_profile(cache.get(user, at), profile_oracle(corpus, user, at))
+                assert len(alive) - before == (key != previous.get(user))
+                previous[user] = key
+                assert sum(ref() is not None for ref in alive) <= len(previous)
 
 
 class TestExtract:

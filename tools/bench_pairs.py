@@ -9,13 +9,17 @@ PARENT and CHANGE are two checkouts of this repository. Each pair runs
 results in a temporary directory; the parent runs first in even-numbered
 pairs (0, 2, ...) and second in odd ones. For each end-to-end metric of the
 change's BENCHMARK.json it prints the median [lower, upper quartile] of each
-side, the change's relative move, how many pairs the change won, and whether
-the medians differ by more than the parent's interquartile spread. Then it
-prints whether every run's digests equal the first parent run's.
+side, the change's relative move, how many pairs the change won, whether
+the medians differ by more than the parent's interquartile spread, and
+whether the change's median is worse than the parent's by more than the
+metric's `bound`. Then it prints each side's failed share of operations
+(perfbench's `failed` over `attempted`, summed over the side's runs) and
+whether every run's digests equal the first parent run's.
 
-Exit status: 0 when every run is correct and every digest matches, 1 on a
-digest mismatch or a run that is not correct (including one that failed to
-finish), 2 on bad arguments. Standard library only.
+Exit status: 0 when every run is correct, every digest matches, no metric is
+worse beyond its bound and the change failed no larger share of operations
+than the parent; 1 otherwise (a run that failed to finish is not correct);
+2 on bad arguments. Standard library only.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from pathlib import Path
 
 def run_once(checkout: Path, workload: str, seed: int | None, seconds: float) -> dict:
     """One `perfbench/run.py --trace 0` run in `checkout`: `{"correct",
-    "metrics": {name: value}, "digests", "error"}`."""
+    "attempted", "failed", "metrics": {name: value}, "digests", "error"}`;
+    a run that did not finish reports no counts."""
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as results:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seconds", str(seconds), "--trace", "0", "--results-dir", results]
@@ -46,6 +51,7 @@ def run_once(checkout: Path, workload: str, seed: int | None, seconds: float) ->
         summary = json.loads(lines[-1])
         digests = json.loads(files[0].read_text(encoding="utf-8"))["digests"]
     return {"correct": bool(summary["correct"]), "error": None, "digests": digests,
+            "attempted": summary["attempted"], "failed": summary["failed"],
             "metrics": {name: m["value"] for name, m in summary["metrics"].items()}}
 
 
@@ -55,6 +61,15 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return q1, q2, q3
+
+
+def _failed_share(runs: list[dict]) -> dict:
+    """Failed over attempted operations, summed over `runs`; a run that did
+    not finish counts neither."""
+    attempted = sum(r.get("attempted", 0) for r in runs)
+    failed = sum(r.get("failed", 0) for r in runs)
+    return {"attempted": attempted, "failed": failed,
+            "share": failed / attempted if attempted else 0.0}
 
 
 def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> dict:
@@ -73,19 +88,27 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         base = _quartiles([p for p, _ in pairs])
         new = _quartiles([c for _, c in pairs])
         wins = sum(1 for p, c in pairs if (c > p if higher else c < p))
+        relative = (new[1] - base[1]) / base[1] if base[1] else None
         metrics[name] = {
             "unit": spec["unit"], "better": spec["better"], "n": len(pairs),
-            "parent": base, "change": new, "wins": wins,
-            "relative": (new[1] - base[1]) / base[1] if base[1] else None,
+            "parent": base, "change": new, "wins": wins, "relative": relative,
             "beyond_parent_iqr": abs(new[1] - base[1]) > base[2] - base[0],
+            "bound": spec["bound"],
+            "beyond_bound": relative is not None
+                            and (-relative if higher else relative) > spec["bound"],
         }
     runs = parent + change
     reference = parent[0]["digests"] if parent else None
     digests_match = reference is not None and all(r["digests"] == reference for r in runs)
     all_correct = all(r["correct"] for r in runs)
+    failed = {"parent": _failed_share(parent), "change": _failed_share(change)}
+    failed_share_rose = failed["change"]["share"] > failed["parent"]["share"]
+    within_bounds = not any(m["beyond_bound"] for m in metrics.values())
     return {"metrics": metrics, "digests_match": digests_match, "all_correct": all_correct,
+            "failed": failed, "failed_share_rose": failed_share_rose,
+            "within_bounds": within_bounds,
             "errors": [r["error"] for r in runs if r.get("error")],
-            "ok": digests_match and all_correct}
+            "ok": digests_match and all_correct and within_bounds and not failed_share_rose}
 
 
 def _number(value: float) -> str:
@@ -94,13 +117,19 @@ def _number(value: float) -> str:
 
 def format_summary(summary: dict) -> str:
     lines = [f"{'metric':<20}{'parent median [q1, q3]':>30}{'change median [q1, q3]':>30}"
-             f"{'move':>9}{'wins':>8}  beyond parent IQR"]
+             f"{'move':>9}{'wins':>8}  beyond parent IQR  worse beyond bound"]
     for name, m in summary["metrics"].items():
         cells = [f"{_number(q2)} [{_number(q1)}, {_number(q3)}]"
                  for q1, q2, q3 in (m["parent"], m["change"])]
         move = "" if m["relative"] is None else f"{m['relative']:+.1%}"
+        iqr = "yes" if m["beyond_parent_iqr"] else "no"
+        bound = f"{'YES' if m['beyond_bound'] else 'no'} ({m['bound']:.0%})"
         lines.append(f"{name:<20}{cells[0]:>30}{cells[1]:>30}{move:>9}"
-                     f"{m['wins']:>4}/{m['n']:<3}  {'yes' if m['beyond_parent_iqr'] else 'no'}")
+                     f"{m['wins']:>4}/{m['n']:<3}  {iqr:<17}  {bound}")
+    shares = [f"{side} {f['failed']}/{f['attempted']} ({f['share']:.2%})"
+              for side, f in summary["failed"].items()]
+    lines.append(f"failed share: {', '.join(shares)}"
+                 f"{' -- the change failed more' if summary['failed_share_rose'] else ''}")
     lines.append(f"digests match: {'yes' if summary['digests_match'] else 'NO'}")
     lines.append(f"every run correct: {'yes' if summary['all_correct'] else 'NO'}")
     lines.extend(f"error: {e}" for e in summary["errors"])
