@@ -45,7 +45,7 @@ pick = lambda ems, section: next(
 
 print(f"\n{uid}'s widget (fresh top-5) at +2.5 days, baseline vs dynamism:")
 b, d = pick(baseline, Section.MN_WIDGET), pick(dynamism, Section.MN_WIDGET)
-for (bid, bscore), (did, dscore) in zip(b.items, d.items):
+for bid, bscore, did, dscore in zip(b.ids, b.scores, d.ids, d.scores):
     age_b = (at - corpus.articles[bid].published_at) / 3600
     age_d = (at - corpus.articles[did].published_at) / 3600
     print(f"  {bid} ({bscore:.3f}, {age_b:4.1f}h old)   |   "
@@ -53,8 +53,8 @@ for (bid, bscore), (did, dscore) in zip(b.items, d.items):
 
 mean_age = lambda ems: sum(
     (l.at - corpus.articles[aid].published_at) / 3600
-    for l in ems if l.section is Section.MN_WIDGET and l.items
-    for aid, _ in l.items) / sum(
-    len(l.items) for l in ems if l.section is Section.MN_WIDGET)
+    for l in ems if l.section is Section.MN_WIDGET
+    for aid in l.ids) / sum(
+    len(l.ids) for l in ems if l.section is Section.MN_WIDGET)
 print(f"\nmean served-article age in the widget: "
       f"baseline {mean_age(baseline):.1f}h vs dynamism {mean_age(dynamism):.1f}h")

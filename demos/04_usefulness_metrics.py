@@ -29,8 +29,8 @@ pipe = PipelineConfig(
 emissions = run_pipeline(corpus, pipe, corpus.user_ids(), models=train_schedule(corpus, pipe))
 widget = [l for l in emissions if l.section is Section.MN_WIDGET and not l.fallback]
 
-lst = next(l for l in widget if len(l.items) >= 4)
-articles = [corpus.articles[aid] for aid in lst.ids()]
+lst = next(l for l in widget if len(l.ids) >= 4)
+articles = [corpus.articles[aid] for aid in lst.ids]
 print(f"one widget list for {lst.user_id} ({len(articles)} items):")
 for attr in AttributeKind:
     print(f"  intra-list diversity on {attr.value:10s} "
@@ -55,7 +55,7 @@ print(f"\nday-2 coverage of {len(published)} publications: "
 
 freqs = {}
 for l in day_lists:
-    for aid in l.ids():
+    for aid in l.ids:
         freqs[corpus.articles[aid].section] = freqs.get(corpus.articles[aid].section, 0) + 1
 print(f"served-section dispersion: gini {gini(freqs):.3f}, "
       f"entropy {entropy(freqs):.3f} bits")

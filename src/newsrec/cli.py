@@ -188,6 +188,9 @@ def load_config(path: str | Path, seed: Optional[int] = None,
     train = _build("train", TrainConfig, _section(
         "train", raw.get("train", {}), _field_kinds(TrainConfig), problems), problems)
     pipe = _section("pipeline", raw.get("pipeline", {}), _PIPELINE_KEYS, problems)
+    start_day_offset = pipe.get("start_day_offset", 1)
+    if start_day_offset < 0:  # it would serve before the corpus starts
+        problems.append(f"pipeline: start_day_offset must be >= 0, not {start_day_offset}")
     pipeline = _build("pipeline", PipelineConfig, dict(
         t_start=0.0,  # a placeholder: _pipeline_config sets it from the corpus
         candidate_window=float(pipe.get("candidate_window_days", 7.0)) * DAY,
@@ -221,6 +224,10 @@ def load_config(path: str | Path, seed: Optional[int] = None,
     if not isinstance(eval_ks, list) or any(
             isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in eval_ks):
         problems.append("eval_ks must be a list of integers >= 1")
+    else:
+        for i, k in enumerate(eval_ks):
+            if k in eval_ks[:i]:
+                problems.append(f"eval_ks: {k} is listed more than once")
     try:
         variant = TTestVariant(raw.get("variant", "student"))
     except ValueError:
@@ -234,7 +241,7 @@ def load_config(path: str | Path, seed: Optional[int] = None,
         world=world,
         corpus_files=corpus_files,
         pipeline=pipeline,
-        start_day_offset=pipe.get("start_day_offset", 1),
+        start_day_offset=start_day_offset,
         treatments=tuple(treatments),
         manual_updates=manual_updates,
         eval_ks=tuple(eval_ks),
@@ -277,7 +284,7 @@ def _read_lists(path: Path, corpus: Corpus, manual: bool = False) -> list[Ranked
         if (lst.section is Section.MANUAL) != manual:
             stream = "the manual stream" if manual else "a treatment's emission log"
             raise ValueError(f"a {lst.section.value} list in {stream}")
-        for aid in lst.ids():
+        for aid in lst.ids:
             if aid not in corpus.articles:
                 raise ValueError(f"article id {aid!r} is not in the corpus")
 
@@ -288,8 +295,9 @@ def _read_lists(path: Path, corpus: Corpus, manual: bool = False) -> list[Ranked
 
 
 def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus) -> PipelineConfig:
-    """The config's pipeline, starting `start_day_offset` days after the
-    corpus's first day and before its last instant."""
+    """The config's pipeline, starting `start_day_offset` (>= 0, checked by
+    `load_config`) days after the corpus's first day and before its last
+    instant."""
     first, last = corpus.time_span()
     t_start = day_start(first) + cfg.start_day_offset * DAY
     if t_start >= last:

@@ -136,12 +136,15 @@ def offline_eval(corpus: Corpus, scorers: Mapping[dt.date, Scorer],
     `scorers` maps each day to the scorer of the model trained through the
     previous day (see `scorers_from_schedule`). User-days without clicks
     are skipped (macro-averaging over defined samples only). Each k of `ks`
-    must be an integer >= 1; any other is refused before the replay. Scorer
-    output other than one finite score per pool article raises EvalError.
+    must be an integer >= 1, listed once; any other is refused before the
+    replay. Scorer output other than one finite score per pool article
+    raises EvalError.
     """
-    for k in ks:
+    for i, k in enumerate(ks):
         if _integer(k, "k", EvalError) < 1:
             raise EvalError(f"k must be >= 1, not {k}")
+        if k in ks[:i]:  # each user-day would be counted once per listing
+            raise EvalError(f"k {k} is listed more than once")
     ndcg_samples: list[float] = []
     pr_samples: dict[int, list[tuple[float, float]]] = {k: [] for k in ks}
     for day, scorer in sorted(scorers.items()):
@@ -158,7 +161,7 @@ def offline_eval(corpus: Corpus, scorers: Mapping[dt.date, Scorer],
                 raise EvalError(f"{where}: {got} scores for {n} pool articles")
             if not np.isfinite(scores).all():
                 raise EvalError(f"{where}: score {scores[~np.isfinite(scores)][0]} is not finite")
-            ranking = [aid for aid, _ in _sort_items(zip(articles, scores))]
+            ranking = _sort_items(zip(articles, scores))[0]
             value = ndcg(ranking, clicks)
             if value is None:
                 continue
@@ -475,9 +478,8 @@ def _metric_pass(emissions: Sequence[RankedList], memo: _ListValues):
     tops = [lst.top(TOP_N) for lst in ordered]
     divs, sers = [], []
     for top in tops:
-        ids = tuple(aid for aid, _ in top.items)
-        divs.append(memo.diversity(ids))
-        sers.append(memo.serendipity(ids, top.user_id, top.at))
+        divs.append(memo.diversity(top.ids))
+        sers.append(memo.serendipity(top.ids, top.user_id, top.at))
     daily = _daily_coverage(memo.corpus, ((t.at, t) for t in tops), COVERAGE_SCOPES)
     return tops, _consecutive_dynamism(tops), divs, sers, daily
 
@@ -538,7 +540,7 @@ def ndcg_by_section(emissions: Sequence[RankedList], corpus: Corpus
         clicked = clicks.get(key)
         if not clicked:
             continue
-        value = ndcg(lst.ids(), clicked)
+        value = ndcg(lst.ids, clicked)
         if value is not None:
             acc.setdefault(key, []).append(value)
     out: dict[Section, list[float]] = {
@@ -614,13 +616,12 @@ def compare_manual_recsys(manual_stream: Sequence[RankedList],
     # per list, values in ALL_ATTRIBUTES order: manual diversity per manual
     # list; per aligned pair, the recsys list's diversity and both lists'
     # serendipity for the aligned user at the manual update
-    manual_div = [memo.diversity(tuple(manual.ids())) for manual in manual_stream]
+    manual_div = [memo.diversity(manual.ids) for manual in manual_stream]
     recsys_div, manual_ser, recsys_ser = [], [], []
     for manual, lst in pairs:
-        manual_ids, ids = tuple(manual.ids()), tuple(lst.ids())
-        recsys_div.append(memo.diversity(ids))
-        manual_ser.append(memo.serendipity(manual_ids, lst.user_id, manual.at))
-        recsys_ser.append(memo.serendipity(ids, lst.user_id, manual.at))
+        recsys_div.append(memo.diversity(lst.ids))
+        manual_ser.append(memo.serendipity(manual.ids, lst.user_id, manual.at))
+        recsys_ser.append(memo.serendipity(lst.ids, lst.user_id, manual.at))
 
     def defined(values: Iterable[Optional[float]]) -> list[float]:
         return [v for v in values if v is not None]

@@ -66,35 +66,37 @@ SECTION_CAPS = {Section.MANUAL: 5, Section.MN_WIDGET: 5, Section.MISSED_LW: 5}
 
 @dataclass(frozen=True, slots=True)
 class RankedList:
+    """One served list, in the emission log's form: its article `ids` in
+    rank order and their `scores`, one per id and non-increasing, with an
+    optional recommendation label per item."""
     user_id: str
     section: Section
     at: float
-    items: tuple[tuple[str, float], ...]
+    ids: tuple[str, ...]
+    scores: tuple[float, ...]
     fallback: bool = False
     rec_labels: Optional[tuple[bool, ...]] = None
 
     def __post_init__(self):
+        ids, scores = self.ids, self.scores
+        if len(ids) != len(scores):
+            raise RankerError(f"{len(ids)} ids but {len(scores)} scores")
         cap = SECTION_CAPS.get(self.section)
-        if cap is not None and len(self.items) > cap:
+        if cap is not None and len(ids) > cap:
             raise RankerError(f"{self.section.value} list exceeds cap {cap}")
-        ids = [aid for aid, _ in self.items]
         if len(set(ids)) != len(ids):
             raise RankerError("duplicate article ids in ranked list")
-        scores = [s for _, s in self.items]
         if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
             raise RankerError("items must be sorted non-increasing by score")
-        if self.rec_labels is not None and len(self.rec_labels) != len(self.items):
+        if self.rec_labels is not None and len(self.rec_labels) != len(ids):
             raise RankerError("rec_labels must be as long as items")
-
-    def ids(self) -> list[str]:
-        return [aid for aid, _ in self.items]
 
     def top(self, n: int) -> "RankedList":
         """The list cut to its first `n` items; the list itself when it is no
         longer (it is frozen, so sharing it is safe)."""
-        if n >= len(self.items):
+        if n >= len(self.ids):
             return self
-        return RankedList(self.user_id, self.section, self.at, self.items[:n],
+        return RankedList(self.user_id, self.section, self.at, self.ids[:n], self.scores[:n],
                           self.fallback,
                           self.rec_labels[:n] if self.rec_labels is not None else None)
 
@@ -140,22 +142,22 @@ def candidates(corpus: Corpus, at: float, window: float) -> list[Article]:
     return corpus.published_between(at - window, at)
 
 
-def _sort_items(scored: Iterable[tuple[Article, float]]) -> list[tuple[str, float]]:
-    # Score descending, then newest publication, then lexicographic id.
+def _sort_items(scored: Iterable[tuple[Article, float]]
+                ) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The (ids, scores) of the scored articles, ordered by score descending,
+    then newest publication, then lexicographic id."""
     ordered = sorted(scored, key=lambda p: (-p[1], -p[0].published_at, p[0].id))
-    return [(a.id, float(s)) for a, s in ordered]
+    return tuple(a.id for a, _ in ordered), tuple(float(s) for _, s in ordered)
 
 
 def rank(model: TreeEnsemble, profile: UserProfile, cands: Sequence[Article],
          at: float, corpus: Corpus) -> RankedList:
     """Score candidates for one user and return the full MNPage ranking."""
     if not cands:
-        return RankedList(profile.user_id, Section.MN_PAGE, at, ())
-    ids = [a.id for a in cands]
-    X = extract_matrix([profile], ids, at, corpus)
+        return RankedList(profile.user_id, Section.MN_PAGE, at, (), ())
+    X = extract_matrix([profile], [a.id for a in cands], at, corpus)
     scores = model.predict_matrix(X)
-    items = _sort_items(zip(cands, scores))
-    return RankedList(profile.user_id, Section.MN_PAGE, at, tuple(items))
+    return RankedList(profile.user_id, Section.MN_PAGE, at, *_sort_items(zip(cands, scores)))
 
 
 def slice_sections(full: RankedList, at: float, corpus: Corpus,
@@ -165,18 +167,21 @@ def slice_sections(full: RankedList, at: float, corpus: Corpus,
     that order, each built once: the strips keep the full list's order (age
     exactly 24h still counts as fresh), the page is cut to `mnpage_cap`
     items (None keeps all), and an item is labelled by `id in recommended`."""
-    strips: dict[Section, list] = {Section.MN_WIDGET: [], Section.MISSED_LW: []}
-    for aid, score in full.items:
+    strips: dict[Section, tuple[list, list]] = {Section.MN_WIDGET: ([], []),
+                                                Section.MISSED_LW: ([], [])}
+    for aid, score in zip(full.ids, full.scores):
         age = at - corpus.articles[aid].published_at
         if age <= WEEK:
             section = Section.MN_WIDGET if age <= DAY else Section.MISSED_LW
-            if len(strips[section]) < SECTION_CAPS[section]:
-                strips[section].append((aid, score))
-    strips[Section.MN_PAGE] = full.items[:mnpage_cap]
-    return {section: RankedList(full.user_id, section, at, tuple(items),
+            ids, scores = strips[section]
+            if len(ids) < SECTION_CAPS[section]:
+                ids.append(aid)
+                scores.append(score)
+    strips[Section.MN_PAGE] = (full.ids[:mnpage_cap], full.scores[:mnpage_cap])
+    return {section: RankedList(full.user_id, section, at, tuple(ids), tuple(scores),
                                 fallback=full.fallback,
-                                rec_labels=tuple(aid in recommended for aid, _ in items))
-            for section, items in strips.items()}
+                                rec_labels=tuple(aid in recommended for aid in ids))
+            for section, (ids, scores) in strips.items()}
 
 
 def dyn_score_at(published_at: float, t_start: float) -> float:
@@ -194,12 +199,12 @@ def rerank(full: RankedList, blend_lambda: float, t_start: float,
     if not 0.0 <= blend_lambda <= 1.0:
         raise RankerError("lambda must be in [0, 1]")
     rescored = []
-    for aid, score in full.items:
+    for aid, score in zip(full.ids, full.scores):
         art = corpus.articles[aid]
         rescored.append((art, blend_lambda * score + (1.0 - blend_lambda)
                          * dyn_score_at(art.published_at, t_start)))
-    return RankedList(full.user_id, full.section, full.at,
-                      tuple(_sort_items(rescored)), fallback=full.fallback)
+    return RankedList(full.user_id, full.section, full.at, *_sort_items(rescored),
+                      fallback=full.fallback)
 
 
 # --------------------------------------------------------------------------
@@ -331,8 +336,8 @@ def _block_lists(users: Sequence[str], tick: _Tick, scores: np.ndarray, labels: 
                  user_order[tick.missed[user_order]][:SECTION_CAPS[Section.MISSED_LW]]),
                 (Section.MN_PAGE, user_order[:mnpage_cap])):
             lists.append(RankedList(user, section, tick.at,
-                                    tuple(zip([tick.ids[i] for i in picked.tolist()],
-                                              user_scores[picked].tolist())),
+                                    tuple([tick.ids[i] for i in picked.tolist()]),
+                                    tuple(user_scores[picked].tolist()),
                                     fallback=fallback,
                                     rec_labels=tuple(user_labels[picked].tolist())))
     return lists
@@ -470,8 +475,8 @@ def manual_lists(corpus: Corpus, t_start: float, t_end: float, rng_seed: int = 0
             # log damping keeps editor noise relevant once clicks accumulate
             scored = [(a, math.log1p(click_counts.get(a.id, 0)) + 1.5 * rng.random())
                       for a in pool]
-            items = _sort_items(scored)[:5]
-            out.append(RankedList(MANUAL_USER, Section.MANUAL, at, tuple(items)))
+            ids, scores = _sort_items(scored)
+            out.append(RankedList(MANUAL_USER, Section.MANUAL, at, ids[:5], scores[:5]))
         day += DAY
     return out
 
@@ -485,8 +490,8 @@ def _emission_record(lst: RankedList) -> dict:
         "user": lst.user_id,
         "section": lst.section.value,
         "at": lst.at,
-        "ids": [aid for aid, _ in lst.items],
-        "scores": [s for _, s in lst.items],
+        "ids": list(lst.ids),
+        "scores": list(lst.scores),
         "fallback": lst.fallback,
     }
     if lst.rec_labels is not None:
@@ -495,9 +500,6 @@ def _emission_record(lst: RankedList) -> dict:
 
 
 def _parse_emission(obj) -> RankedList:
-    ids, scores = _str_list(obj, "ids"), obj["scores"]
-    if len(ids) != len(scores):
-        raise RankerError(f"{len(ids)} ids but {len(scores)} scores")
     labels = obj.get("rec_labels")
     if labels is not None and (not isinstance(labels, list)
                                or any(not isinstance(x, bool) for x in labels)):
@@ -509,7 +511,8 @@ def _parse_emission(obj) -> RankedList:
         user_id=_str(obj, "user"),
         section=Section(obj["section"]),
         at=_finite_number(obj["at"], "at"),
-        items=tuple((aid, _finite_number(s, "a score")) for aid, s in zip(ids, scores)),
+        ids=tuple(_str_list(obj, "ids")),
+        scores=tuple(_finite_number(s, "a score") for s in obj["scores"]),
         fallback=fallback,
         rec_labels=tuple(labels) if labels is not None else None,
     )

@@ -117,10 +117,8 @@ def intra_list_diversity(articles: Sequence[Article], attr: AttributeKind, *,
     return sum(1.0 - s for s in sims) / len(sims)
 
 
-def _ids_of(obj) -> list[str]:
-    if isinstance(obj, RankedList):
-        return [aid for aid, _ in obj.items]
-    return list(obj)
+def _ids_of(obj) -> Sequence[str]:
+    return obj.ids if isinstance(obj, RankedList) else list(obj)
 
 
 def dynamism(l1, l2) -> Optional[float]:
@@ -196,7 +194,7 @@ def coverage(emissions: Iterable[RankedList | Sequence[str]], published: Iterabl
         per_user: dict[str, set[str]] = {}
         for lst in emissions:
             served = per_user.setdefault(lst.user_id, set())
-            served.update(aid for aid, _ in lst.items)
+            served.update(lst.ids)
         if not per_user:
             return 0.0
         shares = [len(served & pub) / len(pub) for _, served in sorted(per_user.items())]

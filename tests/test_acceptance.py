@@ -181,13 +181,13 @@ def test_criterion_1_metric_oracle_equivalence():
                 pool = published + ids
                 served = rng.choice(pool, size=int(rng.integers(1, min(5, len(pool) + 1))),
                                     replace=False)
-                items = tuple((aid, float(len(served) - k))
-                              for k, aid in enumerate(served))
-                lists.append(RankedList(f"u{u}", Section.MN_PAGE, T0 + u, items))
+                lists.append(RankedList(f"u{u}", Section.MN_PAGE, T0 + u, tuple(served),
+                                        tuple(float(len(served) - k)
+                                              for k in range(len(served)))))
             got_all = coverage(lists, published, CoverageScope.ALL_USERS)
             union = set()
             for lst in lists:
-                union.update(lst.ids())
+                union.update(lst.ids)
             assert abs(got_all - len(union & set(published)) / len(published)) <= 1e-12
             got_per = coverage(lists, published, CoverageScope.PER_USER)
             per = []
@@ -195,7 +195,7 @@ def test_criterion_1_metric_oracle_equivalence():
                 served = set()
                 for lst in lists:
                     if lst.user_id == uid:
-                        served.update(lst.ids())
+                        served.update(lst.ids)
                 per.append(len(served & set(published)) / len(published))
             assert abs(got_per - sum(per) / len(per)) <= 1e-12
 
@@ -225,13 +225,13 @@ def test_criterion_2_recency_and_rerank():
         pairs = sorted(zip(arts, scores),
                        key=lambda p: (-p[1], -p[0].published_at, p[0].id))
         full = RankedList("u1", Section.MN_PAGE, T0 + 97 * 3600.0,
-                          tuple((a.id, float(s)) for a, s in pairs))
+                          tuple(a.id for a, _ in pairs), tuple(float(s) for _, s in pairs))
 
         identity = rerank(full, 1.0, T0, corpus)
-        assert identity.ids() == full.ids()
+        assert identity.ids == full.ids
 
         recency = rerank(full, 0.0, T0, corpus)
-        pubs = [corpus.articles[aid].published_at for aid in recency.ids()]
+        pubs = [corpus.articles[aid].published_at for aid in recency.ids]
         assert pubs == sorted(pubs, reverse=True)
 
 

@@ -382,6 +382,8 @@ class TestErrors:
         ("train", {"features": {"section_buckets": 0}}, "unknown top-level keys ['features']"),
         ("train", {"features": {"top_k": 3}}, "unknown top-level keys ['features']"),
         ("evaluate", {"eval_ks": [0]}, "eval_ks must be a list of integers >= 1"),
+        # each user-day would be counted once per listing
+        ("evaluate", {"eval_ks": [5, 5]}, "eval_ks: 5 is listed more than once"),
         ("run", {"manual_updates_per_day": [-3, -1]}, "manual_updates_per_day: must be"),
         ("run", {"manual_updates_per_day": 5}, "manual_updates_per_day: must be"),
         ("run", {"manual_updates_per_day": ["a", "b"]}, "manual_updates_per_day: must be"),
@@ -423,8 +425,8 @@ class TestErrors:
          "pipeline: unknown keys ['t_start']"),
         ("generate", {"world": {**SMOKE_CFG["world"], "zipf_exponent": HUGE_INT}},
          f"world: zipf_exponent must be finite, not {HUGE_INT}"),
-    ], ids=["rng-seed", "section-buckets", "top-k", "eval-ks", "updates-negative",
-            "updates-int", "updates-strings", "updates-float", "updates-bool",
+    ], ids=["rng-seed", "section-buckets", "top-k", "eval-ks", "eval-ks-repeated",
+            "updates-negative", "updates-int", "updates-strings", "updates-float", "updates-bool",
             "updates-zero", "treatments-run", "treatments-compare",
             "treatments-duplicate-run", "treatments-duplicate-compare", "seed-string",
             "seed-float", "seed-bool", "seed-negative", "world-seed-negative", "out-int", "world-int-float", "world-number-string",
@@ -453,9 +455,11 @@ class TestErrors:
         ({"start_day_offset": 1000}, "start_day_offset 1000 starts the pipeline at "
                                      "2026-09-27T00:00:00+00:00, not before the corpus ends "
                                      "at 2024-01-"),
+        # before the corpus's first day: lists served before anything was published
+        ({"start_day_offset": -3}, "start_day_offset must be >= 0, not -3"),
     ], ids=["lambda", "window", "cap-0", "cap-minus-1", "unknown-key", "hour-float",
             "offset-float", "cap-float", "refresh-string", "lambda-bool", "t-start-null",
-            "offset-past-end"])
+            "offset-past-end", "offset-negative"])
     def test_bad_pipeline_section_exit_2(self, chain, tmp_path, capsys, pipeline, message):
         out, _ = chain
         smoke = json.loads(SMOKE.read_text())

@@ -121,7 +121,8 @@ class TestOfflineEval:
         (0, "k must be >= 1, not 0"),
         (-1, "k must be >= 1, not -1"),
         (5.5, "k must be an integer, not 5.5"),
-    ], ids=["zero", "negative", "fractional"])
+        (5, "k 5 is listed more than once"),  # its user-days would count twice
+    ], ids=["zero", "negative", "fractional", "repeated"])
     def test_bad_k_refused_before_replay(self, k, message):
         corpus = self.build_world()
         replayed = []
@@ -294,8 +295,8 @@ def hand_built_corpus():
 
 
 def hand_built_list(user, section, at, *ids, fallback=False):
-    items = tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids))
-    return RankedList(user, section, at, items, fallback=fallback)
+    return RankedList(user, section, at, ids, tuple(float(len(ids) - i) for i in range(len(ids))),
+                      fallback=fallback)
 
 
 def hand_built_treatment_stream():
@@ -637,7 +638,7 @@ class TestMidnightPublication:
 
     def lists(self, user, section, *served):
         return [RankedList(user, section, T0 + at * self.H,
-                           tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids)))
+                           ids, tuple(float(len(ids) - i) for i in range(len(ids))))
                 for at, ids in served]
 
     def recsys(self):
@@ -692,7 +693,7 @@ class TestProfileCacheScope:
 
     def lists(self, user, section, *served):
         return [RankedList(user, section, T0 + at * self.H,
-                           tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids)))
+                           ids, tuple(float(len(ids) - i) for i in range(len(ids))))
                 for at, ids in served]
 
     def streams(self):
@@ -954,7 +955,7 @@ class TestListValueMemo:
             return [(ids, attr) for ids, _ in keys for attr in ALL_ATTRIBUTES]
 
         def cuts(lists):
-            return [(tuple(l.ids()[:5]), l.user_id, l.at) for l in lists]
+            return [(l.ids[:5], l.user_id, l.at) for l in lists]
 
         widget = [l for l in stream if l.section is Section.MN_WIDGET and not l.fallback]
         pairs = evaluation.align(sorted(manual, key=lambda l: l.at), widget)
@@ -964,10 +965,10 @@ class TestListValueMemo:
             "compare_treatments": (diversity_calls(ids for ids, _, _ in cuts(stream + other)),
                                    serendipity_calls(cuts(stream + other))),
             "compare_manual_recsys": (
-                diversity_calls([tuple(m.ids()) for m in manual]
-                                + [tuple(l.ids()) for _, l in pairs]),
-                serendipity_calls([(tuple(m.ids()), l.user_id, m.at) for m, l in pairs]
-                                  + [(tuple(l.ids()), l.user_id, m.at) for m, l in pairs])),
+                diversity_calls([m.ids for m in manual]
+                                + [l.ids for _, l in pairs]),
+                serendipity_calls([(m.ids, l.user_id, m.at) for m, l in pairs]
+                                  + [(l.ids, l.user_id, m.at) for m, l in pairs])),
         }
         for name, run in studies(corpus, stream, other, manual).items():
             for calls_of in calls.values():
@@ -1025,7 +1026,7 @@ class TestListValueMemo:
                     [(item, attr) for item in items for attr in ALL_ATTRIBUTES], slots)
 
         def cuts(lists):
-            return [(tuple(l.ids()[:5]), l.user_id, l.at) for l in lists]
+            return [(l.ids[:5], l.user_id, l.at) for l in lists]
 
         widget = [l for l in stream if l.section is Section.MN_WIDGET and not l.fallback]
         pairs = evaluation.align(sorted(manual, key=lambda l: l.at), widget)
@@ -1035,9 +1036,9 @@ class TestListValueMemo:
             "compare_treatments": expected([ids for ids, _, _ in cuts(stream + other)],
                                            cuts(stream + other)),
             "compare_manual_recsys": expected(
-                [tuple(m.ids()) for m in manual] + [tuple(l.ids()) for _, l in pairs],
-                [(tuple(m.ids()), l.user_id, m.at) for m, l in pairs]
-                + [(tuple(l.ids()), l.user_id, m.at) for m, l in pairs]),
+                [m.ids for m in manual] + [l.ids for _, l in pairs],
+                [(m.ids, l.user_id, m.at) for m, l in pairs]
+                + [(l.ids, l.user_id, m.at) for m, l in pairs]),
         }
         for name, run in studies(corpus, stream, other, manual).items():
             for calls_of in calls.values():

@@ -95,7 +95,7 @@ class TestRank:
         art = make_article("a1", T0)
         corpus = Corpus([art], [], 4)
         lst = rank(constant_model(WIDTH), empty_profile("u1", 4), [art], T0, corpus)
-        assert len(lst.items) == 1
+        assert len(lst.ids) == 1
         assert lst.section is Section.MN_PAGE
 
     def test_equal_scores_newer_first_then_id(self):
@@ -104,53 +104,54 @@ class TestRank:
         corpus = Corpus(arts, [], 4)
         lst = rank(constant_model(WIDTH), empty_profile("u1", 4),
                    arts, T0, corpus)
-        assert lst.ids() == ["apple", "newer", "older"]
+        assert lst.ids == ("apple", "newer", "older")
 
     def test_input_order_irrelevant(self):
         arts = [make_article(f"a{i}", T0 - i * 60) for i in range(6)]
         corpus = Corpus(arts, [], 4)
         prof = empty_profile("u1", 4)
         model = constant_model(WIDTH)
-        base = rank(model, prof, arts, T0, corpus).ids()
-        assert rank(model, prof, arts[::-1], T0, corpus).ids() == base
+        base = rank(model, prof, arts, T0, corpus).ids
+        assert rank(model, prof, arts[::-1], T0, corpus).ids == base
 
     def test_empty_candidates(self):
         corpus = Corpus([], [], 4)
         lst = rank(constant_model(WIDTH), empty_profile("u1", 4), [], T0, corpus)
-        assert lst.items == ()
+        assert lst.ids == ()
 
 
 class TestSliceSections:
     def make_full(self, ages_hours):
         arts = [make_article(f"a{i}", T0 - h * 3600) for i, h in enumerate(ages_hours)]
         corpus = Corpus(arts, [], 4)
-        items = tuple((a.id, float(len(arts) - i)) for i, a in enumerate(arts))
-        return corpus, RankedList("u1", Section.MN_PAGE, T0, items)
+        ids = tuple(a.id for a in arts)
+        scores = tuple(float(len(arts) - i) for i in range(len(arts)))
+        return corpus, RankedList("u1", Section.MN_PAGE, T0, ids, scores)
 
     def test_all_old_widget_empty(self):
         corpus, full = self.make_full([30, 40, 50])
         sections = slice_sections(full, T0, corpus, frozenset(), None)
-        assert sections[Section.MN_WIDGET].items == ()
-        assert len(sections[Section.MISSED_LW].items) == 3
+        assert sections[Section.MN_WIDGET].ids == ()
+        assert len(sections[Section.MISSED_LW].ids) == 3
 
     def test_caps_at_five(self):
         corpus, full = self.make_full([1, 2, 3, 4, 5, 6, 7] + [30, 31, 32, 33, 34, 35, 36])
         sections = slice_sections(full, T0, corpus, frozenset(), None)
-        assert len(sections[Section.MN_WIDGET].items) == 5
-        assert len(sections[Section.MISSED_LW].items) == 5
-        assert len(sections[Section.MN_PAGE].items) == 14
+        assert len(sections[Section.MN_WIDGET].ids) == 5
+        assert len(sections[Section.MISSED_LW].ids) == 5
+        assert len(sections[Section.MN_PAGE].ids) == 14
 
     def test_exactly_24h_is_fresh(self):
         corpus, full = self.make_full([24])
         sections = slice_sections(full, T0, corpus, frozenset(), None)
-        assert sections[Section.MN_WIDGET].ids() == ["a0"]
-        assert sections[Section.MISSED_LW].items == ()
+        assert sections[Section.MN_WIDGET].ids == ("a0",)
+        assert sections[Section.MISSED_LW].ids == ()
 
     def test_order_preserved(self):
         corpus, full = self.make_full([2, 30, 1, 40, 3])
         sections = slice_sections(full, T0, corpus, frozenset(), None)
-        assert sections[Section.MN_WIDGET].ids() == ["a0", "a2", "a4"]
-        assert sections[Section.MISSED_LW].ids() == ["a1", "a3"]
+        assert sections[Section.MN_WIDGET].ids == ("a0", "a2", "a4")
+        assert sections[Section.MISSED_LW].ids == ("a1", "a3")
 
     def test_labels_follow_recommended_and_page_is_capped(self):
         corpus, full = self.make_full([2, 30, 1, 40, 3])
@@ -159,8 +160,8 @@ class TestSliceSections:
         assert sections[Section.MN_WIDGET].rec_labels == (True, False, True)
         assert sections[Section.MISSED_LW].rec_labels == (False, True)
         page = sections[Section.MN_PAGE]
-        assert page.ids() == ["a0", "a1", "a2"] and page.rec_labels == (True, False, False)
-        assert sections[Section.MN_WIDGET].ids() == ["a0", "a2", "a4"]  # cap is page-only
+        assert page.ids == ("a0", "a1", "a2") and page.rec_labels == (True, False, False)
+        assert sections[Section.MN_WIDGET].ids == ("a0", "a2", "a4")  # cap is page-only
 
 
 class TestDynScore:
@@ -189,32 +190,32 @@ class TestRerank:
         corpus = Corpus(arts, [], 4)
         pairs = sorted(zip(arts, [s for _, s in pubs_scores]),
                        key=lambda x: (-x[1], -x[0].published_at, x[0].id))
-        items = tuple((a.id, s) for a, s in pairs)
-        return corpus, RankedList("u1", Section.MN_PAGE, T0 + 100 * 3600, items)
+        ids, scores = tuple(a.id for a, _ in pairs), tuple(s for _, s in pairs)
+        return corpus, RankedList("u1", Section.MN_PAGE, T0 + 100 * 3600, ids, scores)
 
     def test_lambda_one_is_order_identity(self):
         corpus, full = self.make_list([(1, 0.9), (50, 0.5), (20, 0.7)])
         out = rerank(full, 1.0, T0, corpus)
-        assert out.ids() == full.ids()
+        assert out.ids == full.ids
 
     def test_lambda_zero_sorts_by_recency(self):
         corpus, full = self.make_list([(1, 0.9), (50, 0.5), (20, 0.7)])
         out = rerank(full, 0.0, T0, corpus)
-        pubs = [corpus.articles[aid].published_at for aid in out.ids()]
+        pubs = [corpus.articles[aid].published_at for aid in out.ids]
         assert pubs == sorted(pubs, reverse=True)
 
     def test_blended_score_numeric(self):
         corpus, full = self.make_list([(1, 0.8)])
         out = rerank(full, 0.5, T0, corpus)
         expected = 0.5 * 0.8 + 0.5 * (1 - 1 / (1 + math.log(2)))
-        assert out.items[0][1] == pytest.approx(expected, abs=1e-9)
-        assert out.items[0][1] == pytest.approx(0.6047, abs=5e-5)
+        assert out.scores[0] == pytest.approx(expected, abs=1e-9)
+        assert out.scores[0] == pytest.approx(0.6047, abs=5e-5)
 
     def test_membership_preserved(self):
         corpus, full = self.make_list([(1, 0.9), (50, 0.5), (20, 0.7), (30, 0.2)])
         out = rerank(full, 0.3, T0, corpus)
-        assert sorted(out.ids()) == sorted(full.ids())
-        assert len(out.items) == len(full.items)
+        assert sorted(out.ids) == sorted(full.ids)
+        assert len(out.ids) == len(full.ids)
 
     def test_lambda_out_of_range(self):
         corpus, full = self.make_list([(1, 0.9)])
@@ -224,40 +225,45 @@ class TestRerank:
 
 class TestRankedListInvariants:
     def test_caps_enforced(self):
-        items = tuple((f"a{i}", float(10 - i)) for i in range(6))
+        ids, scores = tuple(f"a{i}" for i in range(6)), tuple(float(10 - i) for i in range(6))
         with pytest.raises(RankerError, match="cap"):
-            RankedList("u", Section.MN_WIDGET, T0, items)
+            RankedList("u", Section.MN_WIDGET, T0, ids, scores)
 
     def test_no_duplicates(self):
         with pytest.raises(RankerError, match="duplicate"):
-            RankedList("u", Section.MN_PAGE, T0, (("a", 1.0), ("a", 0.5)))
+            RankedList("u", Section.MN_PAGE, T0, ("a", "a"), (1.0, 0.5))
+
+    @pytest.mark.parametrize("ids, scores", [(("a", "b"), (1.0,)), (("a",), (1.0, 0.5))],
+                             ids=["fewer-scores", "more-scores"])
+    def test_one_score_per_id(self, ids, scores):
+        with pytest.raises(RankerError, match=f"{len(ids)} ids but {len(scores)} scores"):
+            RankedList("u", Section.MN_PAGE, T0, ids, scores)
 
     def test_sorted_by_score(self):
         with pytest.raises(RankerError, match="sorted"):
-            RankedList("u", Section.MN_PAGE, T0, (("a", 0.5), ("b", 1.0)))
+            RankedList("u", Section.MN_PAGE, T0, ("a", "b"), (0.5, 1.0))
 
     @pytest.mark.parametrize("labels", [(True,), (True, False, True), ()])
     def test_rec_labels_as_long_as_items(self, labels):
         with pytest.raises(RankerError, match="rec_labels must be as long as items"):
-            RankedList("u", Section.MN_PAGE, T0, (("a", 1.0), ("b", 0.5)),
-                       rec_labels=labels)
+            RankedList("u", Section.MN_PAGE, T0, ("a", "b"), (1.0, 0.5), rec_labels=labels)
 
     @pytest.mark.parametrize("labels", [None, (), (True,)], ids=["unlabelled", "empty", "one"])
     def test_top_keeps_labels(self, labels):
-        items = (("a", 1.0),) if labels else ()
-        lst = RankedList("u", Section.MN_PAGE, T0, items, rec_labels=labels)
+        ids, scores = (("a",), (1.0,)) if labels else ((), ())
+        lst = RankedList("u", Section.MN_PAGE, T0, ids, scores, rec_labels=labels)
         assert lst.top(5) == lst
 
     def test_top_shares_a_short_list_and_cuts_a_long_one(self):
         """A list no longer than `n` is its own top `n`; a longer one is cut
         to a list equal to its prefix, labels included."""
-        items = tuple((f"a{i}", float(10 - i)) for i in range(7))
+        ids, scores = tuple(f"a{i}" for i in range(7)), tuple(float(10 - i) for i in range(7))
         labels = (True, False) * 3 + (True,)
-        short = RankedList("u", Section.MN_WIDGET, T0, items[:5], fallback=True)
+        short = RankedList("u", Section.MN_WIDGET, T0, ids[:5], scores[:5], fallback=True)
         assert short.top(5) is short and short.top(7) is short
-        page = RankedList("u", Section.MN_PAGE, T0, items, rec_labels=labels)
+        page = RankedList("u", Section.MN_PAGE, T0, ids, scores, rec_labels=labels)
         assert page.top(7) is page and page.top(9) is page
-        assert page.top(5) == RankedList("u", Section.MN_PAGE, T0, items[:5],
+        assert page.top(5) == RankedList("u", Section.MN_PAGE, T0, ids[:5], scores[:5],
                                          rec_labels=labels[:5])
 
 
@@ -300,10 +306,10 @@ class TestPipeline:
         ems = run_pipeline(corpus, cfg, ["u1"], models=train_schedule(corpus, cfg, t_end),
                            t_end=t_end)
         assert ems and all(e.fallback for e in ems)
-        page = [e for e in ems if e.section is Section.MN_PAGE and len(e.items) == 2]
+        page = [e for e in ems if e.section is Section.MN_PAGE and len(e.ids) == 2]
         assert page
         for lst in page:
-            pubs = [corpus.articles[aid].published_at for aid in lst.ids()]
+            pubs = [corpus.articles[aid].published_at for aid in lst.ids]
             assert pubs == sorted(pubs, reverse=True)  # recency order
 
     def test_lambda_one_dynamism_equals_baseline(self):
@@ -326,7 +332,7 @@ class TestPipeline:
         ems = run_pipeline(corpus, cfg, corpus.user_ids()[:5], models=train_schedule(corpus, cfg))
         assert ems
         for lst in ems:
-            for aid in lst.ids():
+            for aid in lst.ids:
                 age = lst.at - corpus.articles[aid].published_at
                 assert 0 <= age <= cfg.candidate_window
 
@@ -351,7 +357,7 @@ class TestPipeline:
         assert pages
         for lst in pages:
             assert lst.rec_labels is not None
-            for (aid, score), label in zip(lst.items, lst.rec_labels):
+            for score, label in zip(lst.scores, lst.rec_labels):
                 assert label == (score >= 0.5)
 
 
@@ -371,14 +377,14 @@ class TestPipeline:
                   for h, b in ((2, 0.1), (6, 0.2), (12, 0.3))]
         ems = run_pipeline(mini_corpus(), pipe_config(), ["u1"], t_end=T0 + 2 * DAY,
                            models=models)
-        pages = [e for e in ems if e.section is Section.MN_PAGE and e.items]
+        pages = [e for e in ems if e.section is Section.MN_PAGE and e.ids]
         assert len({e.at for e in pages}) == 24
         for e in pages:
             served = [m for t, m in models if t <= e.at]
             assert e.fallback == (not served)
             if served:
                 score = served[-1].predict_matrix(np.zeros((1, WIDTH)))[0]
-                assert {s for _, s in e.items} == {score}
+                assert set(e.scores) == {score}
 
     def test_schema_mismatch_refused(self):
         stale = TreeEnsemble(trees=[], learning_rate=0.1, base_score=0.0,
@@ -393,9 +399,9 @@ class TestPipeline:
 
 def fallback_list(user_id, cands, at, t_start):
     """The full recency-ordered list served before the first model."""
-    items = newsrec.ranker._sort_items((a, dyn_score_at(a.published_at, t_start))
-                                       for a in cands)
-    return RankedList(user_id, Section.MN_PAGE, at, tuple(items), fallback=True)
+    ids, scores = newsrec.ranker._sort_items((a, dyn_score_at(a.published_at, t_start))
+                                             for a in cands)
+    return RankedList(user_id, Section.MN_PAGE, at, ids, scores, fallback=True)
 
 
 def emit_user_oracle(out, corpus, cfg, model, user_id, at):
@@ -405,11 +411,11 @@ def emit_user_oracle(out, corpus, cfg, model, user_id, at):
     cands = candidates(corpus, at, cfg.candidate_window)
     if model is None:
         full = fallback_list(user_id, cands, at, cfg.t_start)
-        labels = {aid: False for aid, _ in full.items}
+        labels = {aid: False for aid in full.ids}
     else:
         profile = build_profile(corpus, user_id, at)
         full = rank(model, profile, cands, at, corpus)
-        labels = {aid: s >= cfg.rec_label_threshold for aid, s in full.items}
+        labels = {aid: s >= cfg.rec_label_threshold for aid, s in zip(full.ids, full.scores)}
         if cfg.treatment is Treatment.DYNAMISM:
             full = rerank(full, cfg.blend_lambda, cfg.t_start, corpus)
     sections = slice_sections(full, at, corpus, frozenset(), None)
@@ -417,9 +423,9 @@ def emit_user_oracle(out, corpus, cfg, model, user_id, at):
         lst = sections[section]
         if section is Section.MN_PAGE and cfg.mnpage_cap is not None:
             lst = lst.top(cfg.mnpage_cap)
-        out.append(RankedList(lst.user_id, lst.section, lst.at, lst.items,
+        out.append(RankedList(lst.user_id, lst.section, lst.at, lst.ids, lst.scores,
                               fallback=lst.fallback,
-                              rec_labels=tuple(labels[aid] for aid, _ in lst.items)))
+                              rec_labels=tuple(labels[aid] for aid in lst.ids)))
 
 
 CLICK_AT = T0 + DAY + 10 * 3600 + 1800  # 10:30 on day 1
@@ -490,7 +496,7 @@ class TestServeOracle:
         assert {e.fallback for e in got} == {False, True}
         assert {label for e in got if not e.fallback for label in e.rec_labels} == {False, True}
         assert any((e.at - cfg.t_start) % cfg.refresh_interval for e in got)  # click triggers
-        pages = [len(e.items) for e in got if e.section is Section.MN_PAGE]
+        pages = [len(e.ids) for e in got if e.section is Section.MN_PAGE]
         assert max(pages) == 2 if mnpage_cap else max(pages) > 2
 
     @pytest.mark.parametrize("block_rows", ["1", "n+1"])
@@ -585,14 +591,14 @@ class TestServeOracle:
         assert {e.fallback for e in got} == {False, True}
         pages = [e for e in got if e.section is Section.MN_PAGE]
         if window == 3600.0:
-            assert {bool(e.items) for e in pages if not e.fallback} == {False, True}
+            assert {bool(e.ids) for e in pages if not e.fallback} == {False, True}
             return
-        ages = {e.at - corpus.articles[aid].published_at for e in got for aid in e.ids()}
+        ages = {e.at - corpus.articles[aid].published_at for e in got for aid in e.ids}
         assert WEEK in ages and DAY in ages
         assert mnpage_cap or max(ages) > WEEK
         if model == "constant":
             served = [e for e in pages if not e.fallback]
-            assert any(e.ids()[:3] == ["t-a", "t-b", "t-c"] for e in served)
+            assert any(e.ids[:3] == ("t-a", "t-b", "t-c") for e in served)
 
     def test_each_emitted_list_constructed_once(self, monkeypatch):
         corpus = clicked_mini_corpus()
@@ -655,7 +661,7 @@ class TestServeTreatments:
         assert baseline != separate[Treatment.DYNAMISM]
         assert {e.fallback for e in baseline} == {False, True}
         assert any((e.at - cfg.t_start) % cfg.refresh_interval for e in baseline)
-        pages = [len(e.items) for e in baseline if e.section is Section.MN_PAGE]
+        pages = [len(e.ids) for e in baseline if e.section is Section.MN_PAGE]
         assert max(pages) == 2 if mnpage_cap else max(pages) > 2
 
     def test_fallback_lists_built_once_for_every_stream(self, tiny_world):
@@ -803,8 +809,8 @@ class TestManualLists:
         assert lists
         for lst in lists:
             assert lst.section is Section.MANUAL
-            assert len(lst.items) <= 5
-            for aid in lst.ids():
+            assert len(lst.ids) <= 5
+            for aid in lst.ids:
                 assert corpus.articles[aid].published_at <= lst.at
 
     @pytest.mark.parametrize("updates", [(-3, -1), (3, 2), (0, 0), (2.5, 4), (True, 3), (5,)])
@@ -821,12 +827,30 @@ class TestManualLists:
 
 def test_emissions_roundtrip(tmp_path):
     lists = [
-        RankedList("u1", Section.MN_WIDGET, T0, (("a", 0.9), ("b", 0.4)),
+        RankedList("u1", Section.MN_WIDGET, T0, ("a", "b"), (0.9, 0.4),
                    rec_labels=(True, False)),
-        RankedList("u2", Section.MN_PAGE, T0 + 60, (("c", 0.2),), fallback=True),
+        RankedList("u2", Section.MN_PAGE, T0 + 60, ("c",), (0.2,), fallback=True),
     ]
     write_emissions(tmp_path / "e.jsonl", lists)
     assert read_emissions(tmp_path / "e.jsonl") == lists
+
+
+def test_emission_log_bytes(tmp_path):
+    """The log's line format: one object per list, keys sorted, `ids` and
+    `scores` as arrays (each score as `repr` writes it), and `rec_labels`
+    only on a labelled list."""
+    lists = [
+        RankedList("u1", Section.MN_WIDGET, T0, ("a", "b"), (0.9, 0.1 + 0.2),
+                   rec_labels=(True, False)),
+        RankedList("u2", Section.MN_PAGE, T0 + 60, ("c",), (0.2,), fallback=True),
+    ]
+    write_emissions(tmp_path / "e.jsonl", lists)
+    assert (tmp_path / "e.jsonl").read_bytes() == (
+        b'{"at": 1704067200.0, "fallback": false, "ids": ["a", "b"], '
+        b'"rec_labels": [true, false], "scores": [0.9, 0.30000000000000004], '
+        b'"section": "mn_widget", "user": "u1"}\n'
+        b'{"at": 1704067260.0, "fallback": true, "ids": ["c"], "scores": [0.2], '
+        b'"section": "mn_page", "user": "u2"}\n')
 
 
 EMISSION = {"user": "u1", "section": "mn_widget", "at": T0, "ids": ["a", "b"],

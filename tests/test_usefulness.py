@@ -27,8 +27,8 @@ def profile_with(tag_freq=None, author_freq=None, section_freq=None,
 
 
 def ranked(user, section, at, ids):
-    items = tuple((aid, float(len(ids) - i)) for i, aid in enumerate(ids))
-    return RankedList(user, section, at, items)
+    return RankedList(user, section, at, tuple(ids),
+                      tuple(float(len(ids) - i) for i in range(len(ids))))
 
 
 class TestSim:
@@ -371,7 +371,7 @@ class TestCoverage:
                  ranked("u2", Section.MN_WIDGET, T0, [f"p{i}" for i in range(5, 10)])]
         assert coverage(lists, published, CoverageScope.ALL_USERS) == 1.0
         assert coverage(lists, published, CoverageScope.PER_USER) == pytest.approx(0.5)
-        id_lists = [l.ids() for l in lists]  # ALL_USERS also takes plain id sequences
+        id_lists = [list(l.ids) for l in lists]  # ALL_USERS also takes plain id sequences
         assert coverage(id_lists, published, CoverageScope.ALL_USERS) == 1.0
 
     def test_all_users_dominates_per_user(self):
@@ -456,7 +456,7 @@ class TestAlign:
         later = ranked("u1", Section.MN_WIDGET, T0 + 150, ["future"])
         pairs = align(manual, [later, older, newer])
         assert len(pairs) == 1
-        assert pairs[0][1].ids() == ["exact"]
+        assert pairs[0][1].ids == ("exact",)
 
     def test_interleaving_invariance(self):
         rng = np.random.default_rng(8)
