@@ -29,18 +29,19 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .corpus import (DAY, Corpus, CorpusError, SyntheticWorldConfig, WordVectors,
-                     _finite, date_start, day_start, generate_world, load_corpus,
-                     save_corpus, utc_date)
-from .evaluation import (ComparisonReport, TTestVariant, collect_metric_samples,
-                         compare_manual_recsys, compare_treatments, format_accuracy_table,
-                         format_comparison_table, offline_eval, scorers_from_schedule)
+                     _finite, _seed, date_start, day_start, generate_world, load_corpus,
+                     save_corpus, utc_date, write_json)
+from .evaluation import (ComparisonReport, TTestVariant, check_ks,
+                         collect_metric_samples, compare_manual_recsys, compare_treatments,
+                         format_accuracy_table, format_comparison_table, offline_eval,
+                         scorers_from_schedule)
 from .features import article_table, write_schema
 from .gbdt import GbdtError, TrainConfig, TreeEnsemble
 from .gbdt import load as load_model
 from .gbdt import save as save_model
 from .ranker import (PipelineConfig, RankedList, RankerError, Section, Treatment, _utc,
-                     manual_lists, manual_updates_range, read_emissions, serve_treatments,
-                     train_schedule, write_emissions)
+                     check_treatments, manual_lists, manual_updates_range, read_emissions,
+                     serve_treatments, train_schedule, write_emissions)
 from .usefulness import write_metric_samples
 
 
@@ -50,10 +51,9 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A checked experiment config; `_pipeline_config` completes `pipeline`
-    from the corpus."""
+    """A checked experiment config; its seed is `pipeline.rng_seed`, and
+    `_pipeline_config` completes `pipeline` from the corpus."""
 
-    seed: int
     out: Path
     world: Optional[SyntheticWorldConfig]
     corpus_files: Optional[dict[str, Path]]
@@ -122,19 +122,21 @@ def _section(name: str, section, kinds: dict[str, str], problems: list[str]) -> 
     return valid
 
 
-def _build(name: str, cls, entries: dict, problems: list[str]):
-    """`cls(**entries)`, or None with the value it refuses as a problem."""
+def _checked(key: Optional[str], problems: list[str], check, *args, **kwargs):
+    """`check(*args, **kwargs)`, or None with the ValueError it raises
+    recorded as a problem: under config `key`, or as raised when `key` is None."""
     try:
-        return cls(**entries)
+        return check(*args, **kwargs)
     except ValueError as exc:
-        problems.append(f"{name}: {exc}")
+        problems.append(str(exc) if key is None else f"{key}: {exc}")
         return None
 
 
 def load_config(path: str | Path, seed: Optional[int] = None,
                 out: Optional[str | Path] = None) -> ExperimentConfig:
     """The config file at `path`, with every problem listed in one CliError;
-    `seed` (the world's too) and `out` override the file's where given."""
+    `seed` (the world's too) and `out` override the file's where given. Each
+    value's rule is checked by the module that owns the value."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -155,22 +157,15 @@ def load_config(path: str | Path, seed: Optional[int] = None,
     # A refused seed is reported once, then replaced by a placeholder (the
     # config is refused) so that the world and pipeline built from it do not
     # report it again.
-    config_seed = raw.get("seed", 0)
-    if isinstance(config_seed, bool) or not isinstance(config_seed, int):
-        problems.append(f"seed must be an integer, not {config_seed!r}")
-        config_seed = 0
-    elif config_seed < 0:
-        problems.append(f"seed must be >= 0, not {config_seed}")
-        config_seed = 0
-    if seed is not None and seed < 0:
-        problems.append(f"--seed must be >= 0, not {seed}")
-        seed = 0
+    config_seed = _checked(None, problems, _seed, raw.get("seed", 0), "seed") or 0
+    if seed is not None:
+        seed = _checked(None, problems, _seed, seed, "--seed") or 0
     world = None
     if "world" in raw:
         entries = _section("world", raw["world"], _field_kinds(SyntheticWorldConfig), problems)
         if seed is not None:
             entries["seed"] = seed
-        world = _build("world", SyntheticWorldConfig, entries, problems)
+        world = _checked("world", problems, SyntheticWorldConfig, **entries)
     corpus_files = None
     if "corpus" in raw:
         files = _section("corpus", raw["corpus"], _CORPUS_KEYS, problems)
@@ -185,13 +180,14 @@ def load_config(path: str | Path, seed: Optional[int] = None,
         problems.append(f"'out' must be a string, not {raw['out']!r}")
     if seed is None:
         seed = config_seed
-    train = _build("train", TrainConfig, _section(
-        "train", raw.get("train", {}), _field_kinds(TrainConfig), problems), problems)
+    train = _checked("train", problems, TrainConfig, **_section(
+        "train", raw.get("train", {}), _field_kinds(TrainConfig), problems))
     pipe = _section("pipeline", raw.get("pipeline", {}), _PIPELINE_KEYS, problems)
     start_day_offset = pipe.get("start_day_offset", 1)
     if start_day_offset < 0:  # it would serve before the corpus starts
         problems.append(f"pipeline: start_day_offset must be >= 0, not {start_day_offset}")
-    pipeline = _build("pipeline", PipelineConfig, dict(
+    pipeline = _checked(
+        "pipeline", problems, PipelineConfig,
         t_start=0.0,  # a placeholder: _pipeline_config sets it from the corpus
         candidate_window=float(pipe.get("candidate_window_days", 7.0)) * DAY,
         refresh_interval=float(pipe.get("refresh_interval_hours", 1.0)) * 3600.0,
@@ -200,34 +196,23 @@ def load_config(path: str | Path, seed: Optional[int] = None,
         rec_label_threshold=float(pipe.get("rec_label_threshold", 0.5)),
         rng_seed=seed,
         train=train or TrainConfig(),
-        mnpage_cap=pipe.get("mnpage_cap"),
-    ), problems)
-    treatments = []
+        mnpage_cap=pipe.get("mnpage_cap"))
     names = raw.get("treatments", ["baseline", "dynamism"])
-    if not isinstance(names, list) or not names:
-        problems.append("treatments must be a non-empty list")
-        names = []
-    for name in names:
-        try:
-            treatment = Treatment(name)
-        except ValueError:
-            problems.append(f"treatments: unknown treatment {name!r}")
-            continue
-        if treatment in treatments:
-            problems.append(f"treatments: {name!r} is listed more than once")
-        treatments.append(treatment)
-    try:
-        manual_updates = manual_updates_range(raw.get("manual_updates_per_day", [8, 16]))
-    except RankerError as exc:
-        problems.append(f"manual_updates_per_day: {exc}")
-    eval_ks = raw.get("eval_ks", [5, 10])
-    if not isinstance(eval_ks, list) or any(
-            isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in eval_ks):
-        problems.append("eval_ks must be a list of integers >= 1")
+    if not isinstance(names, list):
+        problems.append(f"treatments must be a list, not {names!r}")
     else:
-        for i, k in enumerate(eval_ks):
-            if k in eval_ks[:i]:
-                problems.append(f"eval_ks: {k} is listed more than once")
+        unnamed = [name for name in names if name not in [t.value for t in Treatment]]
+        problems += [f"treatments: unknown treatment {name!r}" for name in unnamed]
+        if not unnamed:
+            treatments = _checked("treatments", problems, check_treatments,
+                                  map(Treatment, names))
+    manual_updates = _checked("manual_updates_per_day", problems, manual_updates_range,
+                              raw.get("manual_updates_per_day", [8, 16]))
+    eval_ks = raw.get("eval_ks", [5, 10])
+    if not isinstance(eval_ks, list):
+        problems.append(f"eval_ks must be a list, not {eval_ks!r}")
+    else:
+        eval_ks = _checked("eval_ks", problems, check_ks, eval_ks)
     try:
         variant = TTestVariant(raw.get("variant", "student"))
     except ValueError:
@@ -236,15 +221,14 @@ def load_config(path: str | Path, seed: Optional[int] = None,
         raise CliError("\n".join(f"invalid config: {p}" for p in problems))
 
     return ExperimentConfig(
-        seed=seed,
         out=Path(raw["out"] if out is None else out),
         world=world,
         corpus_files=corpus_files,
         pipeline=pipeline,
         start_day_offset=start_day_offset,
-        treatments=tuple(treatments),
+        treatments=treatments,
         manual_updates=manual_updates,
-        eval_ks=tuple(eval_ks),
+        eval_ks=eval_ks,
         variant=variant,
     )
 
@@ -305,11 +289,6 @@ def _pipeline_config(cfg: ExperimentConfig, corpus: Corpus) -> PipelineConfig:
                        f"starts the pipeline at {_utc(t_start)}, not before the corpus "
                        f"ends at {_utc(last)}")
     return replace(cfg.pipeline, t_start=t_start)
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
 
 
 def _model_day(path: Path) -> dt.date:
@@ -384,7 +363,7 @@ def cmd_run(cfg: ExperimentConfig) -> None:
         write_emissions(cfg.emissions_path(treatment), emissions)
         print(f"{treatment.value}: {len(emissions)} lists -> {cfg.emissions_path(treatment)}")
     manual = manual_lists(corpus, pipe.t_start, corpus.time_span()[1],
-                          rng_seed=cfg.seed * 7919 + 11,
+                          rng_seed=cfg.pipeline.rng_seed * 7919 + 11,
                           updates_range=cfg.manual_updates)
     write_emissions(cfg.manual_path, manual)
     print(f"manual: {len(manual)} lists -> {cfg.manual_path}")
@@ -406,7 +385,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
     samples = collect_metric_samples({t.value: lists for t, lists in streams.items()}, corpus)
 
     cfg.reports_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.reports_dir / "accuracy.json", report.to_dict())
+    write_json(cfg.reports_dir / "accuracy.json", report.to_dict())
     (cfg.reports_dir / "accuracy.txt").write_text(
         format_accuracy_table(report) + "\n", encoding="utf-8")
     write_metric_samples(cfg.reports_dir / "metrics.csv", samples)
@@ -416,7 +395,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> None:
 
 def _write_comparison(cfg: ExperimentConfig, name: str, reports: list[ComparisonReport],
                       label_a: str, label_b: str) -> None:
-    _write_json(cfg.reports_dir / f"{name}.json", [r.to_dict() for r in reports])
+    write_json(cfg.reports_dir / f"{name}.json", [r.to_dict() for r in reports])
     table = format_comparison_table(reports, label_a, label_b)
     (cfg.reports_dir / f"{name}.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
@@ -432,8 +411,6 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
           if len(streams) == 2 else None)
     mr = compare_manual_recsys(manual, streams[cfg.treatments[0]], corpus,
                                variant=cfg.variant)
-    for r in (ab or []) + mr:
-        r.validate()
 
     cfg.reports_dir.mkdir(parents=True, exist_ok=True)
     if ab is None:  # an earlier run's A/B report does not describe this config

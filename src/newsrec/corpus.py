@@ -395,6 +395,12 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def write_json(path: str | Path, payload) -> None:
+    """`json.dumps(payload, indent=2, sort_keys=True)` and a newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
 # YYYY-MM-DD, optionally followed by "T" or a space and HH:MM[:SS[.fff[fff]]],
 # then optionally by "Z" or a +-HH:MM offset. Python 3.11's fromisoformat reads
 # more forms than 3.10's (such as 20240102T100000Z), and 3.10's takes any
@@ -439,6 +445,13 @@ def _integer(value, what: str, error: type[Exception] = TypeError) -> int:
     raises `error` naming `what`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _seed(value, what: str, error: type[Exception] = ValueError) -> int:
+    """`value`, a random seed: an integer >= 0 and not a bool, else `error` naming `what`."""
+    if _integer(value, what, error) < 0:
+        raise error(f"{what} must be >= 0, not {value}")
     return value
 
 
@@ -557,13 +570,12 @@ class SyntheticWorldConfig:
         counts = ("n_users", "n_days", "articles_per_day", "n_tags", "n_authors",
                   "n_sections", "user_affinity_dim", "embedding_dim", "vocab_size",
                   "n_personas", "sessions_per_day", "impressions_per_session")
-        for name in ("seed", *counts):
+        _seed(self.seed, "seed")
+        for name in counts:
             _integer(getattr(self, name), name, ValueError)
         bad = sorted(k for k in counts if getattr(self, k) < 1)
         if bad:
             raise ValueError(f"counts must be >= 1: {', '.join(bad)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, not {self.seed}")
         for name in ("zipf_exponent", "click_noise", "click_threshold", "start"):
             if not _finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")

@@ -128,6 +128,17 @@ def _user_day_candidates(corpus: Corpus, day_ts: float
     return out
 
 
+def check_ks(ks: Sequence[int]) -> tuple[int, ...]:
+    """`ks` as a tuple: integers >= 1, each listed once (else a user-day
+    would count once per listing), or EvalError naming the first bad k."""
+    for i, k in enumerate(ks):
+        if _integer(k, "k", EvalError) < 1:
+            raise EvalError(f"k must be >= 1, not {k}")
+        if k in ks[:i]:
+            raise EvalError(f"k {k} is listed more than once")
+    return tuple(ks)
+
+
 def offline_eval(corpus: Corpus, scorers: Mapping[dt.date, Scorer],
                  ks: Sequence[int] = (5, 10)) -> AccuracyReport:
     """Replay each user-day's displayed articles through that day's model,
@@ -135,16 +146,11 @@ def offline_eval(corpus: Corpus, scorers: Mapping[dt.date, Scorer],
 
     `scorers` maps each day to the scorer of the model trained through the
     previous day (see `scorers_from_schedule`). User-days without clicks
-    are skipped (macro-averaging over defined samples only). Each k of `ks`
-    must be an integer >= 1, listed once; any other is refused before the
-    replay. Scorer output other than one finite score per pool article
-    raises EvalError.
+    are skipped (macro-averaging over defined samples only). `ks` that
+    `check_ks` refuses raise EvalError before the replay; scorer output
+    other than one finite score per pool article raises EvalError too.
     """
-    for i, k in enumerate(ks):
-        if _integer(k, "k", EvalError) < 1:
-            raise EvalError(f"k must be >= 1, not {k}")
-        if k in ks[:i]:  # each user-day would be counted once per listing
-            raise EvalError(f"k {k} is listed more than once")
+    ks = check_ks(ks)
     ndcg_samples: list[float] = []
     pr_samples: dict[int, list[tuple[float, float]]] = {k: [] for k in ks}
     for day, scorer in sorted(scorers.items()):
@@ -201,7 +207,7 @@ class SampleSummary:
         return {"n": self.n, "mean": self.mean, "sd": self.sd}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComparisonReport:
     metric: str
     group_a: SampleSummary

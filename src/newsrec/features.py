@@ -12,7 +12,6 @@ width follows from `SECTION_BUCKETS` and the corpus's embedding width.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import DAY, WEEK, Corpus, InteractionEvent, Kind, date_start
+from .corpus import DAY, WEEK, Corpus, InteractionEvent, Kind, date_start, write_json
 
 SCHEMA_VERSION = 1
 SECTION_BUCKETS = 16  # hash buckets of the one-hot article section
@@ -72,8 +71,7 @@ def write_schema(embedding_dim: int, path: str | Path) -> None:
         "top_k": TOP_K,
         "features": names,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_json(path, payload)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import AbstractSet, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import (DAY, WEEK, Article, Corpus, Kind, _finite, _finite_number, _integer,
-                     _str, _str_list, day_start, read_jsonl, utc_date, write_jsonl)
+                     _seed, _str, _str_list, day_start, read_jsonl, utc_date, write_jsonl)
 from .features import (ArticleFeatureCache, ProfileCache, UserProfile, article_table,
                        build_training_set, extract_matrix)
 from .gbdt import TrainConfig, TreeEnsemble, train
@@ -59,6 +59,19 @@ class Section(Enum):
 class Treatment(Enum):
     BASELINE = "baseline"
     DYNAMISM = "dynamism"
+
+
+def check_treatments(treatments: Iterable[Treatment]) -> tuple[Treatment, ...]:
+    """`treatments` as a tuple of at least one `Treatment`, each listed once, else RankerError."""
+    treatments = tuple(treatments)
+    if not treatments:
+        raise RankerError("no treatment is listed")
+    for i, treatment in enumerate(treatments):
+        if not isinstance(treatment, Treatment):
+            raise RankerError(f"not a Treatment: {treatment!r}")
+        if treatment in treatments[:i]:
+            raise RankerError(f"treatment {treatment.value!r} is listed more than once")
+    return treatments
 
 
 SECTION_CAPS = {Section.MANUAL: 5, Section.MN_WIDGET: 5, Section.MISSED_LW: 5}
@@ -115,8 +128,8 @@ class PipelineConfig:
     mnpage_cap: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("nightly_train_hour", "rng_seed"):
-            _integer(getattr(self, name), name, RankerError)
+        _integer(self.nightly_train_hour, "nightly_train_hour", RankerError)
+        _seed(self.rng_seed, "rng_seed", RankerError)
         for name in ("t_start", "candidate_window", "refresh_interval", "rec_label_threshold"):
             if not _finite(getattr(self, name)):
                 raise RankerError(f"{name} must be finite, not {getattr(self, name)!r}")
@@ -124,12 +137,10 @@ class PipelineConfig:
             raise RankerError("lambda must be in [0, 1]")
         if self.candidate_window <= 0:
             raise RankerError("candidate_window must be > 0")
-        if self.refresh_interval <= 0:
-            raise RankerError("refresh_interval must be > 0")
+        if self.refresh_interval < 1.0:  # a smaller step may not move the serving clock
+            raise RankerError(f"refresh_interval must be >= 1 second, not {self.refresh_interval}")
         if not 0 <= self.nightly_train_hour <= 23:
             raise RankerError("nightly_train_hour must be an hour of day")
-        if self.rng_seed < 0:
-            raise RankerError(f"rng_seed must be >= 0, not {self.rng_seed}")
         if (self.mnpage_cap is not None
                 and _integer(self.mnpage_cap, "mnpage_cap", RankerError) < 1):
             raise RankerError("mnpage_cap must be an integer >= 1")
@@ -364,17 +375,10 @@ def serve_treatments(corpus: Corpus, cfg: PipelineConfig, users: Sequence[str],
     model scores: each block is scored once, and only the blend and the sort
     are per treatment, so a stream is the same whichever treatments are
     served beside it. `cfg.treatment` is not read: `treatments` names the
-    streams, and an empty one, a repeated treatment or a value that is not
-    a `Treatment` raises RankerError before any serving.
+    streams, and one that `check_treatments` refuses raises RankerError
+    before any serving.
     """
-    treatments = tuple(treatments)
-    if not treatments:
-        raise RankerError("no treatments to serve")
-    for i, treatment in enumerate(treatments):
-        if not isinstance(treatment, Treatment):
-            raise RankerError(f"not a Treatment: {treatment!r}")
-        if treatment in treatments[:i]:
-            raise RankerError(f"treatment {treatment.value!r} is named twice")
+    treatments = check_treatments(treatments)
     if t_end is None:
         t_end = corpus.time_span()[1]
     if t_end <= cfg.t_start:
@@ -451,6 +455,7 @@ def manual_lists(corpus: Corpus, t_start: float, t_end: float, rng_seed: int = 0
     non-personalized popularity-plus-noise score over the trailing 24h of
     publications. On file it is an emission log (`write_emissions`)."""
     low, high = manual_updates_range(updates_range)
+    cap = SECTION_CAPS[Section.MANUAL]
     rng = np.random.default_rng(rng_seed)
     click_counts: dict[str, int] = {}
     click_events = [(e.at, e.article_id) for e in corpus.events if e.kind is Kind.CLICK]
@@ -476,7 +481,7 @@ def manual_lists(corpus: Corpus, t_start: float, t_end: float, rng_seed: int = 0
             scored = [(a, math.log1p(click_counts.get(a.id, 0)) + 1.5 * rng.random())
                       for a in pool]
             ids, scores = _sort_items(scored)
-            out.append(RankedList(MANUAL_USER, Section.MANUAL, at, ids[:5], scores[:5]))
+            out.append(RankedList(MANUAL_USER, Section.MANUAL, at, ids[:cap], scores[:cap]))
         day += DAY
     return out
 

@@ -7,8 +7,10 @@ import pytest
 
 import newsrec.cli
 from newsrec.cli import CliError, load_config, main
-from newsrec.corpus import WordVectors
-from newsrec.ranker import read_emissions
+from newsrec.corpus import SyntheticWorldConfig, WordVectors, generate_world
+from newsrec.evaluation import EvalError, offline_eval
+from newsrec.ranker import (PipelineConfig, RankerError, Treatment, read_emissions,
+                            serve_treatments)
 from newsrec.worlds import reference_pipeline, reference_world
 
 REPO = Path(__file__).resolve().parent.parent
@@ -381,21 +383,21 @@ class TestErrors:
         # the feature layout is fixed (features.SECTION_BUCKETS, TOP_K)
         ("train", {"features": {"section_buckets": 0}}, "unknown top-level keys ['features']"),
         ("train", {"features": {"top_k": 3}}, "unknown top-level keys ['features']"),
-        ("evaluate", {"eval_ks": [0]}, "eval_ks must be a list of integers >= 1"),
+        ("evaluate", {"eval_ks": [0]}, "eval_ks: k must be >= 1, not 0"),
         # each user-day would be counted once per listing
-        ("evaluate", {"eval_ks": [5, 5]}, "eval_ks: 5 is listed more than once"),
+        ("evaluate", {"eval_ks": [5, 5]}, "eval_ks: k 5 is listed more than once"),
         ("run", {"manual_updates_per_day": [-3, -1]}, "manual_updates_per_day: must be"),
         ("run", {"manual_updates_per_day": 5}, "manual_updates_per_day: must be"),
         ("run", {"manual_updates_per_day": ["a", "b"]}, "manual_updates_per_day: must be"),
         ("run", {"manual_updates_per_day": [2.5, 4]}, "manual_updates_per_day: must be"),
         ("run", {"manual_updates_per_day": [True, 3]}, "manual_updates_per_day: must be"),
         ("run", {"manual_updates_per_day": [0, 0]}, "manual_updates_per_day: must be"),
-        ("run", {"treatments": []}, "treatments must be a non-empty list"),
-        ("compare", {"treatments": []}, "treatments must be a non-empty list"),
+        ("run", {"treatments": []}, "treatments: no treatment is listed"),
+        ("compare", {"treatments": []}, "treatments: no treatment is listed"),
         ("run", {"treatments": ["baseline", "baseline"]},
-         "treatments: 'baseline' is listed more than once"),
+         "treatments: treatment 'baseline' is listed more than once"),
         ("compare", {"treatments": ["baseline", "dynamism", "baseline"]},
-         "treatments: 'baseline' is listed more than once"),
+         "treatments: treatment 'baseline' is listed more than once"),
         ("generate", {"seed": "x"}, "seed must be an integer, not 'x'"),
         ("generate", {"seed": 2.7}, "seed must be an integer, not 2.7"),
         ("generate", {"seed": True}, "seed must be an integer, not True"),
@@ -457,9 +459,16 @@ class TestErrors:
                                      "at 2024-01-"),
         # before the corpus's first day: lists served before anything was published
         ({"start_day_offset": -3}, "start_day_offset must be >= 0, not -3"),
+        ({"refresh_interval_hours": 0}, "refresh_interval must be >= 1 second, not 0.0"),
+        ({"refresh_interval_hours": -1}, "refresh_interval must be >= 1 second, not -3600.0"),
+        # 3.6e-9 s is below the float spacing of a 2024 timestamp: the serving
+        # clock would never move
+        ({"refresh_interval_hours": 1e-12},
+         "refresh_interval must be >= 1 second, not 3.6e-09"),
     ], ids=["lambda", "window", "cap-0", "cap-minus-1", "unknown-key", "hour-float",
             "offset-float", "cap-float", "refresh-string", "lambda-bool", "t-start-null",
-            "offset-past-end", "offset-negative"])
+            "offset-past-end", "offset-negative", "refresh-zero", "refresh-negative",
+            "refresh-sub-ulp"])
     def test_bad_pipeline_section_exit_2(self, chain, tmp_path, capsys, pipeline, message):
         out, _ = chain
         smoke = json.loads(SMOKE.read_text())
@@ -499,6 +508,60 @@ class TestErrors:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+class TestSharedRules:
+    """`load_config` and the library refuse a seed, an eval k or a treatment
+    list by one rule, with one message: the config records the library's
+    message under its key."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_world(SyntheticWorldConfig(
+            n_users=2, n_days=2, articles_per_day=4, embedding_dim=8, user_affinity_dim=4,
+            vocab_size=100, n_tags=10, n_authors=5, n_sections=3, n_personas=2))[0]
+
+    @staticmethod
+    def config_problems(tmp_path, overrides: dict, flag_seed=None) -> list[str]:
+        """The problems `load_config` lists for the smoke config with
+        `overrides`, given `--seed flag_seed`."""
+        with pytest.raises(CliError) as exc:
+            load_config(smoke_config(tmp_path, **overrides), seed=flag_seed)
+        return str(exc.value).splitlines()
+
+    @pytest.mark.parametrize("ks", [[0], [5.5], [True], [5, 5]],
+                             ids=["zero", "fractional", "bool", "repeated"])
+    def test_eval_ks(self, corpus, tmp_path, ks):
+        with pytest.raises(EvalError) as library:
+            offline_eval(corpus, {}, ks)
+        assert self.config_problems(tmp_path, {"eval_ks": ks}) == [
+            f"invalid config: eval_ks: {library.value}"]
+
+    @pytest.mark.parametrize("names", [[], ["baseline", "baseline"]],
+                             ids=["empty", "repeated"])
+    def test_treatments(self, corpus, tmp_path, names):
+        pipe = PipelineConfig(t_start=corpus.time_span()[0])
+        with pytest.raises(RankerError) as library:
+            serve_treatments(corpus, pipe, corpus.user_ids(), [], map(Treatment, names))
+        assert self.config_problems(tmp_path, {"treatments": names}) == [
+            f"invalid config: treatments: {library.value}"]
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "x", True],
+                             ids=["negative", "fractional", "string", "bool"])
+    def test_seeds(self, tmp_path, seed):
+        with pytest.raises(ValueError) as world:
+            SyntheticWorldConfig(seed=seed)
+        with pytest.raises(RankerError) as pipeline:
+            PipelineConfig(t_start=0.0, rng_seed=seed)
+        message = str(world.value)
+        assert message.startswith("seed must be ")
+        assert str(pipeline.value) == f"rng_{message}"
+        assert self.config_problems(tmp_path, {"seed": seed}) == [f"invalid config: {message}"]
+        world_seed = {"world": {**SMOKE_CFG["world"], "seed": seed}}
+        assert self.config_problems(tmp_path, world_seed) == [
+            f"invalid config: world: {message}"]
+        assert self.config_problems(tmp_path, {}, flag_seed=seed) == [
+            f"invalid config: --{message}"]
 
 
 def test_two_day_chain_leaves_untestable_coverage_out(tmp_path):

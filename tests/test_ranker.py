@@ -72,6 +72,16 @@ def test_negative_rng_seed_refused():
         pipe_config(rng_seed=-1)
 
 
+@pytest.mark.parametrize("interval", [0.0, -3600.0, 3.6e-9, 0.999])
+def test_sub_second_refresh_interval_refused(interval):
+    # a step below the float spacing of the clock (2.4e-7 s in 2024) would
+    # never move it, so serving would queue refreshes forever
+    assert math.ulp(T0) > 3.6e-9
+    with pytest.raises(RankerError, match=f"refresh_interval must be >= 1 second, not {interval}"):
+        pipe_config(refresh_interval=interval)
+    assert pipe_config(refresh_interval=1.0).refresh_interval == 1.0
+
+
 class TestCandidates:
     def test_empty_corpus(self):
         corpus = Corpus([], [], 4)
@@ -676,8 +686,9 @@ class TestServeTreatments:
         assert all(b is not d for b, d in zip(baseline, dynamism) if not b.fallback)
 
     @pytest.mark.parametrize("treatments, message", [
-        ((), "no treatments"),
-        ((Treatment.BASELINE, Treatment.DYNAMISM, Treatment.BASELINE), "named twice"),
+        ((), "no treatment is listed"),
+        ((Treatment.BASELINE, Treatment.DYNAMISM, Treatment.BASELINE),
+         "treatment 'baseline' is listed more than once"),
         ((Treatment.BASELINE, "dynamism"), "not a Treatment"),
     ], ids=["empty", "repeated", "not-a-treatment"])
     def test_bad_treatments_refused_before_serving(self, monkeypatch, treatments, message):
